@@ -26,6 +26,7 @@
 use crate::db::{Database, TableId};
 use crate::error::DbError;
 use mmdb_recovery::{PartitionKey, StableStore};
+use std::sync::Arc;
 
 /// What one full checkpoint pass accomplished.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -111,8 +112,8 @@ impl<S: StableStore> Database<S> {
     #[must_use]
     pub fn checkpoint_begin(&self) -> Checkpointer {
         let mut work = Vec::new();
-        for (t, rel) in self.relations().enumerate() {
-            for p in rel.read().checkpoint_dirty_partitions() {
+        for (t, table) in self.tables.iter().enumerate() {
+            for p in table.rel.read().checkpoint_dirty_partitions() {
                 work.push((t, p));
             }
         }
@@ -135,10 +136,10 @@ impl<S: StableStore> Database<S> {
     /// log records truncated.
     pub(crate) fn checkpoint_partition(&mut self, t: TableId, p: u32) -> Result<usize, DbError> {
         let key = PartitionKey::new(t as u32, p);
-        let rel = self.relation_by_id(t);
-        let cut = self.recovery_mut().checkpoint_cut();
+        let rel = Arc::clone(&self.tables[t].rel);
+        let cut = self.recovery.checkpoint_cut();
         let image = rel.read().partition_image(p)?;
-        let truncated = self.recovery_mut().checkpoint_image(key, &image, cut)?;
+        let truncated = self.recovery.checkpoint_image(key, &image, cut)?;
         rel.write().clear_checkpoint_dirty(p);
         Ok(truncated)
     }

@@ -1,36 +1,25 @@
-//! The [`Database`] facade.
+//! The [`Database`] facade: catalog, transactions, and the direct
+//! single-predicate read path. Plan binding lives in `bind.rs`, crash
+//! restart in `restart.rs`.
 
-use crate::catalog::{decode_catalog, encode_catalog, CatalogMeta, IndexMeta, TableMeta};
+use crate::bind::BoundSelect;
+use crate::catalog::{encode_catalog, CatalogMeta, IndexMeta, TableMeta};
 use crate::error::DbError;
-use crate::shared::{live_field, SharedAdapter};
+use crate::restart::{build_index_bulk, CrashedDatabase};
+use crate::shared::SharedAdapter;
 use crate::txn::{Transaction, WriteOp};
-use mmdb_exec::plan::{
-    AttrInfo, BoxedOperator, DistinctOp, FullScanOp, HashLookupOp, JoinKernel, JoinOp, NodeId,
-    PlanCatalog, PlanNode, PlanNodeKind, PostFilterOp, PrecomputedKernel, ProjectOp, SeqFilterOp,
-    SidesKernel, TreeJoinKernel, TreeLookupOp, TreeMergeKernel,
-};
-use mmdb_exec::run_tasks;
 use mmdb_exec::{
     choose_select_path, parallel_select_scan, select_hash_index, select_tree_index, CacheReport,
-    CachedMode, CachedReadOp, DeltaApplyOp, DeltaEvent, ExecConfig, IndexAvailability, JoinMethod,
-    JoinOutput, JoinPlanner, MemoizeOp, Predicate, RefilterOp, ReuseCache, SelectPath, StoreTicket,
-    VersionSource,
+    DeltaEvent, ExecConfig, Predicate, ReuseCache,
 };
-use mmdb_index::sort::run_sort;
-use mmdb_index::stats::Counters;
 use mmdb_index::traits::{OrderedIndex, UnorderedIndex};
-use mmdb_index::{ModifiedLinearHash, TTree, TTreeConfig};
+use mmdb_index::{ModifiedLinearHash, TTree};
 use mmdb_lock::{LockManager, LockMode, LockTarget, TxnId};
-use mmdb_recovery::{MemDisk, PartitionKey, RecoveryManager, RestartPhase, StableStore};
-use mmdb_storage::{
-    value_hash, value_order_tag, AttrType, OwnedValue, Partition, PartitionConfig, Relation,
-    ResultDescriptor, Schema, TempList, TupleId,
-};
+use mmdb_recovery::{MemDisk, PartitionKey, RecoveryManager, StableStore};
+use mmdb_storage::{OwnedValue, PartitionConfig, Relation, Schema, TempList, TupleId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
-use std::marker::PhantomData;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Identifies a table (position in catalog order).
 pub type TableId = usize;
@@ -46,7 +35,7 @@ pub enum IndexKind {
     Hash,
 }
 
-enum AnyIndex {
+pub(crate) enum AnyIndex {
     TTree(TTree<SharedAdapter>),
     Hash(ModifiedLinearHash<SharedAdapter>),
 }
@@ -81,137 +70,36 @@ impl AnyIndex {
     }
 }
 
-/// Run length for the bulk-rebuild sort kernel: long enough that runs
-/// stay L2-resident for `(u64, TupleId)` pairs (the same figure the
-/// query kernels use).
-const REBUILD_RUN_LEN: usize = 16_384;
-
-/// Build one index over the current population of `rel` through the bulk
-/// paths (DESIGN.md §16): snapshot `(key tag, tid)` pairs under a
-/// **single** read guard with a monomorphic loop — the tuple-at-a-time
-/// alternative re-locks the relation and re-dispatches through
-/// [`AnyIndex`] for every tuple — then either run-sort + bottom-up
-/// T-Tree construction or a pre-sized hash fill. Returns the index and
-/// its entry count.
-fn build_index_bulk(
-    rel: &Arc<RwLock<Relation>>,
-    attr: usize,
-    kind: IndexKind,
-    param: u32,
-) -> (AnyIndex, usize) {
-    let adapter = SharedAdapter::new(Arc::clone(rel), attr);
-    match kind {
-        IndexKind::TTree => {
-            let tagged = {
-                let r = rel.read();
-                let mut v: Vec<(u64, TupleId)> = r
-                    .iter_tids()
-                    .map(|tid| (value_order_tag(&live_field(&r, tid, attr)), tid))
-                    .collect();
-                // Tag-first comparison: unequal tags decide without
-                // touching the tuple (the §2.2 pointer-chase); ties fall
-                // back to the full value order. Equal keys drain in tid
-                // (insertion) order across runs.
-                let counters = Counters::default();
-                run_sort(&mut v, REBUILD_RUN_LEN, &counters, &mut |a, b| {
-                    a.0.cmp(&b.0).then_with(|| {
-                        live_field(&r, a.1, attr).total_cmp(&live_field(&r, b.1, attr))
-                    })
-                });
-                v
-            };
-            let n = tagged.len();
-            let tree = TTree::build_from_sorted(
-                adapter,
-                TTreeConfig::with_node_size(param as usize),
-                tagged,
-            );
-            (AnyIndex::TTree(tree), n)
-        }
-        IndexKind::Hash => {
-            let hashed: Vec<(u64, TupleId)> = {
-                let r = rel.read();
-                r.iter_tids()
-                    .map(|tid| (value_hash(&live_field(&r, tid, attr)), tid))
-                    .collect()
-            };
-            let n = hashed.len();
-            let mut h = ModifiedLinearHash::new(adapter, param as usize);
-            h.bulk_fill_hashed(hashed);
-            (AnyIndex::Hash(h), n)
-        }
-    }
+pub(crate) struct IndexDef {
+    pub(crate) name: String,
+    pub(crate) table: TableId,
+    pub(crate) attr: usize,
+    pub(crate) kind: IndexKind,
+    pub(crate) param: u32,
+    pub(crate) index: AnyIndex,
 }
 
-struct IndexDef {
-    name: String,
-    table: TableId,
-    attr: usize,
-    kind: IndexKind,
-    param: u32,
-    index: AnyIndex,
-}
-
-struct Table {
-    name: String,
-    rel: Arc<RwLock<Relation>>,
-}
-
-/// Wall-clock time spent in each restart phase (§2.4 order). Catalog and
-/// working set gate availability; background and index rebuild gate full
-/// restoration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryTimings {
-    /// Reading + decoding the catalog shadow slots.
-    pub catalog: Duration,
-    /// Fetching, merging, decoding, and installing working-set partitions.
-    pub working_set: Duration,
-    /// Same for the remainder of the database.
-    pub background: Duration,
-    /// Bulk-rebuilding every index over the reloaded relations.
-    pub index_rebuild: Duration,
-}
-
-/// How one index's restart rebuild went.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexRebuildStat {
-    /// Index name (catalog order).
-    pub name: String,
-    /// Entries loaded into the rebuilt structure.
-    pub entries: usize,
-    /// Wall-clock time for this index's rebuild task.
-    pub elapsed: Duration,
-}
-
-/// A recovered-partition record: which partition, in which restart phase.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// `(table name, partition, phase)` in load order — working set first.
-    pub loaded: Vec<(String, u32, RestartPhase)>,
-    /// Indexes rebuilt after reload.
-    pub indexes_rebuilt: usize,
-    /// Per-phase wall times.
-    pub timings: RecoveryTimings,
-    /// Per-index rebuild statistics, in catalog order.
-    pub index_stats: Vec<IndexRebuildStat>,
+pub(crate) struct Table {
+    pub(crate) name: String,
+    pub(crate) rel: Arc<RwLock<Relation>>,
 }
 
 /// The memory-resident database (§2).
 pub struct Database<S: StableStore = MemDisk> {
-    tables: Vec<Table>,
-    indexes: Vec<IndexDef>,
-    locks: Arc<LockManager>,
-    recovery: RecoveryManager<S>,
-    exec: ExecConfig,
+    pub(crate) tables: Vec<Table>,
+    pub(crate) indexes: Vec<IndexDef>,
+    pub(crate) locks: Arc<LockManager>,
+    pub(crate) recovery: RecoveryManager<S>,
+    pub(crate) exec: ExecConfig,
     /// Monotone catalog version; selects which shadow slot the next
     /// persist writes (see [`Database::persist_catalog`]). Doubles as the
     /// reuse cache's epoch stamp: index creation changes access paths
     /// (and thus result order), so entries never survive it.
-    catalog_epoch: u64,
+    pub(crate) catalog_epoch: u64,
     /// Plan-keyed intermediate-result reuse cache (queries take `&self`,
     /// hence the cell). Consulted only when [`ExecConfig::cache`] or the
     /// per-query `QueryBuilder::cache(true)` knob asks for it.
-    cache: Mutex<ReuseCache>,
+    pub(crate) cache: Mutex<ReuseCache>,
 }
 
 /// Partition number used as a per-table append fence: transactional
@@ -226,19 +114,13 @@ pub const APPEND_FENCE: u32 = u32::MAX;
 /// so a torn write (power cut mid-catalog-write) can destroy at most
 /// one slot — restart always finds the previous intact epoch in the
 /// other.
-const CATALOG_SLOTS: [&str; 2] = ["catalog.a", "catalog.b"];
+pub(crate) const CATALOG_SLOTS: [&str; 2] = ["catalog.a", "catalog.b"];
 
 impl Database<MemDisk> {
     /// A database whose disk copy is simulated in memory.
     #[must_use]
     pub fn in_memory() -> Self {
         Database::with_disk(MemDisk::new())
-    }
-}
-
-impl Default for Database<MemDisk> {
-    fn default() -> Self {
-        Database::in_memory()
     }
 }
 
@@ -259,15 +141,10 @@ impl<S: StableStore> Database<S> {
 
     // ---- execution config ---------------------------------------------
 
-    /// The execution config select/join/query pipelines run with.
+    /// The execution config select and query pipelines run with.
     #[must_use]
     pub fn exec_config(&self) -> ExecConfig {
         self.exec
-    }
-
-    /// Set the full execution config for subsequent operations.
-    pub fn set_exec_config(&mut self, cfg: ExecConfig) {
-        self.exec = cfg;
     }
 
     /// Set the degree of parallelism for subsequent operations, keeping
@@ -290,50 +167,25 @@ impl<S: StableStore> Database<S> {
         self.cache.lock().clear();
     }
 
-    /// Set the reuse cache's retention budget, evicting down if needed.
-    pub fn set_cache_capacity_bytes(&self, bytes: usize) {
-        self.cache.lock().set_capacity_bytes(bytes);
-    }
-
-    /// Run `f` against the reuse cache (for inspection and checking;
-    /// queries go through [`Database::query`] and touch it themselves).
-    pub fn with_cache<R>(&self, f: impl FnOnce(&ReuseCache) -> R) -> R {
-        f(&self.cache.lock())
-    }
-
-    pub(crate) fn reuse_cache(&self) -> &Mutex<ReuseCache> {
-        &self.cache
-    }
-
     // ---- catalog -------------------------------------------------------
 
-    fn table_id(&self, name: &str) -> Result<TableId, DbError> {
+    pub(crate) fn table_id(&self, name: &str) -> Result<TableId, DbError> {
         self.tables
             .iter()
             .position(|t| t.name == name)
             .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
     }
 
-    fn table(&self, id: TableId) -> &Table {
+    pub(crate) fn table(&self, id: TableId) -> &Table {
         &self.tables[id]
     }
 
     /// Create a table with default partition sizing.
     pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<TableId, DbError> {
-        self.create_table_with_config(name, schema, PartitionConfig::default())
-    }
-
-    /// Create a table with explicit partition sizing.
-    pub fn create_table_with_config(
-        &mut self,
-        name: &str,
-        schema: Schema,
-        config: PartitionConfig,
-    ) -> Result<TableId, DbError> {
         if self.tables.iter().any(|t| t.name == name) {
             return Err(DbError::Duplicate(name.to_string()));
         }
-        let rel = Relation::new(name, schema, config);
+        let rel = Relation::new(name, schema, PartitionConfig::default());
         self.tables.push(Table {
             name: name.to_string(),
             rel: Arc::new(RwLock::new(rel)),
@@ -355,18 +207,6 @@ impl<S: StableStore> Database<S> {
             IndexKind::TTree => 30,
             IndexKind::Hash => 2,
         };
-        self.create_index_with_param(name, table, attr, kind, param)
-    }
-
-    /// Create an index with an explicit structure parameter.
-    pub fn create_index_with_param(
-        &mut self,
-        name: &str,
-        table: &str,
-        attr: &str,
-        kind: IndexKind,
-        param: u32,
-    ) -> Result<(), DbError> {
         if self.indexes.iter().any(|i| i.name == name) {
             return Err(DbError::Duplicate(name.to_string()));
         }
@@ -425,12 +265,6 @@ impl<S: StableStore> Database<S> {
         Ok(())
     }
 
-    /// Names of all tables, in id order.
-    #[must_use]
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.iter().map(|t| t.name.clone()).collect()
-    }
-
     /// Number of live tuples in a table.
     pub fn len(&self, table: &str) -> Result<usize, DbError> {
         Ok(self.table(self.table_id(table)?).rel.read().len())
@@ -440,22 +274,6 @@ impl<S: StableStore> Database<S> {
     /// several relations at once for materialization).
     pub(crate) fn relation_handle(&self, table: &str) -> Result<Arc<RwLock<Relation>>, DbError> {
         Ok(Arc::clone(&self.table(self.table_id(table)?).rel))
-    }
-
-    /// Every table's relation handle, in table-id order (checkpoint
-    /// work-list construction).
-    pub(crate) fn relations(&self) -> impl Iterator<Item = &Arc<RwLock<Relation>>> {
-        self.tables.iter().map(|t| &t.rel)
-    }
-
-    /// Relation handle by table id (checkpoint step path).
-    pub(crate) fn relation_by_id(&self, t: TableId) -> Arc<RwLock<Relation>> {
-        Arc::clone(&self.tables[t].rel)
-    }
-
-    /// Mutable recovery manager (checkpoint step path).
-    pub(crate) fn recovery_mut(&mut self) -> &mut RecoveryManager<S> {
-        &mut self.recovery
     }
 
     /// Run a closure against the table's relation (read-only).
@@ -773,21 +591,10 @@ impl<S: StableStore> Database<S> {
 
     // ---- transaction-engine plumbing -----------------------------------
 
-    /// Shared handle to the lock manager. Engine sessions block on
-    /// partition locks through it *without* holding the engine latch.
-    pub(crate) fn lock_manager(&self) -> Arc<LockManager> {
-        Arc::clone(&self.locks)
-    }
-
     /// Write the commit record for `txn_id` into the stable log buffer
     /// (the group-commit leader batches these, then flushes once).
     pub(crate) fn mark_committed(&mut self, txn_id: TxnId) {
         self.recovery.commit(txn_id.0);
-    }
-
-    /// Resolve a table name to its id (sessions key lock targets by id).
-    pub(crate) fn resolve_table(&self, name: &str) -> Result<TableId, DbError> {
-        self.table_id(name)
     }
 
     /// Current partition count of table `t`.
@@ -823,520 +630,23 @@ impl<S: StableStore> Database<S> {
 
     // ---- queries ---------------------------------------------------------
 
-    /// Availability of indexes on `(table, attr)`.
-    fn availability(&self, table: TableId, attr: usize, fk: bool) -> IndexAvailability {
-        IndexAvailability {
-            ttree: self
-                .indexes
-                .iter()
-                .any(|i| i.table == table && i.attr == attr && i.kind == IndexKind::TTree),
-            hash: self
-                .indexes
-                .iter()
-                .any(|i| i.table == table && i.attr == attr && i.kind == IndexKind::Hash),
-            fk_pointer: fk,
-        }
-    }
-
-    fn find_ttree(&self, table: TableId, attr: usize) -> Option<&TTree<SharedAdapter>> {
-        self.indexes.iter().find_map(|i| match &i.index {
-            AnyIndex::TTree(t) if i.table == table && i.attr == attr => Some(t),
-            _ => None,
-        })
-    }
-
-    fn find_hash(&self, table: TableId, attr: usize) -> Option<&ModifiedLinearHash<SharedAdapter>> {
-        self.indexes.iter().find_map(|i| match &i.index {
-            AnyIndex::Hash(h) if i.table == table && i.attr == attr => Some(h),
-            _ => None,
-        })
-    }
-
-    /// The access path [`select`](Database::select) would use.
-    pub fn plan_select(
-        &self,
-        table: &str,
-        attr: &str,
-        pred: &Predicate,
-    ) -> Result<SelectPath, DbError> {
-        let t = self.table_id(table)?;
-        let attr_idx = self.table(t).rel.read().schema().index_of(attr)?;
-        let avail = self.availability(t, attr_idx, false);
-        Ok(choose_select_path(avail, matches!(pred, Predicate::Eq(_))))
-    }
-
     /// Selection with the §4 preference ordering: hash lookup, then tree
     /// lookup, then sequential scan.
     pub fn select(&self, table: &str, attr: &str, pred: &Predicate) -> Result<TempList, DbError> {
-        self.select_with_config(table, attr, pred, self.exec)
-    }
-
-    /// [`select`](Database::select) with an explicit execution config
-    /// (overriding the database-level degree of parallelism).
-    pub fn select_with_config(
-        &self,
-        table: &str,
-        attr: &str,
-        pred: &Predicate,
-        cfg: ExecConfig,
-    ) -> Result<TempList, DbError> {
         let t = self.table_id(table)?;
         let attr_idx = self.table(t).rel.read().schema().index_of(attr)?;
-        match self.plan_select(table, attr, pred)? {
-            SelectPath::HashLookup => {
-                let idx = self
-                    .find_hash(t, attr_idx)
-                    .ok_or_else(|| DbError::Catalog("planned hash index disappeared".into()))?;
-                let Predicate::Eq(key) = pred else {
-                    unreachable!()
-                };
-                Ok(select_hash_index(idx, key))
-            }
-            SelectPath::TreeLookup => {
-                let idx = self
-                    .find_ttree(t, attr_idx)
-                    .ok_or_else(|| DbError::Catalog("planned tree index disappeared".into()))?;
-                Ok(select_tree_index(idx, pred))
-            }
-            SelectPath::SequentialScan => {
+        let path = choose_select_path(
+            self.availability(t, attr_idx),
+            matches!(pred, Predicate::Eq(_)),
+        );
+        match self.bind_select(t, attr_idx, path, pred)? {
+            BoundSelect::Hash(idx, key) => Ok(select_hash_index(idx, key)),
+            BoundSelect::Tree(idx) => Ok(select_tree_index(idx, pred)),
+            BoundSelect::Scan => {
                 let rel = self.table(t).rel.read();
-                Ok(parallel_select_scan(&rel, attr_idx, pred, cfg)?)
+                Ok(parallel_select_scan(&rel, attr_idx, pred, self.exec)?)
             }
         }
-    }
-
-    /// The join method [`join`](Database::join) would pick.
-    pub fn plan_join(
-        &self,
-        outer_table: &str,
-        outer_attr: &str,
-        inner_table: &str,
-        inner_attr: &str,
-    ) -> Result<JoinMethod, DbError> {
-        Ok(self
-            .planner(outer_table, outer_attr, inner_table, inner_attr)?
-            .choose())
-    }
-
-    fn planner(
-        &self,
-        outer_table: &str,
-        outer_attr: &str,
-        inner_table: &str,
-        inner_attr: &str,
-    ) -> Result<JoinPlanner, DbError> {
-        let ot = self.table_id(outer_table)?;
-        let it = self.table_id(inner_table)?;
-        let (o_attr, o_fk) = {
-            let r = self.table(ot).rel.read();
-            let a = r.schema().index_of(outer_attr)?;
-            let ty = r.schema().attr(a)?.ty;
-            (a, ty == AttrType::Ptr || ty == AttrType::PtrList)
-        };
-        let i_attr = self.table(it).rel.read().schema().index_of(inner_attr)?;
-        Ok(JoinPlanner {
-            outer_card: self.table(ot).rel.read().len(),
-            inner_card: self.table(it).rel.read().len(),
-            outer: self.availability(ot, o_attr, o_fk),
-            inner: self.availability(it, i_attr, false),
-            duplicate_pct: 0.0,
-            semijoin_pct: 100.0,
-            skewed: false,
-            outer_full: true,
-            inner_full: true,
-        })
-    }
-
-    /// Equijoin with the §4 method preference. Returns the result pairs
-    /// and the method used.
-    pub fn join(
-        &self,
-        outer_table: &str,
-        outer_attr: &str,
-        inner_table: &str,
-        inner_attr: &str,
-    ) -> Result<(JoinOutput, JoinMethod), DbError> {
-        let method = self.plan_join(outer_table, outer_attr, inner_table, inner_attr)?;
-        let out = self.join_with(method, outer_table, outer_attr, inner_table, inner_attr)?;
-        Ok((out, method))
-    }
-
-    /// Equijoin where the outer input is an explicit tuple list (e.g. a
-    /// prior selection's temp list). `outer_full` declares whether the
-    /// list covers the whole relation — a filtered list disables
-    /// index-merge plans (the indices would scan excluded tuples).
-    pub fn join_tids(
-        &self,
-        outer_table: &str,
-        outer_attr: &str,
-        outer_tids: &[TupleId],
-        outer_full: bool,
-        inner_table: &str,
-        inner_attr: &str,
-    ) -> Result<(JoinOutput, JoinMethod), DbError> {
-        self.join_tids_with_config(
-            outer_table,
-            outer_attr,
-            outer_tids,
-            outer_full,
-            inner_table,
-            inner_attr,
-            self.exec,
-        )
-    }
-
-    /// [`join_tids`](Database::join_tids) with an explicit execution
-    /// config (overriding the database-level degree of parallelism).
-    #[allow(clippy::too_many_arguments)]
-    pub fn join_tids_with_config(
-        &self,
-        outer_table: &str,
-        outer_attr: &str,
-        outer_tids: &[TupleId],
-        outer_full: bool,
-        inner_table: &str,
-        inner_attr: &str,
-        cfg: ExecConfig,
-    ) -> Result<(JoinOutput, JoinMethod), DbError> {
-        let mut planner = self.planner(outer_table, outer_attr, inner_table, inner_attr)?;
-        planner.outer_card = outer_tids.len();
-        planner.outer_full = outer_full;
-        let method = planner.choose();
-        let ot = self.table_id(outer_table)?;
-        let it = self.table_id(inner_table)?;
-        let orel = self.table(ot).rel.read();
-        let irel = self.table(it).rel.read();
-        let o_attr = orel.schema().index_of(outer_attr)?;
-        let i_attr = irel.schema().index_of(inner_attr)?;
-        let kernel = self.make_join_kernel(
-            method,
-            &orel,
-            o_attr,
-            ot,
-            &irel,
-            i_attr,
-            it,
-            outer_table,
-            inner_table,
-        )?;
-        let out = kernel.run(outer_tids, None, cfg)?;
-        Ok((out, method))
-    }
-
-    /// Execute an equijoin with an explicit method (benchmarks, tests).
-    pub fn join_with(
-        &self,
-        method: JoinMethod,
-        outer_table: &str,
-        outer_attr: &str,
-        inner_table: &str,
-        inner_attr: &str,
-    ) -> Result<JoinOutput, DbError> {
-        let cfg = self.exec;
-        let ot = self.table_id(outer_table)?;
-        let it = self.table_id(inner_table)?;
-        let orel = self.table(ot).rel.read();
-        let irel = self.table(it).rel.read();
-        let o_attr = orel.schema().index_of(outer_attr)?;
-        let i_attr = irel.schema().index_of(inner_attr)?;
-        let otids = orel.tids();
-        let kernel = self.make_join_kernel(
-            method,
-            &orel,
-            o_attr,
-            ot,
-            &irel,
-            i_attr,
-            it,
-            outer_table,
-            inner_table,
-        )?;
-        let out = kernel.run(&otids, None, cfg)?;
-        Ok(out)
-    }
-
-    /// Bind one §3.3 join method to concrete relations and indices as a
-    /// uniform [`JoinKernel`] — the single dispatch point shared by the
-    /// legacy join entry points and the planned operator engine.
-    #[allow(clippy::too_many_arguments)]
-    fn make_join_kernel<'b>(
-        &'b self,
-        method: JoinMethod,
-        orel: &'b Relation,
-        o_attr: usize,
-        ot: TableId,
-        irel: &'b Relation,
-        i_attr: usize,
-        it: TableId,
-        outer_name: &str,
-        inner_name: &str,
-    ) -> Result<Box<dyn JoinKernel + 'b>, DbError> {
-        Ok(match method {
-            JoinMethod::Precomputed => Box::new(PrecomputedKernel {
-                outer_rel: orel,
-                outer_attr: o_attr,
-            }),
-            JoinMethod::TreeMerge => {
-                let oidx = self
-                    .find_ttree(ot, o_attr)
-                    .ok_or_else(|| DbError::NoSuchIndex(format!("{outer_name}.{o_attr}")))?;
-                let iidx = self
-                    .find_ttree(it, i_attr)
-                    .ok_or_else(|| DbError::NoSuchIndex(format!("{inner_name}.{i_attr}")))?;
-                Box::new(TreeMergeKernel {
-                    outer_rel: orel,
-                    outer_attr: o_attr,
-                    outer_index: oidx,
-                    inner_rel: irel,
-                    inner_attr: i_attr,
-                    inner_index: iidx,
-                })
-            }
-            JoinMethod::TreeJoin => {
-                let iidx = self
-                    .find_ttree(it, i_attr)
-                    .ok_or_else(|| DbError::NoSuchIndex(format!("{inner_name}.{i_attr}")))?;
-                Box::new(TreeJoinKernel {
-                    outer_rel: orel,
-                    outer_attr: o_attr,
-                    inner_index: iidx,
-                })
-            }
-            JoinMethod::HashJoin | JoinMethod::SortMerge | JoinMethod::NestedLoops => {
-                Box::new(SidesKernel {
-                    outer_rel: orel,
-                    outer_attr: o_attr,
-                    inner_rel: irel,
-                    inner_attr: i_attr,
-                    method,
-                })
-            }
-        })
-    }
-
-    /// Bind a planned operator tree to this database's relations and
-    /// indices. `tables` is the plan's binding order, `rels` the borrowed
-    /// relation per position, `desc` the projection descriptor (consumed
-    /// by duplicate elimination). `tickets` marks subtrees whose result
-    /// the reuse cache wants retained: the matching operator is wrapped
-    /// in a transparent [`MemoizeOp`] that stores its output on success.
-    pub(crate) fn bind_plan<'b>(
-        &'b self,
-        node: &PlanNode,
-        tables: &[String],
-        rels: &[&'b Relation],
-        desc: &ResultDescriptor,
-        tickets: &HashMap<NodeId, StoreTicket>,
-    ) -> Result<BoxedOperator<'b>, DbError> {
-        let position = |table: &str| -> Result<usize, DbError> {
-            tables
-                .iter()
-                .position(|t| t == table)
-                .ok_or_else(|| DbError::BadQuery(format!("table {table} is not bound")))
-        };
-        let op: BoxedOperator<'b> = match &node.kind {
-            PlanNodeKind::Scan { table } => {
-                let rel = rels[position(table)?];
-                Box::new(FullScanOp { id: node.id, rel })
-            }
-            PlanNodeKind::Select {
-                table,
-                attr,
-                pred,
-                path,
-            } => {
-                let rel = rels[position(table)?];
-                let t = self.table_id(table)?;
-                let attr_idx = rel.schema().index_of(attr)?;
-                match path {
-                    SelectPath::HashLookup => {
-                        let idx = self.find_hash(t, attr_idx).ok_or_else(|| {
-                            DbError::Catalog("planned hash index disappeared".into())
-                        })?;
-                        let Predicate::Eq(key) = pred else {
-                            return Err(DbError::BadQuery(
-                                "hash lookup planned for a range predicate".into(),
-                            ));
-                        };
-                        Box::new(HashLookupOp {
-                            id: node.id,
-                            index: idx,
-                            key: key.clone(),
-                            _adapter: PhantomData,
-                        })
-                    }
-                    SelectPath::TreeLookup => {
-                        let idx = self.find_ttree(t, attr_idx).ok_or_else(|| {
-                            DbError::Catalog("planned tree index disappeared".into())
-                        })?;
-                        Box::new(TreeLookupOp {
-                            id: node.id,
-                            index: idx,
-                            pred: pred.clone(),
-                            _adapter: PhantomData,
-                        })
-                    }
-                    SelectPath::SequentialScan => Box::new(SeqFilterOp {
-                        id: node.id,
-                        rel,
-                        attr: attr_idx,
-                        pred: pred.clone(),
-                    }),
-                }
-            }
-            PlanNodeKind::PostFilter {
-                table,
-                attr,
-                pred,
-                src_col,
-            } => {
-                let child = self.bind_plan(&node.children[0], tables, rels, desc, tickets)?;
-                let rel = rels[position(table)?];
-                let attr_idx = rel.schema().index_of(attr)?;
-                Box::new(PostFilterOp {
-                    id: node.id,
-                    child,
-                    rel,
-                    attr: attr_idx,
-                    pred: pred.clone(),
-                    src_col: *src_col,
-                    est_rows: node.est_rows.round() as usize,
-                })
-            }
-            PlanNodeKind::Join {
-                method,
-                source_table,
-                outer_attr,
-                inner_table,
-                inner_attr,
-                src_col,
-                ..
-            } => {
-                let child = self.bind_plan(&node.children[0], tables, rels, desc, tickets)?;
-                let inner = match node.children.get(1) {
-                    Some(n) => Some(self.bind_plan(n, tables, rels, desc, tickets)?),
-                    None => None,
-                };
-                let orel = rels[position(source_table)?];
-                let irel = rels[position(inner_table)?];
-                let ot = self.table_id(source_table)?;
-                let it = self.table_id(inner_table)?;
-                let o_attr = orel.schema().index_of(outer_attr)?;
-                let i_attr = irel.schema().index_of(inner_attr)?;
-                let kernel = self.make_join_kernel(
-                    *method,
-                    orel,
-                    o_attr,
-                    ot,
-                    irel,
-                    i_attr,
-                    it,
-                    source_table,
-                    inner_table,
-                )?;
-                Box::new(JoinOp {
-                    id: node.id,
-                    child,
-                    inner,
-                    src_col: *src_col,
-                    kernel,
-                    est_rows: node.est_rows.round() as usize,
-                })
-            }
-            PlanNodeKind::Project { .. } => {
-                let child = self.bind_plan(&node.children[0], tables, rels, desc, tickets)?;
-                Box::new(ProjectOp { id: node.id, child })
-            }
-            PlanNodeKind::Distinct => {
-                let child = self.bind_plan(&node.children[0], tables, rels, desc, tickets)?;
-                Box::new(DistinctOp {
-                    id: node.id,
-                    child,
-                    desc: desc.clone(),
-                    sources: rels.to_vec(),
-                })
-            }
-            PlanNodeKind::Cached {
-                fingerprint,
-                canonical,
-                filters,
-                mode,
-                ..
-            } => match mode {
-                CachedMode::Exact => {
-                    let rows =
-                        self.cache
-                            .lock()
-                            .peek(*fingerprint, canonical)
-                            .ok_or_else(|| {
-                                DbError::BadQuery("cached plan node lost its cache entry".into())
-                            })?;
-                    Box::new(CachedReadOp { id: node.id, rows })
-                }
-                CachedMode::Subsumed {
-                    entry_fingerprint,
-                    entry_canonical,
-                    ..
-                } => {
-                    // The residual predicate is the node's own absorbed
-                    // filter; the rows come from the wider entry.
-                    let (table, attr, pred) = filters.first().ok_or_else(|| {
-                        DbError::BadQuery("subsumed cache node carries no filter".into())
-                    })?;
-                    let rel = rels[position(table)?];
-                    let attr_idx = rel.schema().index_of(attr)?;
-                    let rows = self
-                        .cache
-                        .lock()
-                        .peek(*entry_fingerprint, entry_canonical)
-                        .ok_or_else(|| {
-                            DbError::BadQuery("subsuming cache entry disappeared".into())
-                        })?;
-                    Box::new(RefilterOp {
-                        id: node.id,
-                        rows,
-                        rel,
-                        attr: attr_idx,
-                        pred: pred.clone(),
-                    })
-                }
-                CachedMode::Delta { .. } => {
-                    let (table, attr, pred) = filters.first().ok_or_else(|| {
-                        DbError::BadQuery("delta cache node carries no filter".into())
-                    })?;
-                    let rel = rels[position(table)?];
-                    let attr_idx = rel.schema().index_of(attr)?;
-                    let view = self
-                        .cache
-                        .lock()
-                        .peek_delta(*fingerprint, canonical)
-                        .ok_or_else(|| {
-                            DbError::BadQuery("delta cache entry lost its chain".into())
-                        })?;
-                    Box::new(DeltaApplyOp {
-                        id: node.id,
-                        rows: view.rows,
-                        deltas: view.deltas,
-                        rel,
-                        attr: attr_idx,
-                        pred: pred.clone(),
-                        cache: &self.cache,
-                        fingerprint: *fingerprint,
-                        canonical: canonical.clone(),
-                        seq: view.seq,
-                        covered: view.covered,
-                    })
-                }
-            },
-        };
-        Ok(match tickets.get(&node.id) {
-            Some(ticket) => Box::new(MemoizeOp {
-                child: op,
-                cache: &self.cache,
-                ticket: ticket.clone(),
-            }),
-            None => op,
-        })
     }
 
     /// Materialize chosen attributes of a temp-list column into owned
@@ -1365,253 +675,6 @@ impl<S: StableStore> Database<S> {
     }
 }
 
-/// A database after a crash: only the recovery components survive.
-pub struct CrashedDatabase<S: StableStore> {
-    recovery: RecoveryManager<S>,
-}
-
-impl<S: StableStore + Sync> CrashedDatabase<S> {
-    /// The §2.4 restart: rebuild the catalog, load the named working-set
-    /// partitions first (merging unapplied log updates on the fly), then
-    /// the rest, and rebuild all indexes. Runs with the default execution
-    /// config — parallel on a multicore host, serial on one core.
-    pub fn recover(
-        self,
-        working_set: &[(&str, u32)],
-    ) -> Result<(Database<S>, RecoveryReport), DbError> {
-        self.recover_with(working_set, ExecConfig::default())
-    }
-
-    /// [`CrashedDatabase::recover`] with an explicit execution config
-    /// (DESIGN.md §16). Image fetch + log merge, partition decode, and
-    /// index rebuilds fan out on up to `exec.dop` pool workers; results
-    /// are merged in plan order, so the recovered database (and any
-    /// error) is bit-identical across `dop` values. `exec.dop <= 1`
-    /// reproduces the serial path with no thread spawned.
-    pub fn recover_with(
-        self,
-        working_set: &[(&str, u32)],
-        exec: ExecConfig,
-    ) -> Result<(Database<S>, RecoveryReport), DbError> {
-        let mut timings = RecoveryTimings::default();
-        let catalog_start = Instant::now();
-        // Read both shadow slots; the freshest epoch that still decodes
-        // wins. A torn slot is reported (and skipped) — restart only
-        // fails if no slot survives.
-        let mut best: Option<(u64, CatalogMeta)> = None;
-        let mut slot_errors: Vec<String> = Vec::new();
-        let mut slots_present = 0usize;
-        for slot in CATALOG_SLOTS {
-            let Some(bytes) = self.recovery.read_meta(slot)? else {
-                continue;
-            };
-            slots_present += 1;
-            if bytes.len() < 8 {
-                slot_errors.push(format!("{slot}: catalog truncated before epoch header"));
-                continue;
-            }
-            let mut e = [0u8; 8];
-            e.copy_from_slice(&bytes[..8]);
-            let epoch = u64::from_le_bytes(e);
-            match decode_catalog(&bytes[8..]) {
-                Ok(meta) => {
-                    let fresher = match &best {
-                        Some((have, _)) => epoch > *have,
-                        None => true,
-                    };
-                    if fresher {
-                        best = Some((epoch, meta));
-                    }
-                }
-                Err(err) => slot_errors.push(format!("{slot}: {err}")),
-            }
-        }
-        let (catalog_epoch, meta) = match best {
-            Some(found) => found,
-            None if slots_present == 0 => {
-                return Err(DbError::Catalog("no catalog on disk copy".into()))
-            }
-            None => {
-                return Err(DbError::Catalog(format!(
-                    "no catalog slot survived: {}",
-                    slot_errors.join("; ")
-                )))
-            }
-        };
-        let mut db = Database {
-            tables: Vec::new(),
-            indexes: Vec::new(),
-            locks: Arc::new(LockManager::default()),
-            recovery: self.recovery,
-            exec,
-            catalog_epoch,
-            cache: Mutex::new(ReuseCache::default()),
-        };
-        for t in &meta.tables {
-            db.tables.push(Table {
-                name: t.name.clone(),
-                rel: Arc::new(RwLock::new(Relation::new(
-                    &t.name,
-                    t.schema.clone(),
-                    t.config,
-                ))),
-            });
-        }
-        // Resolve the working set to partition keys.
-        let mut keys = Vec::with_capacity(working_set.len());
-        for (name, part) in working_set {
-            let t = db.table_id(name)?;
-            keys.push(PartitionKey::new(t as u32, *part));
-        }
-        let plan = db.recovery.restart_plan(&keys)?;
-        timings.catalog = catalog_start.elapsed();
-
-        // The two §2.4 reload phases: working set strictly first, then
-        // the background remainder. Each phase fans its image fetch + log
-        // merge and its partition decode over the pool, then installs
-        // serially in plan order (installation is a cheap pointer swap;
-        // ordering keeps the report and any error deterministic).
-        let mut loaded = Vec::with_capacity(plan.len());
-        let ws_start = Instant::now();
-        let images =
-            db.recovery
-                .fetch_phase(&plan.working_set, RestartPhase::WorkingSet, exec.dop)?;
-        install_images(&mut db, images, exec, &mut loaded)?;
-        timings.working_set = ws_start.elapsed();
-        let bg_start = Instant::now();
-        let images =
-            db.recovery
-                .fetch_phase(&plan.background, RestartPhase::Background, exec.dop)?;
-        install_images(&mut db, images, exec, &mut loaded)?;
-        timings.background = bg_start.elapsed();
-
-        // Rebuild indexes from the reloaded relations: one bulk-build
-        // task per index on the pool. Builds only read their relation
-        // (snapshot under a read guard), so tasks are independent; merge
-        // order is catalog order regardless of completion order.
-        let rebuild_start = Instant::now();
-        let rels: Vec<Arc<RwLock<Relation>>> = meta
-            .indexes
-            .iter()
-            .map(|im| Arc::clone(&db.tables[im.table as usize].rel))
-            .collect();
-        let built: Vec<(AnyIndex, usize, Duration)> =
-            run_tasks(meta.indexes.len(), exec.dop, |i| {
-                let im = &meta.indexes[i];
-                let start = Instant::now();
-                let (index, entries) =
-                    build_index_bulk(&rels[i], im.attr as usize, im.kind, im.param);
-                (index, entries, start.elapsed())
-            });
-        let mut index_stats = Vec::with_capacity(built.len());
-        for (im, (index, entries, elapsed)) in meta.indexes.iter().zip(built) {
-            index_stats.push(IndexRebuildStat {
-                name: im.name.clone(),
-                entries,
-                elapsed,
-            });
-            db.indexes.push(IndexDef {
-                name: im.name.clone(),
-                table: im.table as usize,
-                attr: im.attr as usize,
-                kind: im.kind,
-                param: im.param,
-                index,
-            });
-        }
-        timings.index_rebuild = rebuild_start.elapsed();
-        let rebuilt = db.indexes.len();
-        Ok((
-            db,
-            RecoveryReport {
-                loaded,
-                indexes_rebuilt: rebuilt,
-                timings,
-                index_stats,
-            },
-        ))
-    }
-}
-
-/// Install one restart phase's images into the recovered tables: decode
-/// on the pool when the phase's byte volume warrants it, install serially
-/// in plan order (preserving the serial path's first-error semantics).
-fn install_images<S: StableStore>(
-    db: &mut Database<S>,
-    images: Vec<(PartitionKey, Vec<u8>, RestartPhase)>,
-    exec: ExecConfig,
-    loaded: &mut Vec<(String, u32, RestartPhase)>,
-) -> Result<(), DbError> {
-    let total_bytes: usize = images.iter().map(|(_, img, _)| img.len()).sum();
-    let decoded: Vec<Result<Partition, mmdb_storage::StorageError>> =
-        if images.len() >= 2 && exec.parallel_for(total_bytes) {
-            run_tasks(images.len(), exec.dop, |i| {
-                Partition::try_from_bytes(&images[i].1)
-            })
-        } else {
-            images
-                .iter()
-                .map(|(_, img, _)| Partition::try_from_bytes(img))
-                .collect()
-        };
-    for ((key, _, phase), part) in images.into_iter().zip(decoded) {
-        let t = key.relation as usize;
-        if t >= db.tables.len() {
-            return Err(DbError::Catalog(format!(
-                "image for unknown relation {}",
-                key.relation
-            )));
-        }
-        let part = part.map_err(|e| match e {
-            // A torn/truncated image must fail loudly with the
-            // partition's identity, never be redone as-is.
-            mmdb_storage::StorageError::CorruptImage(_) => DbError::CorruptPartition {
-                table: db.tables[t].name.clone(),
-                partition: key.partition,
-                source: e,
-            },
-            other => DbError::Storage(other),
-        })?;
-        db.tables[t]
-            .rel
-            .write()
-            .install_partition(key.partition, part);
-        loaded.push((db.tables[t].name.clone(), key.partition, phase));
-    }
-    Ok(())
-}
-
-impl<S: StableStore> VersionSource for Database<S> {
-    fn table_versions(&self, table: &str) -> Option<Vec<u64>> {
-        let t = self.table_id(table).ok()?;
-        Some(self.table(t).rel.read().partition_versions().to_vec())
-    }
-
-    fn catalog_epoch(&self) -> u64 {
-        self.catalog_epoch
-    }
-}
-
-impl<S: StableStore> PlanCatalog for Database<S> {
-    fn cardinality(&self, table: &str) -> Option<usize> {
-        let t = self.table_id(table).ok()?;
-        Some(self.table(t).rel.read().len())
-    }
-
-    fn resolve_attr(&self, table: &str, attr: &str) -> Option<AttrInfo> {
-        let t = self.table_id(table).ok()?;
-        let rel = self.table(t).rel.read();
-        let idx = rel.schema().index_of(attr).ok()?;
-        let ty = rel.schema().attr(idx).ok()?.ty;
-        let fk = ty == AttrType::Ptr || ty == AttrType::PtrList;
-        Some(AttrInfo {
-            index: idx,
-            pointer: fk,
-            avail: self.availability(t, idx, fk),
-        })
-    }
-}
-
 #[cfg(feature = "check")]
 impl<S: StableStore> Database<S> {
     /// Whole-database deep consistency check (the `mmdb-check` layer):
@@ -1622,6 +685,7 @@ impl<S: StableStore> Database<S> {
     #[must_use]
     pub fn deep_check(&self) -> mmdb_check::Report {
         use mmdb_check::DeepCheck;
+        use mmdb_storage::AttrType;
         let mut report = mmdb_check::Report::new();
         for def in &self.indexes {
             match &def.index {
@@ -1730,7 +794,8 @@ impl<S: StableStore> Database<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdb_storage::{KeyValue, Value};
+    use mmdb_recovery::RestartPhase;
+    use mmdb_storage::{AttrType, KeyValue};
 
     fn emp_schema() -> Schema {
         Schema::of(&[("name", AttrType::Str), ("age", AttrType::Int)])
@@ -1771,11 +836,6 @@ mod tests {
             .unwrap();
         assert_eq!(old.len(), 1);
         // Hash exact match.
-        assert_eq!(
-            db.plan_select("emp", "name", &Predicate::Eq(KeyValue::from("Jane")))
-                .unwrap(),
-            SelectPath::HashLookup
-        );
         let jane = db
             .select("emp", "name", &Predicate::Eq(KeyValue::from("Jane")))
             .unwrap();
@@ -1879,91 +939,6 @@ mod tests {
             .select("emp", "name", &Predicate::Eq(KeyValue::from("Doomed")))
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn join_planning_and_execution() {
-        let mut db = Database::in_memory();
-        db.create_table(
-            "dept",
-            Schema::of(&[("dname", AttrType::Str), ("did", AttrType::Int)]),
-        )
-        .unwrap();
-        db.create_index("dept_id", "dept", "did", IndexKind::TTree)
-            .unwrap();
-        db.create_table(
-            "emp2",
-            Schema::of(&[("ename", AttrType::Str), ("did", AttrType::Int)]),
-        )
-        .unwrap();
-        db.create_index("emp2_did", "emp2", "did", IndexKind::TTree)
-            .unwrap();
-        let mut txn = db.begin();
-        for (d, i) in [("Toy", 1i64), ("Shoe", 2), ("Linen", 3)] {
-            db.insert(&mut txn, "dept", vec![d.into(), i.into()])
-                .unwrap();
-        }
-        for (e, i) in [("Dave", 1i64), ("Cindy", 2), ("Suzan", 1), ("Jane", 9)] {
-            db.insert(&mut txn, "emp2", vec![e.into(), i.into()])
-                .unwrap();
-        }
-        db.commit(txn).unwrap();
-        // Both T-Trees exist → Tree Merge.
-        assert_eq!(
-            db.plan_join("emp2", "did", "dept", "did").unwrap(),
-            JoinMethod::TreeMerge
-        );
-        let (out, method) = db.join("emp2", "did", "dept", "did").unwrap();
-        assert_eq!(method, JoinMethod::TreeMerge);
-        assert_eq!(out.len(), 3, "Dave, Cindy, Suzan match; Jane does not");
-        // Every method agrees.
-        for m in [
-            JoinMethod::HashJoin,
-            JoinMethod::SortMerge,
-            JoinMethod::TreeJoin,
-            JoinMethod::NestedLoops,
-        ] {
-            let alt = db.join_with(m, "emp2", "did", "dept", "did").unwrap();
-            assert_eq!(alt.len(), 3, "{m:?}");
-        }
-    }
-
-    #[test]
-    fn precomputed_join_via_fk_pointer() {
-        let mut db = Database::in_memory();
-        db.create_table("dept", Schema::of(&[("dname", AttrType::Str)]))
-            .unwrap();
-        db.create_index("dept_name", "dept", "dname", IndexKind::Hash)
-            .unwrap();
-        db.create_table(
-            "emp3",
-            Schema::of(&[("ename", AttrType::Str), ("dept", AttrType::Ptr)]),
-        )
-        .unwrap();
-        db.create_index("emp3_name", "emp3", "ename", IndexKind::Hash)
-            .unwrap();
-        let mut txn = db.begin();
-        db.insert(&mut txn, "dept", vec!["Toy".into()]).unwrap();
-        let toy = db.commit(txn).unwrap()[0];
-        let mut txn = db.begin();
-        db.insert(
-            &mut txn,
-            "emp3",
-            vec!["Dave".into(), OwnedValue::Ptr(Some(toy))],
-        )
-        .unwrap();
-        db.commit(txn).unwrap();
-        assert_eq!(
-            db.plan_join("emp3", "dept", "dept", "dname").unwrap(),
-            JoinMethod::Precomputed
-        );
-        let (out, _) = db.join("emp3", "dept", "dept", "dname").unwrap();
-        assert_eq!(out.len(), 1);
-        let drow = out.pairs.row(0)[1];
-        db.with_relation("dept", |r| {
-            assert_eq!(r.field(drow, 0).unwrap(), Value::Str("Toy"));
-        })
-        .unwrap();
     }
 
     /// The whole-database deep check stays clean across tables, both

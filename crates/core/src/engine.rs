@@ -223,7 +223,7 @@ impl<S: StableStore> TxnEngine<S> {
     /// Wrap a database for multi-session use.
     #[must_use]
     pub fn new(db: Database<S>) -> Self {
-        let locks = db.lock_manager();
+        let locks = Arc::clone(&db.locks);
         TxnEngine {
             inner: Arc::new(EngineInner {
                 db: Mutex::new(db),
@@ -326,7 +326,7 @@ impl<S: StableStore> Session<S> {
     fn lock_table_read(&self, txn: &mut Txn, table: &str) -> Result<TableId, TxnError> {
         let (t, mut n) = {
             let db = self.inner.db.lock();
-            let t = db.resolve_table(table).map_err(TxnError::Db)?;
+            let t = db.table_id(table).map_err(TxnError::Db)?;
             (t, db.table_partition_count(t))
         };
         loop {

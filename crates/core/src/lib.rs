@@ -35,24 +35,22 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
+mod bind;
 pub mod catalog;
 pub mod checkpoint;
 pub mod db;
 pub mod engine;
 pub mod error;
 pub mod query;
-pub mod server;
+mod restart;
 pub mod shared;
 pub mod txn;
 
 pub use checkpoint::{CheckpointReport, Checkpointer};
-pub use db::{
-    CrashedDatabase, Database, IndexKind, IndexRebuildStat, RecoveryReport, RecoveryTimings,
-    TableId, APPEND_FENCE,
-};
+pub use db::{Database, IndexKind, TableId, APPEND_FENCE};
 pub use engine::{GroupCommitStats, Session, Txn, TxnEngine, TxnError};
 pub use error::DbError;
 pub use query::{QueryBuilder, QueryOutput};
-pub use server::{DbClient, DbServer};
+pub use restart::{CrashedDatabase, IndexRebuildStat, RecoveryReport, RecoveryTimings};
 pub use shared::SharedAdapter;
 pub use txn::Transaction;

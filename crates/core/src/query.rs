@@ -277,7 +277,7 @@ impl<S: StableStore> QueryBuilder<'_, S> {
         let mut planned = Planner::plan(&logical, self.db, &self.options())
             .map_err(|e| DbError::BadQuery(e.to_string()))?;
         if self.cache.unwrap_or(self.db.exec_config().cache) {
-            let mut cache = self.db.reuse_cache().lock();
+            let mut cache = self.db.cache.lock();
             let _ = mmdb_exec::apply_cache(&mut planned, &mut cache, self.db);
         }
         Ok(PlanProfile::estimates(&planned).render())
@@ -302,7 +302,7 @@ impl<S: StableStore> QueryBuilder<'_, S> {
         // the builder holds `&Database` until execution finishes: no
         // write can move the stamped versions in between.
         let tickets = if use_cache {
-            let mut cache = db.reuse_cache().lock();
+            let mut cache = db.cache.lock();
             mmdb_exec::apply_cache(&mut planned, &mut cache, db)
         } else {
             std::collections::HashMap::new()
@@ -689,7 +689,16 @@ mod tests {
 
     #[test]
     fn forced_method_and_naive_mode_match_planned_results() {
-        let db = company_db();
+        let mut db = company_db();
+        // One employee whose department matches nothing.
+        let mut txn = db.begin();
+        db.insert(
+            &mut txn,
+            "emp",
+            vec!["Orphan".into(), 30i64.into(), 9i64.into()],
+        )
+        .unwrap();
+        db.commit(txn).unwrap();
         let shoe_emps = || {
             db.query("emp")
                 .join("dept_id", "dept", "id")
@@ -712,5 +721,66 @@ mod tests {
             let forced = shoe_emps().force_join_method(m).run().unwrap();
             assert_eq!(names(&forced), want, "{m:?}");
         }
+
+        // Unfiltered, both join columns carry T-Trees: the planner merges
+        // them, and every other method returns the same five matches.
+        let all_emps = || {
+            db.query("emp")
+                .join("dept_id", "dept", "id")
+                .project(&[("emp", "ename")])
+        };
+        let planned = all_emps().run().unwrap();
+        assert_eq!(
+            planned.profile.joins()[0].method,
+            Some(JoinMethod::TreeMerge)
+        );
+        let want = names(&planned);
+        assert_eq!(want, ["Cindy", "Dave", "Jane", "Suzan", "Yaman"]);
+        for m in [
+            JoinMethod::TreeMerge,
+            JoinMethod::TreeJoin,
+            JoinMethod::HashJoin,
+            JoinMethod::SortMerge,
+            JoinMethod::NestedLoops,
+        ] {
+            let forced = all_emps().force_join_method(m).run().unwrap();
+            assert_eq!(forced.profile.joins()[0].method, Some(m));
+            assert_eq!(names(&forced), want, "{m:?}");
+        }
+    }
+
+    #[test]
+    fn precomputed_join_follows_fk_pointer() {
+        let mut db = Database::in_memory();
+        db.create_table("dept", Schema::of(&[("dname", AttrType::Str)]))
+            .unwrap();
+        db.create_index("dept_name", "dept", "dname", IndexKind::Hash)
+            .unwrap();
+        db.create_table(
+            "emp",
+            Schema::of(&[("ename", AttrType::Str), ("dept", AttrType::Ptr)]),
+        )
+        .unwrap();
+        db.create_index("emp_name", "emp", "ename", IndexKind::Hash)
+            .unwrap();
+        let mut txn = db.begin();
+        db.insert(&mut txn, "dept", vec!["Toy".into()]).unwrap();
+        let toy = db.commit(txn).unwrap()[0];
+        let mut txn = db.begin();
+        db.insert(
+            &mut txn,
+            "emp",
+            vec!["Dave".into(), OwnedValue::Ptr(Some(toy))],
+        )
+        .unwrap();
+        db.commit(txn).unwrap();
+        let out = db
+            .query("emp")
+            .join("dept", "dept", "dname")
+            .project(&[("emp", "ename"), ("dept", "dname")])
+            .run()
+            .unwrap();
+        assert_eq!(out.profile.joins()[0].method, Some(JoinMethod::Precomputed));
+        assert_eq!(out.rows, vec![vec!["Dave".into(), "Toy".into()]]);
     }
 }

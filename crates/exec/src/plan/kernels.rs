@@ -10,8 +10,8 @@ use crate::error::ExecError;
 use crate::join::{
     precomputed_join, sort_merge_join, tree_join, tree_merge_join, JoinOutput, JoinSide,
 };
-use crate::optimizer::JoinMethod;
 use crate::parallel::{parallel_hash_join, parallel_nested_loops_join, ExecConfig};
+use crate::plan::cost::JoinMethod;
 use crate::TupleAdapter;
 use mmdb_index::TTree;
 use mmdb_storage::{Relation, TupleId};
@@ -19,8 +19,8 @@ use mmdb_storage::{Relation, TupleId};
 /// A bound equijoin ready to run.
 ///
 /// `outer_tids` is the deduplicated outer tuple list. `inner_tids` is the
-/// materialised inner list for methods that consume one (`None` = the
-/// whole relation; index- and pointer-based methods ignore it entirely).
+/// materialised inner list for methods that consume one (index- and
+/// pointer-based methods ignore it).
 pub trait JoinKernel {
     /// Which §3.3 method this kernel executes.
     fn method(&self) -> JoinMethod;
@@ -153,14 +153,9 @@ impl JoinKernel for SidesKernel<'_> {
         inner_tids: Option<&[TupleId]>,
         cfg: ExecConfig,
     ) -> Result<JoinOutput, ExecError> {
-        let whole;
-        let itids = match inner_tids {
-            Some(t) => t,
-            None => {
-                whole = self.inner_rel.tids();
-                &whole
-            }
-        };
+        let itids = inner_tids.ok_or_else(|| {
+            ExecError::BadPlan(format!("{:?} planned without an inner access", self.method))
+        })?;
         let outer = JoinSide::new(self.outer_rel, self.outer_attr, outer_tids);
         let inner = JoinSide::new(self.inner_rel, self.inner_attr, itids);
         match self.method {
@@ -197,19 +192,10 @@ mod tests {
                 method,
             };
             assert_eq!(k.method(), method);
-            // With and without an explicit inner list.
             let a = k.run(&otids, Some(&itids), ExecConfig::serial()).unwrap();
-            let b = k.run(&otids, None, ExecConfig::serial()).unwrap();
-            assert_eq!(
-                normalize(&a.pairs, &orel, &irel),
-                want,
-                "{method:?} explicit inner"
-            );
-            assert_eq!(
-                normalize(&b.pairs, &orel, &irel),
-                want,
-                "{method:?} whole-relation inner"
-            );
+            assert_eq!(normalize(&a.pairs, &orel, &irel), want, "{method:?}");
+            // A tid-consuming method without its inner list is a plan bug.
+            assert!(k.run(&otids, None, ExecConfig::serial()).is_err());
         }
         // Asking a SidesKernel for an index method is a plan bug.
         let k = SidesKernel {
@@ -219,6 +205,6 @@ mod tests {
             inner_attr: 1,
             method: JoinMethod::TreeMerge,
         };
-        assert!(k.run(&otids, None, ExecConfig::serial()).is_err());
+        assert!(k.run(&otids, Some(&itids), ExecConfig::serial()).is_err());
     }
 }

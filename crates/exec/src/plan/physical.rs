@@ -330,7 +330,7 @@ impl Operator for DistinctOp<'_> {
 mod tests {
     use super::*;
     use crate::join::fixtures::rel_with_values;
-    use crate::optimizer::JoinMethod;
+    use crate::plan::cost::JoinMethod;
     use crate::plan::kernels::SidesKernel;
     use mmdb_storage::OutputField;
 

@@ -4,9 +4,9 @@
 //! [`PlannedQuery`]: an annotated physical-plan tree with a chosen access
 //! path per selection (§4), a chosen method per join, filter placement,
 //! and join order. Estimates are §3.3.4 *comparison counts* via
-//! [`JoinPlanner::estimated_comparisons`], with the Sort Merge sort term
+//! [`estimated_comparisons`], with the Sort Merge sort term
 //! re-fit to the cache-conscious tag-sort kernel (see
-//! [`crate::optimizer::SORT_CMP_WEIGHT`]): its `n·log n` comparisons are
+//! [`crate::plan::cost::SORT_CMP_WEIGHT`]): its `n·log n` comparisons are
 //! L1-resident integer compares, cheaper than the tuple-dereferencing
 //! comparisons the other methods count.
 //!
@@ -24,10 +24,11 @@
 //! match one inner tuple — the foreign-key shape of the paper's §3.3
 //! workloads.
 
-use crate::optimizer::{
-    choose_select_path, IndexAvailability, JoinMethod, JoinPlanner, SelectPath, HASH_PROBE_COST,
-};
 use crate::plan::catalog::{AttrInfo, PlanCatalog};
+use crate::plan::cost::{
+    choose_select_path, estimated_comparisons, lg, IndexAvailability, JoinMethod, SelectPath,
+    HASH_PROBE_COST,
+};
 use crate::plan::logical::LogicalPlan;
 use crate::select::Predicate;
 
@@ -306,19 +307,6 @@ const PREFERENCE: [JoinMethod; 6] = [
     JoinMethod::NestedLoops,
 ];
 
-fn preference_rank(m: JoinMethod) -> usize {
-    #[allow(clippy::unwrap_used)] // PREFERENCE enumerates every variant.
-    PREFERENCE.iter().position(|p| *p == m).unwrap()
-}
-
-fn lg(x: f64) -> f64 {
-    if x > 1.0 {
-        x.log2()
-    } else {
-        1.0
-    }
-}
-
 /// One pending filter during planning.
 #[derive(Clone)]
 struct FilterFact {
@@ -474,6 +462,16 @@ impl PlanState<'_> {
         self.filters.iter().find(|f| f.table == table)
     }
 
+    /// Planning facts for `table.attr`. Every reference reaching here
+    /// resolved during validation; the fallback only keeps this total.
+    fn attr_info(&self, table: &str, attr: &str) -> AttrInfo {
+        self.catalog.resolve_attr(table, attr).unwrap_or(AttrInfo {
+            index: 0,
+            pointer: false,
+            avail: IndexAvailability::none(),
+        })
+    }
+
     /// Build the access node for reading `table` (the base, or a
     /// materialised join-inner side), applying `filter` if given.
     fn access_node(&self, table: &str, filter: Option<&FilterFact>) -> (PlanNode, f64) {
@@ -492,14 +490,7 @@ impl PlanState<'_> {
                 card,
             ),
             Some(f) => {
-                let info = self
-                    .catalog
-                    .resolve_attr(table, &f.attr)
-                    .unwrap_or(AttrInfo {
-                        index: 0,
-                        pointer: false,
-                        avail: IndexAvailability::none(),
-                    });
+                let info = self.attr_info(table, &f.attr);
                 let exact = matches!(f.pred, Predicate::Eq(_));
                 let path = choose_select_path(info.avail, exact);
                 let est_rows = card * selectivity(&f.pred);
@@ -733,23 +724,8 @@ impl PlanState<'_> {
         outer_full: bool,
         pushdown: bool,
     ) -> Result<JoinChoice, PlanError> {
-        // These resolves succeeded during validation.
-        let outer_info = self
-            .catalog
-            .resolve_attr(&j.source_table, &j.outer_attr)
-            .unwrap_or(AttrInfo {
-                index: 0,
-                pointer: false,
-                avail: IndexAvailability::none(),
-            });
-        let inner_info = self
-            .catalog
-            .resolve_attr(&j.inner_table, &j.inner_attr)
-            .unwrap_or(AttrInfo {
-                index: 0,
-                pointer: false,
-                avail: IndexAvailability::none(),
-            });
+        let outer_info = self.attr_info(&j.source_table, &j.outer_attr);
+        let inner_info = self.attr_info(&j.inner_table, &j.inner_attr);
         let inner_filter = if pushdown {
             self.filter_on(&j.inner_table)
         } else {
@@ -761,16 +737,13 @@ impl PlanState<'_> {
             Some(f) => inner_card_raw * selectivity(&f.pred),
             None => inner_card_raw,
         };
-        let planner = JoinPlanner {
-            outer_card: outer_card.round() as usize,
-            inner_card: inner_card.round().max(0.0) as usize,
-            outer: outer_info.avail,
-            inner: inner_info.avail,
-            duplicate_pct: 0.0,
-            semijoin_pct: 100.0,
-            skewed: false,
-            outer_full,
-            inner_full,
+        let cost = |m: JoinMethod| {
+            estimated_comparisons(
+                m,
+                outer_card.round() as usize,
+                inner_card.round().max(0.0) as usize,
+                inner_info.avail.hash,
+            )
         };
         let feasible = |m: JoinMethod| -> bool {
             match m {
@@ -802,12 +775,12 @@ impl PlanState<'_> {
                     if !feasible(m) {
                         continue;
                     }
-                    let cost = planner.estimated_comparisons(m);
-                    if cost < best_cost
-                        || (cost == best_cost && preference_rank(m) < preference_rank(best))
-                    {
+                    // Walked in preference order: a strict `<` leaves a
+                    // cost tie with the preferred method.
+                    let c = cost(m);
+                    if c < best_cost {
                         best = m;
-                        best_cost = cost;
+                        best_cost = c;
                     }
                 }
                 best
@@ -816,7 +789,7 @@ impl PlanState<'_> {
         let rejected: Vec<(JoinMethod, f64)> = PREFERENCE
             .iter()
             .filter(|m| **m != method && feasible(**m))
-            .map(|m| (*m, planner.estimated_comparisons(*m)))
+            .map(|m| (*m, cost(*m)))
             .collect();
         // Methods probing indexes or following pointers read the inner
         // through the index; the rest consume an explicit inner tid list.
@@ -826,7 +799,7 @@ impl PlanState<'_> {
         );
         Ok(JoinChoice {
             method,
-            cost: planner.estimated_comparisons(method),
+            cost: cost(method),
             rejected,
             src_col,
             materialise_inner,

@@ -6,7 +6,7 @@
 //! explain text — deliberately free of wall-clock times so snapshots are
 //! stable; elapsed times stay available on each [`OpProfile`].
 
-use crate::optimizer::JoinMethod;
+use crate::plan::cost::JoinMethod;
 use crate::plan::physical::{ExecContext, OpActuals};
 use crate::plan::planner::{CachedMode, NodeId, PlanNode, PlanNodeKind, PlannedQuery};
 use mmdb_index::stats::Snapshot;

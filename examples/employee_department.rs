@@ -99,11 +99,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let dept = db.fetch("department", &[dtid], &["name"])?;
         println!("  {:?}, {:?} → {:?}", emp[0][0], emp[0][1], dept[0][0]);
     }
-    // The planner knows employee.dept is precomputed:
-    assert_eq!(
-        db.plan_join("employee", "dept", "department", "name")?,
-        JoinMethod::Precomputed
-    );
 
     // ---- Query 2 --------------------------------------------------------
     // Selection on Department, then a join whose comparisons are on tuple
@@ -121,11 +116,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The full precomputed join, §3.3.5's "beats every method".
-    let (result, method) = db.join("employee", "dept", "department", "name")?;
+    // The planner knows employee.dept is a tuple pointer.
+    let result = db
+        .query("employee")
+        .join("dept", "department", "name")
+        .project(&[("employee", "name"), ("department", "name")])
+        .run()?;
+    let join = result.profile.joins()[0];
+    assert_eq!(join.method, Some(JoinMethod::Precomputed));
     println!(
-        "precomputed join produced {} pairs via {method:?} in {} comparisons",
-        result.len(),
-        result.stats.comparisons
+        "{} produced {} pairs in {} comparisons",
+        join.label,
+        result.rows.len(),
+        join.stats.comparisons
     );
     Ok(())
 }

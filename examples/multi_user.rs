@@ -1,7 +1,7 @@
-//! Multiple users, one memory-resident database (§2.4): a bank-teller
-//! workload from eight client threads, executed serially by the database
-//! thread — the paper's "complete serialization" regime for short
-//! transactions.
+//! Multiple users, one memory-resident database (§2.4–§2.5): a
+//! bank-teller workload from eight concurrent sessions over the
+//! [`TxnEngine`]. Each transfer is a strict-2PL transaction at partition
+//! granularity; deadlock victims are retried.
 //!
 //! ```sh
 //! cargo run --release --example multi_user
@@ -9,38 +9,55 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::print_stdout)]
 
-use mmdb_core::{DbServer, IndexKind};
+use mmdb_core::{Database, IndexKind, Session, Txn, TxnEngine, TxnError};
 use mmdb_exec::Predicate;
-use mmdb_storage::{AttrType, KeyValue, OwnedValue, Schema};
+use mmdb_storage::{AttrType, KeyValue, OwnedValue, Schema, TupleId};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 const ACCOUNTS: i64 = 64;
 const CLIENTS: usize = 8;
 const TXNS_PER_CLIENT: usize = 500;
+/// Retry budget per transfer; every deadlock aborts exactly one of the
+/// transactions in the cycle, so some transfer always gets through.
+const ATTEMPTS: usize = 10_000;
+
+fn balance(s: &Session, txn: &mut Txn, owner: i64) -> Result<(TupleId, i64), TxnError> {
+    s.read(txn, &["acct"], |db| {
+        let hit = db.select("acct", "owner", &Predicate::Eq(KeyValue::Int(owner)))?;
+        let tid = hit.column(0)[0];
+        match db.fetch("acct", &[tid], &["balance"])?[0][0] {
+            OwnedValue::Int(v) => Ok((tid, v)),
+            _ => unreachable!(),
+        }
+    })
+}
 
 fn main() {
-    let server = DbServer::in_memory();
-    server.with(|db| {
-        db.create_table(
-            "acct",
-            Schema::of(&[("owner", AttrType::Int), ("balance", AttrType::Int)]),
-        )
+    let mut db = Database::in_memory();
+    db.create_table(
+        "acct",
+        Schema::of(&[("owner", AttrType::Int), ("balance", AttrType::Int)]),
+    )
+    .unwrap();
+    db.create_index("acct_owner", "acct", "owner", IndexKind::Hash)
         .unwrap();
-        db.create_index("acct_owner", "acct", "owner", IndexKind::Hash)
+    let mut txn = db.begin();
+    for owner in 0..ACCOUNTS {
+        db.insert(&mut txn, "acct", vec![owner.into(), 1000i64.into()])
             .unwrap();
-        let mut txn = db.begin();
-        for owner in 0..ACCOUNTS {
-            db.insert(&mut txn, "acct", vec![owner.into(), 1000i64.into()])
-                .unwrap();
-        }
-        db.commit(txn).unwrap();
-    });
+    }
+    db.commit(txn).unwrap();
+    let engine = TxnEngine::new(db);
 
+    let attempts = AtomicUsize::new(0);
+    let transfers = AtomicUsize::new(0);
     let start = Instant::now();
-    let threads: Vec<_> = (0..CLIENTS)
-        .map(|c| {
-            let client = server.client();
-            std::thread::spawn(move || {
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let session = engine.session();
+            let (attempts, transfers) = (&attempts, &transfers);
+            scope.spawn(move || {
                 let mut seed = (c as u64 + 1) * 0x9E37_79B9;
                 for _ in 0..TXNS_PER_CLIENT {
                     seed ^= seed << 13;
@@ -51,51 +68,27 @@ fn main() {
                     if from == to {
                         continue;
                     }
-                    // One short transfer transaction, executed atomically
-                    // on the database thread.
-                    client.with(move |db| {
-                        let get = |db: &mmdb_core::Database, owner: i64| {
-                            let hit = db
-                                .select("acct", "owner", &Predicate::Eq(KeyValue::Int(owner)))
-                                .unwrap();
-                            let tid = hit.column(0)[0];
-                            let bal = match db.fetch("acct", &[tid], &["balance"]).unwrap()[0][0] {
-                                OwnedValue::Int(v) => v,
-                                _ => unreachable!(),
-                            };
-                            (tid, bal)
-                        };
-                        let (ftid, fbal) = get(db, from);
-                        let (ttid, tbal) = get(db, to);
-                        let mut txn = db.begin();
-                        db.update(
-                            &mut txn,
-                            "acct",
-                            ftid,
-                            "balance",
-                            OwnedValue::Int(fbal - 10),
-                        )
-                        .unwrap();
-                        db.update(
-                            &mut txn,
-                            "acct",
-                            ttid,
-                            "balance",
-                            OwnedValue::Int(tbal + 10),
-                        )
-                        .unwrap();
-                        db.commit(txn).unwrap();
-                    });
+                    // One short transfer transaction: read both balances
+                    // under S locks, buffer both updates, commit under X
+                    // locks.
+                    session
+                        .with_retry(ATTEMPTS, |s, txn| {
+                            attempts.fetch_add(1, Ordering::Relaxed);
+                            let (ftid, fbal) = balance(s, txn, from)?;
+                            let (ttid, tbal) = balance(s, txn, to)?;
+                            s.update(txn, "acct", ftid, "balance", OwnedValue::Int(fbal - 10))?;
+                            s.update(txn, "acct", ttid, "balance", OwnedValue::Int(tbal + 10))
+                        })
+                        .expect("transfer commits within the retry budget");
+                    transfers.fetch_add(1, Ordering::Relaxed);
                 }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
-    }
+            });
+        }
+    });
     let elapsed = start.elapsed();
+    let transfers = transfers.into_inner();
 
-    let (total, n) = server.with(|db| {
+    let (total, n) = engine.with_db(|db| {
         let tids = db.tids("acct").unwrap();
         let total: i64 = tids
             .iter()
@@ -106,17 +99,21 @@ fn main() {
                 },
             )
             .sum();
+        db.validate_indexes().unwrap();
         (total, tids.len())
     });
     println!(
-        "{} clients × {} transfer txns in {:.3}s ({:.0} txn/s)",
-        CLIENTS,
-        TXNS_PER_CLIENT,
+        "{CLIENTS} sessions × {TXNS_PER_CLIENT} transfer txns in {:.3}s ({:.0} txn/s, {} deadlock retries)",
         elapsed.as_secs_f64(),
-        (CLIENTS * TXNS_PER_CLIENT) as f64 / elapsed.as_secs_f64()
+        transfers as f64 / elapsed.as_secs_f64(),
+        attempts.into_inner() - transfers
+    );
+    let stats = engine.group_commit_stats();
+    println!(
+        "group commit: {} commits in {} batches (largest {})",
+        stats.commits, stats.batches, stats.largest_batch
     );
     println!("accounts: {n}, total balance: {total}");
     assert_eq!(total, ACCOUNTS * 1000, "money is conserved");
-    println!("money conserved under serial multi-user execution ✓");
-    server.shutdown();
+    println!("money conserved under concurrent 2PL sessions ✓");
 }

@@ -4,7 +4,10 @@
 //! Two workloads straddle the TreeJoin/HashJoin crossover of the §3.3.4
 //! comparison formulas: a small outer probing a large indexed inner
 //! (TreeJoin territory) and a large outer against a small inner (hash
-//! territory). Each feasible method runs forced several times; the
+//! territory). A third sits in the §3.3.5 exception-1 band — the outer a
+//! third of the inner's size, a T-Tree on the inner join column only —
+//! where the paper's `|R1| < |R2|/2` rule of thumb says Tree Join and the
+//! formulas say Hash Join. Each feasible method runs forced several times; the
 //! planner's pick must land within `TOLERANCE` of the fastest measured
 //! method, or the process exits non-zero. Results land in
 //! `results/planner_accuracy.csv`.
@@ -27,7 +30,7 @@ use std::time::Instant;
 const TOLERANCE: f64 = 1.5;
 const RUNS: usize = 3;
 
-fn build_db(outer_n: usize, inner_n: usize) -> Database {
+fn build_db(outer_n: usize, inner_n: usize, outer_jcol_indexed: bool) -> Database {
     let mut db = Database::in_memory();
     for t in ["outer", "inner"] {
         db.create_table(
@@ -37,8 +40,10 @@ fn build_db(outer_n: usize, inner_n: usize) -> Database {
         .unwrap();
         db.create_index(&format!("{t}_pk"), t, "pk", IndexKind::TTree)
             .unwrap();
-        db.create_index(&format!("{t}_jcol"), t, "jcol", IndexKind::TTree)
-            .unwrap();
+        if t == "inner" || outer_jcol_indexed {
+            db.create_index(&format!("{t}_jcol"), t, "jcol", IndexKind::TTree)
+                .unwrap();
+        }
     }
     let mut txn = db.begin();
     for (t, n) in [("outer", outer_n), ("inner", inner_n)] {
@@ -83,8 +88,9 @@ fn time_ms(db: &Database, method: Option<JoinMethod>) -> (f64, usize) {
 
 fn main() {
     let workloads = [
-        ("small_outer_large_inner", 500usize, 30_000usize),
-        ("large_outer_small_inner", 30_000, 1_000),
+        ("small_outer_large_inner", 500usize, 30_000usize, true),
+        ("large_outer_small_inner", 30_000, 1_000, true),
+        ("third_outer_inner_index_only", 10_000, 30_000, false),
     ];
     let methods = [
         JoinMethod::TreeMerge,
@@ -96,8 +102,8 @@ fn main() {
     let mut csv = String::from("workload,method,est_comparisons,elapsed_ms,chosen,fastest\n");
     let mut failed = false;
 
-    for (name, outer_n, inner_n) in workloads {
-        let db = build_db(outer_n, inner_n);
+    for (name, outer_n, inner_n, outer_jcol_indexed) in workloads {
+        let db = build_db(outer_n, inner_n, outer_jcol_indexed);
 
         // What does the planner pick, and what does it estimate?
         let planned = query(&db).run().unwrap();
@@ -110,6 +116,9 @@ fn main() {
         let mut measured: Vec<(JoinMethod, f64)> = Vec::new();
         let mut expect_rows = None;
         for m in methods {
+            if m == JoinMethod::TreeMerge && !outer_jcol_indexed {
+                continue; // infeasible without the outer T-Tree
+            }
             let (ms, rows) = time_ms(&db, Some(m));
             if let Some(r) = expect_rows {
                 assert_eq!(r, rows, "{name}: {m:?} changed the answer");

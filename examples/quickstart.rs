@@ -61,44 +61,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     db.commit(txn)?;
 
     // 1. Exact-match selection → hash lookup (the fastest §4 path).
-    let hit = db.select("employee", "id", &Predicate::Eq(KeyValue::Int(44)))?;
+    let by_id = Predicate::Eq(KeyValue::Int(44));
+    let hit = db.select("employee", "id", &by_id)?;
     println!(
-        "select id = 44 via {:?}: {:?}",
-        db.plan_select("employee", "id", &Predicate::Eq(KeyValue::Int(44)))?,
+        "select id = 44: {:?}",
         db.fetch("employee", &hit.column(0), &["name", "age"])?
     );
+    print!("{}", db.query("employee").filter("id", by_id).explain()?);
 
     // 2. Range selection → T-Tree lookup.
-    let mid_age = db.select(
-        "employee",
-        "age",
-        &Predicate::between(KeyValue::Int(25), KeyValue::Int(50)),
-    )?;
-    println!(
-        "select 25 <= age <= 50 via {:?}:",
-        db.plan_select(
-            "employee",
-            "age",
-            &Predicate::between(KeyValue::Int(25), KeyValue::Int(50))
-        )?
-    );
+    let by_age = Predicate::between(KeyValue::Int(25), KeyValue::Int(50));
+    let mid_age = db.select("employee", "age", &by_age)?;
+    println!("select 25 <= age <= 50:");
     for row in db.fetch("employee", &mid_age.column(0), &["name", "age"])? {
         println!("  {row:?}");
     }
+    print!("{}", db.query("employee").filter("age", by_age).explain()?);
 
     // 3. Join: both sides have T-Trees → the planner picks Tree Merge.
-    let (result, method) = db.join("employee", "dept_id", "department", "id")?;
-    println!("join employee.dept_id = department.id via {method:?}:");
-    for i in 0..result.pairs.len() {
-        let row = result.pairs.row(i);
-        let emp = db.fetch("employee", &[row[0]], &["name"])?;
-        let dept = db.fetch("department", &[row[1]], &["name"])?;
-        println!("  {:?} works in {:?}", emp[0][0], dept[0][0]);
+    let result = db
+        .query("employee")
+        .join("dept_id", "department", "id")
+        .project(&[("employee", "name"), ("department", "name")])
+        .run()?;
+    let join = result.profile.joins()[0];
+    println!("{}:", join.label);
+    for row in &result.rows {
+        println!("  {:?} works in {:?}", row[0], row[1]);
     }
     println!(
         "(join did {} comparisons for {} result rows)",
-        result.stats.comparisons,
-        result.len()
+        join.stats.comparisons,
+        result.rows.len()
     );
 
     // Update through a transaction; indexes follow automatically.
@@ -114,7 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         db.fetch("employee", &aged.column(0), &["name"])?
     );
 
-    // The same join as a fluent pipeline, with EXPLAIN output.
+    // The same join behind a filter, with the executed plan's profile.
     let result = db
         .query("employee")
         .filter("age", Predicate::greater(KeyValue::Int(25)))

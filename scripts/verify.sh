@@ -153,6 +153,12 @@ gate "bench-baseline"    bench_baseline_diff
 gate "bench-regress"     ./target/release/bench_baseline --compare BENCH_baseline.json \
                              --fresh /tmp/mmdb_bench_smoke.json
 
+# End-to-end benchmark smoke: builds the stand-alone mmdb-e2e crate
+# against the public API, proves its oracle can fail (--self-test), then
+# runs all five BENCHMARK.json workloads with the oracle on — the guard
+# that an API change here never breaks the benchmark.
+gate "e2e-smoke"         benchmark/run.sh --smoke
+
 echo ""
 echo "==== verification summary ===="
 echo "$SUMMARY" | sed '/^$/d'

@@ -64,19 +64,26 @@ fn generated_workload_through_the_full_stack() {
     }
 
     // Every join method produces the reference count.
+    let join = || {
+        db.query("r1")
+            .join("jcol", "r2", "jcol")
+            .project(&[("r1", "pk")])
+    };
     for m in [
         JoinMethod::TreeMerge,
         JoinMethod::HashJoin,
         JoinMethod::TreeJoin,
         JoinMethod::SortMerge,
     ] {
-        let out = db.join_with(m, "r1", "jcol", "r2", "jcol").unwrap();
-        assert_eq!(out.len(), expect, "{m:?}");
+        let out = join().force_join_method(m).run().unwrap();
+        assert_eq!(out.rows.len(), expect, "{m:?}");
     }
     // The planner picks Tree Merge (both T-Trees exist).
+    let planned = join().run().unwrap();
+    assert_eq!(planned.rows.len(), expect);
     assert_eq!(
-        db.plan_join("r1", "jcol", "r2", "jcol").unwrap(),
-        JoinMethod::TreeMerge
+        planned.profile.joins()[0].method,
+        Some(JoinMethod::TreeMerge)
     );
 }
 
