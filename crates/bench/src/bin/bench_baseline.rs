@@ -13,7 +13,7 @@
 //! The second form diffs a fresh run (or an already-generated `--fresh`
 //! file) against a committed baseline, printing per-key ratios, and exits
 //! non-zero if any *tracked* kernel (`join_4k/`, `dedup_4k/`,
-//! `scaling_10k/`, `reuse_10k/`, `recovery_100k/` — the keys large enough
+//! `scaling_10k/`, `recovery_100k/` — the keys large enough
 //! to be meaningful
 //! at quick-mode iteration counts) regressed by more than 25% beyond the run-wide
 //! host-speed factor (see [`REGRESS_LIMIT`]); a failing pass re-measures
@@ -500,130 +500,6 @@ fn txn_suite(out: &mut BTreeMap<String, u64>) {
     }
 }
 
-fn reuse_suite(out: &mut BTreeMap<String, u64>) {
-    use mmdb_core::Database;
-
-    /// Row count for the scanned table: large enough that a recompute
-    /// (full sequential scan) dwarfs the cached serve paths.
-    const REUSE_N: i64 = 10_000;
-    /// Wide / narrow thresholds over `v = (i * 31) % 100`: the wide
-    /// entry holds ~80% of rows, the narrow query ~40%. The delta cells
-    /// use a small entry (~10% of rows) — the §3.3.4 cost model only
-    /// picks a delta serve when patching the entry (cost ∝ entry rows)
-    /// beats rescanning the relation (cost ∝ table rows).
-    const WIDE: i64 = 80;
-    const NARROW: i64 = 40;
-    const SMALL: i64 = 10;
-
-    fn build() -> (Database, Vec<TupleId>) {
-        use mmdb_core::IndexKind;
-        let mut db = Database::in_memory();
-        db.create_table(
-            "t",
-            // `v` is deliberately unindexed: selections on it run as
-            // sequential scans, the only access path eligible for
-            // subsumption re-filters and delta maintenance. The indexed
-            // `k` column exists only to satisfy the insert path.
-            Schema::of(&[("k", AttrType::Int), ("v", AttrType::Int)]),
-        )
-        .expect("create");
-        db.create_index("t_k", "t", "k", IndexKind::TTree)
-            .expect("index");
-        let mut txn = db.begin();
-        for i in 0..REUSE_N {
-            db.insert(
-                &mut txn,
-                "t",
-                vec![OwnedValue::Int(i), OwnedValue::Int((i * 31) % 100)],
-            )
-            .expect("seed insert");
-        }
-        let tids = db.commit(txn).expect("seed commit");
-        (db, tids)
-    }
-    fn run(db: &Database, hi: i64, cached: bool) -> usize {
-        db.query("t")
-            .filter("v", Predicate::less(KeyValue::Int(hi)))
-            .project(&[("t", "k"), ("t", "v")])
-            .parallelism(1)
-            .cache(cached)
-            .run()
-            .expect("query")
-            .rows
-            .len()
-    }
-
-    // Cold oracle: every iteration recomputes the full sequential scan.
-    let (db, _) = build();
-    measure(out, "reuse_10k/recompute", MACRO_ITERS, || {
-        black_box(run(&db, WIDE, false));
-    });
-
-    // Exact hit: the entry is memoized once, then every iteration is
-    // served from the cached TempList (plus result materialization).
-    let (db, _) = build();
-    run(&db, WIDE, true); // memoize
-    measure(out, "reuse_10k/exact_hit", MACRO_ITERS * 5, || {
-        black_box(run(&db, WIDE, true));
-    });
-
-    // Subsumed re-filter: the narrow query is answered by re-filtering
-    // the cached wide entry. Subsumed serves are not re-memoized, so
-    // every iteration exercises the re-filter, not an exact hit.
-    let (db, _) = build();
-    run(&db, WIDE, true); // memoize the wide entry
-    measure(out, "reuse_10k/subsumed_refilter", MACRO_ITERS, || {
-        black_box(run(&db, NARROW, true));
-    });
-
-    // Delta serve vs. write-then-recompute: both cells pay one committed
-    // single-row update per iteration; the delta cell then patches the
-    // hot cached entry while the recompute cell rescans from scratch.
-    // Their difference is the measured delta-maintenance advantage.
-    let (mut db, tids) = build();
-    run(&db, SMALL, true);
-    run(&db, SMALL, true); // heat the entry so writes accrue as deltas
-    let mut i = 0usize;
-    measure(out, "reuse_10k/delta_serve", MACRO_ITERS, || {
-        let tid = tids[(i * 131) % tids.len()];
-        i += 1;
-        let mut txn = db.begin();
-        db.update(
-            &mut txn,
-            "t",
-            tid,
-            "v",
-            OwnedValue::Int((i as i64 * 17) % 100),
-        )
-        .expect("update");
-        db.commit(txn).expect("commit");
-        black_box(run(&db, SMALL, true));
-    });
-    assert!(
-        db.cache_report().delta_applies > 0,
-        "delta_serve cell never took the delta path: {:?}",
-        db.cache_report()
-    );
-
-    let (mut db, tids) = build();
-    let mut i = 0usize;
-    measure(out, "reuse_10k/write_recompute", MACRO_ITERS, || {
-        let tid = tids[(i * 131) % tids.len()];
-        i += 1;
-        let mut txn = db.begin();
-        db.update(
-            &mut txn,
-            "t",
-            tid,
-            "v",
-            OwnedValue::Int((i as i64 * 17) % 100),
-        )
-        .expect("update");
-        db.commit(txn).expect("commit");
-        black_box(run(&db, SMALL, false));
-    });
-}
-
 /// Restart's index-rebuild kernels at the issue's 100k-row scale:
 /// tuple-at-a-time insertion (the pre-§16 restart loop — re-locking the
 /// relation through the adapter on every comparison) against the bulk
@@ -737,19 +613,13 @@ fn write_json(path: &str, entries: &BTreeMap<String, u64>) -> std::io::Result<()
     std::fs::write(path, s)
 }
 
-/// Key prefixes gated by `--compare`. Only the join/dedup/scaling/reuse
+/// Key prefixes gated by `--compare`. Only the join/dedup/scaling/recovery
 /// cells are large enough (hundreds of µs) to clear quick-mode jitter; the
 /// per-op index cells swing too much at these iteration counts to gate.
 /// The `txn_throughput/` cells are recorded (and printed by compares)
 /// but not gated: thread scheduling on a small host swings them well
 /// past [`REGRESS_LIMIT`] run-to-run.
-const TRACKED_PREFIXES: [&str; 5] = [
-    "join_4k/",
-    "dedup_4k/",
-    "scaling_10k/",
-    "reuse_10k/",
-    "recovery_100k/",
-];
+const TRACKED_PREFIXES: [&str; 4] = ["join_4k/", "dedup_4k/", "scaling_10k/", "recovery_100k/"];
 /// A tracked kernel more than this factor slower than baseline fails —
 /// after dividing out the run-wide host-speed factor (the median ratio
 /// over every key the two files share, untracked cells included). The
@@ -802,7 +672,6 @@ fn run_all_suites() -> BTreeMap<String, u64> {
     dedup_suite(&mut entries);
     scaling_suite(&mut entries);
     txn_suite(&mut entries);
-    reuse_suite(&mut entries);
     recovery_suite(&mut entries);
     entries
 }

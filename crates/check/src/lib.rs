@@ -20,8 +20,6 @@
 //! * [`plan_checks`] — query-plan invariants: logical resolution,
 //!   physical feasibility under index availability, and
 //!   logical/physical semantic equivalence.
-//! * [`cache_checks`] — reuse-cache invariants: fingerprint
-//!   re-derivation, stamp bookkeeping, and stale-entry unreachability.
 //! * [`merge_checks`] — worker-pool merge determinism.
 //! * [`explore`] — a deterministic-seed interleaving explorer (a small
 //!   shuttle-style scheduler) for concurrency invariants.
@@ -30,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod cache_checks;
 pub mod explore;
 pub mod index_checks;
 pub mod lock_checks;

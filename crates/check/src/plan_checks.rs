@@ -9,50 +9,9 @@
 
 use crate::report::Report;
 use mmdb_exec::plan::{LogicalPlan, PlanCatalog, PlanNode, PlanNodeKind, PlannedQuery};
-use mmdb_exec::{CachedMode, JoinMethod, Predicate, SelectPath};
-use mmdb_storage::KeyValue;
-use std::ops::Bound;
+use mmdb_exec::{JoinMethod, Predicate, SelectPath};
 
 const STRUCTURE: &str = "query plan";
-
-/// Independent interval-containment judgement for subsumed cached serves:
-/// does every value satisfying `inner` also satisfy `outer`? Deliberately
-/// re-derived from the predicate bounds rather than delegating to the
-/// cache's own lattice function, so a bug there is caught here.
-fn pred_interval_contains(outer: &Predicate, inner: &Predicate) -> bool {
-    fn bounds(p: &Predicate) -> (Bound<&KeyValue>, Bound<&KeyValue>) {
-        match p {
-            Predicate::Eq(k) => (Bound::Included(k), Bound::Included(k)),
-            Predicate::Range { lo, hi } => (lo.as_ref(), hi.as_ref()),
-        }
-    }
-    fn le(a: &KeyValue, b: &KeyValue, or_equal: bool) -> Option<bool> {
-        let ord = match (a, b) {
-            (KeyValue::Int(x), KeyValue::Int(y)) => x.cmp(y),
-            (KeyValue::Str(x), KeyValue::Str(y)) => x.cmp(y),
-            (KeyValue::Ptr(x), KeyValue::Ptr(y)) => x.cmp(y),
-            _ => return None,
-        };
-        Some(if or_equal { ord.is_le() } else { ord.is_lt() })
-    }
-    let (olo, ohi) = bounds(outer);
-    let (ilo, ihi) = bounds(inner);
-    let lo_ok = match (olo, ilo) {
-        (Bound::Unbounded, _) => Some(true),
-        (_, Bound::Unbounded) => Some(false),
-        (Bound::Included(a), Bound::Included(b) | Bound::Excluded(b)) => le(a, b, true),
-        (Bound::Excluded(a), Bound::Included(b)) => le(a, b, false),
-        (Bound::Excluded(a), Bound::Excluded(b)) => le(a, b, true),
-    };
-    let hi_ok = match (ohi, ihi) {
-        (Bound::Unbounded, _) => Some(true),
-        (_, Bound::Unbounded) => Some(false),
-        (Bound::Included(a), Bound::Included(b) | Bound::Excluded(b)) => le(b, a, true),
-        (Bound::Excluded(a), Bound::Included(b)) => le(b, a, false),
-        (Bound::Excluded(a), Bound::Excluded(b)) => le(b, a, true),
-    };
-    lo_ok == Some(true) && hi_ok == Some(true)
-}
 
 /// Check that every reference in a logical plan resolves against the
 /// catalog and respects written-order binding.
@@ -300,21 +259,15 @@ fn collect_ids(node: &PlanNode, out: &mut Vec<usize>) {
 }
 
 fn collect_joins<'p>(node: &'p PlanNode, out: &mut Vec<(&'p str, &'p str, &'p str, &'p str)>) {
-    match &node.kind {
-        PlanNodeKind::Join {
-            source_table,
-            outer_attr,
-            inner_table,
-            inner_attr,
-            ..
-        } => out.push((source_table, outer_attr, inner_table, inner_attr)),
-        // A cache hit still *implements* the joins it absorbed.
-        PlanNodeKind::Cached { joins, .. } => {
-            for (s, o, i, a) in joins {
-                out.push((s, o, i, a));
-            }
-        }
-        _ => {}
+    if let PlanNodeKind::Join {
+        source_table,
+        outer_attr,
+        inner_table,
+        inner_attr,
+        ..
+    } = &node.kind
+    {
+        out.push((source_table, outer_attr, inner_table, inner_attr));
     }
     for c in &node.children {
         collect_joins(c, out);
@@ -329,12 +282,6 @@ fn collect_filters<'p>(node: &'p PlanNode, out: &mut Vec<(&'p str, &'p str, &'p 
         | PlanNodeKind::PostFilter {
             table, attr, pred, ..
         } => out.push((table, attr, pred)),
-        // A cache hit still *implements* the filters it absorbed.
-        PlanNodeKind::Cached { filters, .. } => {
-            for (t, a, p) in filters {
-                out.push((t, a, p));
-            }
-        }
         _ => {}
     }
     for c in &node.children {
@@ -575,109 +522,6 @@ fn walk_physical(
                 );
             }
         }
-        PlanNodeKind::Cached {
-            fingerprint,
-            canonical,
-            tables,
-            filters,
-            mode,
-            ..
-        } => {
-            if !node.children.is_empty() {
-                report.fail(
-                    STRUCTURE,
-                    loc("cached"),
-                    "cached reads are leaves",
-                    format!("{} children", node.children.len()),
-                );
-            }
-            if *fingerprint != mmdb_exec::cache::fingerprint(canonical) {
-                report.fail(
-                    STRUCTURE,
-                    loc("cached"),
-                    "the fingerprint re-derives from the canonical form",
-                    format!("node fp {fingerprint:#x} vs canonical {canonical:?}"),
-                );
-            }
-            if tables.is_empty() {
-                report.fail(
-                    STRUCTURE,
-                    loc("cached"),
-                    "a cached read covers at least one table",
-                    "tables list is empty".to_string(),
-                );
-            }
-            for t in tables {
-                if !planned.tables.iter().any(|b| b == t) {
-                    report.fail(
-                        STRUCTURE,
-                        loc("cached"),
-                        "cached tables are bound",
-                        format!("table {t} missing from {:?}", planned.tables),
-                    );
-                }
-            }
-            match mode {
-                CachedMode::Exact => {}
-                CachedMode::Subsumed {
-                    entry_fingerprint,
-                    entry_canonical,
-                    entry_pred,
-                } => {
-                    if *entry_fingerprint != mmdb_exec::cache::fingerprint(entry_canonical) {
-                        report.fail(
-                            STRUCTURE,
-                            loc("cached-subsumed"),
-                            "the subsuming entry's fingerprint re-derives from its canonical form",
-                            format!(
-                                "entry fp {entry_fingerprint:#x} vs canonical {entry_canonical:?}"
-                            ),
-                        );
-                    }
-                    // The served rows are a re-filter of the wider
-                    // entry, so the node's residual predicate interval
-                    // must lie inside the entry's — judged by an
-                    // independent containment test, not the cache's own
-                    // lattice function.
-                    match filters.as_slice() {
-                        [(_, _, residual)] => {
-                            if !pred_interval_contains(entry_pred, residual) {
-                                report.fail(
-                                    STRUCTURE,
-                                    loc("cached-subsumed"),
-                                    "the subsuming entry's interval contains the query's",
-                                    format!("entry ({entry_pred}) vs query ({residual})"),
-                                );
-                            }
-                        }
-                        other => report.fail(
-                            STRUCTURE,
-                            loc("cached-subsumed"),
-                            "a subsumed serve absorbs exactly one filter (its own selection)",
-                            format!("{} absorbed filters", other.len()),
-                        ),
-                    }
-                }
-                CachedMode::Delta { pending } => {
-                    if *pending == 0 || *pending > mmdb_exec::DELTA_BUDGET {
-                        report.fail(
-                            STRUCTURE,
-                            loc("cached-delta"),
-                            "a delta serve patches a nonempty, within-budget chain",
-                            format!("pending = {pending}"),
-                        );
-                    }
-                    if filters.len() != 1 {
-                        report.fail(
-                            STRUCTURE,
-                            loc("cached-delta"),
-                            "a delta serve absorbs exactly one filter (its own selection)",
-                            format!("{} absorbed filters", filters.len()),
-                        );
-                    }
-                }
-            }
-        }
     }
     for c in &node.children {
         walk_physical(c, planned, catalog, report);
@@ -785,94 +629,5 @@ mod tests {
             cols: vec![("dept".to_string(), "dname".to_string())],
         };
         assert!(!check_logical(&bad_logical, &cat).is_ok());
-    }
-
-    /// Swap the `emp.age > 65` select leaf for a cached serve in `mode`.
-    fn cache_the_select(n: &mut PlanNode, mode: &CachedMode) {
-        if let PlanNodeKind::Select {
-            table, attr, pred, ..
-        } = &n.kind
-        {
-            let canonical = format!("sel({table}.{attr} {pred})");
-            n.kind = PlanNodeKind::Cached {
-                fingerprint: mmdb_exec::cache::fingerprint(&canonical),
-                canonical,
-                tables: vec![table.clone()],
-                filters: vec![(table.clone(), attr.clone(), pred.clone())],
-                joins: Vec::new(),
-                mode: mode.clone(),
-            };
-            n.children.clear();
-        }
-        for c in &mut n.children {
-            cache_the_select(c, mode);
-        }
-    }
-
-    fn subsumed_mode(entry_pred: Predicate) -> CachedMode {
-        let entry_canonical = format!("sel(emp.age {entry_pred})");
-        CachedMode::Subsumed {
-            entry_fingerprint: mmdb_exec::cache::fingerprint(&entry_canonical),
-            entry_canonical,
-            entry_pred,
-        }
-    }
-
-    #[test]
-    fn honest_subsumed_and_delta_serves_pass() {
-        let cat = catalog();
-        let logical = workload();
-        let planned = Planner::plan(&logical, &cat, &PlannerOptions::default()).unwrap();
-
-        // Entry `age > 60` genuinely contains the residual `age > 65`.
-        let mut subsumed = planned.clone();
-        cache_the_select(
-            &mut subsumed.root,
-            &subsumed_mode(Predicate::greater(60i64.into())),
-        );
-        let report = check_plans(&logical, &subsumed, &cat);
-        assert!(report.is_ok(), "{:?}", report.into_result());
-
-        let mut delta = planned;
-        cache_the_select(&mut delta.root, &CachedMode::Delta { pending: 3 });
-        let report = check_plans(&logical, &delta, &cat);
-        assert!(report.is_ok(), "{:?}", report.into_result());
-    }
-
-    #[test]
-    fn tampered_cached_modes_are_caught() {
-        let cat = catalog();
-        let logical = workload();
-        let planned = Planner::plan(&logical, &cat, &PlannerOptions::default()).unwrap();
-
-        // Entry `age > 80` is NARROWER than the residual `age > 65`:
-        // re-filtering it would silently drop rows in (65, 80].
-        let mut narrow_entry = planned.clone();
-        cache_the_select(
-            &mut narrow_entry.root,
-            &subsumed_mode(Predicate::greater(80i64.into())),
-        );
-        let result = check_plans(&logical, &narrow_entry, &cat).into_result();
-        let msg = result.expect_err("narrower entry must be rejected");
-        assert!(msg.contains("contains the query's"), "{msg}");
-
-        // An entry fingerprint that does not re-derive from its
-        // canonical form is a forged pairing.
-        let mut forged = planned.clone();
-        cache_the_select(
-            &mut forged.root,
-            &CachedMode::Subsumed {
-                entry_fingerprint: 0xdead_beef,
-                entry_canonical: "sel(emp.age > 60)".to_string(),
-                entry_pred: Predicate::greater(60i64.into()),
-            },
-        );
-        assert!(!check_physical(&forged, &cat).is_ok());
-
-        // A delta serve with an empty (or over-budget) chain is bogus:
-        // the planner would have served it as an exact hit instead.
-        let mut empty_chain = planned;
-        cache_the_select(&mut empty_chain.root, &CachedMode::Delta { pending: 0 });
-        assert!(!check_physical(&empty_chain, &cat).is_ok());
     }
 }

@@ -1,24 +1,20 @@
 //! The binding seam: everything that turns a planner decision (a
 //! [`SelectPath`], a [`JoinMethod`], a [`PlanNode`]) into this database's
 //! concrete relations, indexes and kernels — plus the catalog facts the
-//! planner and the reuse cache read back.
+//! planner reads back.
 
 use crate::db::{AnyIndex, Database, IndexKind, TableId};
 use crate::error::DbError;
 use crate::shared::SharedAdapter;
 use mmdb_exec::plan::{
-    AttrInfo, BoxedOperator, DistinctOp, FullScanOp, HashLookupOp, JoinKernel, JoinOp, NodeId,
-    PlanCatalog, PlanNode, PlanNodeKind, PostFilterOp, PrecomputedKernel, ProjectOp, SeqFilterOp,
-    SidesKernel, TreeJoinKernel, TreeLookupOp, TreeMergeKernel,
+    AttrInfo, BoxedOperator, DistinctOp, FullScanOp, HashLookupOp, JoinKernel, JoinOp, PlanCatalog,
+    PlanNode, PlanNodeKind, PostFilterOp, PrecomputedKernel, ProjectOp, SeqFilterOp, SidesKernel,
+    TreeJoinKernel, TreeLookupOp, TreeMergeKernel,
 };
-use mmdb_exec::{
-    CachedMode, CachedReadOp, DeltaApplyOp, IndexAvailability, JoinMethod, MemoizeOp, Predicate,
-    RefilterOp, SelectPath, StoreTicket, VersionSource,
-};
+use mmdb_exec::{IndexAvailability, JoinMethod, Predicate, SelectPath};
 use mmdb_index::{ModifiedLinearHash, TTree};
 use mmdb_recovery::StableStore;
 use mmdb_storage::{AttrType, KeyValue, Relation, ResultDescriptor};
-use std::collections::HashMap;
 use std::marker::PhantomData;
 
 /// A selection access path bound to the index that serves it.
@@ -153,16 +149,13 @@ impl<S: StableStore> Database<S> {
     /// Bind a planned operator tree to this database's relations and
     /// indices. `tables` is the plan's binding order, `rels` the borrowed
     /// relation per position, `desc` the projection descriptor (consumed
-    /// by duplicate elimination). `tickets` marks subtrees whose result
-    /// the reuse cache wants retained: the matching operator is wrapped
-    /// in a transparent [`MemoizeOp`] that stores its output on success.
+    /// by duplicate elimination).
     pub(crate) fn bind_plan<'b>(
         &'b self,
         node: &PlanNode,
         tables: &[String],
         rels: &[&'b Relation],
         desc: &ResultDescriptor,
-        tickets: &HashMap<NodeId, StoreTicket>,
     ) -> Result<BoxedOperator<'b>, DbError> {
         let position = |table: &str| -> Result<usize, DbError> {
             tables
@@ -211,7 +204,7 @@ impl<S: StableStore> Database<S> {
                 pred,
                 src_col,
             } => {
-                let child = self.bind_plan(&node.children[0], tables, rels, desc, tickets)?;
+                let child = self.bind_plan(&node.children[0], tables, rels, desc)?;
                 let rel = rels[position(table)?];
                 let attr_idx = rel.schema().index_of(attr)?;
                 Box::new(PostFilterOp {
@@ -233,9 +226,9 @@ impl<S: StableStore> Database<S> {
                 src_col,
                 ..
             } => {
-                let child = self.bind_plan(&node.children[0], tables, rels, desc, tickets)?;
+                let child = self.bind_plan(&node.children[0], tables, rels, desc)?;
                 let inner = match node.children.get(1) {
-                    Some(n) => Some(self.bind_plan(n, tables, rels, desc, tickets)?),
+                    Some(n) => Some(self.bind_plan(n, tables, rels, desc)?),
                     None => None,
                 };
                 let orel = rels[position(source_table)?];
@@ -265,11 +258,11 @@ impl<S: StableStore> Database<S> {
                 })
             }
             PlanNodeKind::Project { .. } => {
-                let child = self.bind_plan(&node.children[0], tables, rels, desc, tickets)?;
+                let child = self.bind_plan(&node.children[0], tables, rels, desc)?;
                 Box::new(ProjectOp { id: node.id, child })
             }
             PlanNodeKind::Distinct => {
-                let child = self.bind_plan(&node.children[0], tables, rels, desc, tickets)?;
+                let child = self.bind_plan(&node.children[0], tables, rels, desc)?;
                 Box::new(DistinctOp {
                     id: node.id,
                     child,
@@ -277,98 +270,8 @@ impl<S: StableStore> Database<S> {
                     sources: rels.to_vec(),
                 })
             }
-            PlanNodeKind::Cached {
-                fingerprint,
-                canonical,
-                filters,
-                mode,
-                ..
-            } => match mode {
-                CachedMode::Exact => {
-                    let rows =
-                        self.cache
-                            .lock()
-                            .peek(*fingerprint, canonical)
-                            .ok_or_else(|| {
-                                DbError::BadQuery("cached plan node lost its cache entry".into())
-                            })?;
-                    Box::new(CachedReadOp { id: node.id, rows })
-                }
-                CachedMode::Subsumed {
-                    entry_fingerprint,
-                    entry_canonical,
-                    ..
-                } => {
-                    // The residual predicate is the node's own absorbed
-                    // filter; the rows come from the wider entry.
-                    let (table, attr, pred) = filters.first().ok_or_else(|| {
-                        DbError::BadQuery("subsumed cache node carries no filter".into())
-                    })?;
-                    let rel = rels[position(table)?];
-                    let attr_idx = rel.schema().index_of(attr)?;
-                    let rows = self
-                        .cache
-                        .lock()
-                        .peek(*entry_fingerprint, entry_canonical)
-                        .ok_or_else(|| {
-                            DbError::BadQuery("subsuming cache entry disappeared".into())
-                        })?;
-                    Box::new(RefilterOp {
-                        id: node.id,
-                        rows,
-                        rel,
-                        attr: attr_idx,
-                        pred: pred.clone(),
-                    })
-                }
-                CachedMode::Delta { .. } => {
-                    let (table, attr, pred) = filters.first().ok_or_else(|| {
-                        DbError::BadQuery("delta cache node carries no filter".into())
-                    })?;
-                    let rel = rels[position(table)?];
-                    let attr_idx = rel.schema().index_of(attr)?;
-                    let view = self
-                        .cache
-                        .lock()
-                        .peek_delta(*fingerprint, canonical)
-                        .ok_or_else(|| {
-                            DbError::BadQuery("delta cache entry lost its chain".into())
-                        })?;
-                    Box::new(DeltaApplyOp {
-                        id: node.id,
-                        rows: view.rows,
-                        deltas: view.deltas,
-                        rel,
-                        attr: attr_idx,
-                        pred: pred.clone(),
-                        cache: &self.cache,
-                        fingerprint: *fingerprint,
-                        canonical: canonical.clone(),
-                        seq: view.seq,
-                        covered: view.covered,
-                    })
-                }
-            },
         };
-        Ok(match tickets.get(&node.id) {
-            Some(ticket) => Box::new(MemoizeOp {
-                child: op,
-                cache: &self.cache,
-                ticket: ticket.clone(),
-            }),
-            None => op,
-        })
-    }
-}
-
-impl<S: StableStore> VersionSource for Database<S> {
-    fn table_versions(&self, table: &str) -> Option<Vec<u64>> {
-        let t = self.table_id(table).ok()?;
-        Some(self.table(t).rel.read().partition_versions().to_vec())
-    }
-
-    fn catalog_epoch(&self) -> u64 {
-        self.catalog_epoch
+        Ok(op)
     }
 }
 

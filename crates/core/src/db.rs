@@ -9,15 +9,15 @@ use crate::restart::{build_index_bulk, CrashedDatabase};
 use crate::shared::SharedAdapter;
 use crate::txn::{Transaction, WriteOp};
 use mmdb_exec::{
-    choose_select_path, parallel_select_scan, select_hash_index, select_tree_index, CacheReport,
-    DeltaEvent, ExecConfig, Predicate, ReuseCache,
+    choose_select_path, parallel_select_scan, select_hash_index, select_tree_index, ExecConfig,
+    Predicate,
 };
 use mmdb_index::traits::{OrderedIndex, UnorderedIndex};
 use mmdb_index::{ModifiedLinearHash, TTree};
 use mmdb_lock::{LockManager, LockMode, LockTarget, TxnId};
 use mmdb_recovery::{MemDisk, PartitionKey, RecoveryManager, StableStore};
 use mmdb_storage::{OwnedValue, PartitionConfig, Relation, Schema, TempList, TupleId};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -92,14 +92,8 @@ pub struct Database<S: StableStore = MemDisk> {
     pub(crate) recovery: RecoveryManager<S>,
     pub(crate) exec: ExecConfig,
     /// Monotone catalog version; selects which shadow slot the next
-    /// persist writes (see [`Database::persist_catalog`]). Doubles as the
-    /// reuse cache's epoch stamp: index creation changes access paths
-    /// (and thus result order), so entries never survive it.
+    /// persist writes (see [`Database::persist_catalog`]).
     pub(crate) catalog_epoch: u64,
-    /// Plan-keyed intermediate-result reuse cache (queries take `&self`,
-    /// hence the cell). Consulted only when [`ExecConfig::cache`] or the
-    /// per-query `QueryBuilder::cache(true)` knob asks for it.
-    pub(crate) cache: Mutex<ReuseCache>,
 }
 
 /// Partition number used as a per-table append fence: transactional
@@ -135,7 +129,6 @@ impl<S: StableStore> Database<S> {
             recovery: RecoveryManager::new(disk),
             exec: ExecConfig::default(),
             catalog_epoch: 0,
-            cache: Mutex::new(ReuseCache::default()),
         }
     }
 
@@ -152,19 +145,6 @@ impl<S: StableStore> Database<S> {
     /// intact. `dop = 1` restores the strictly serial (paper) code paths.
     pub fn set_parallelism(&mut self, dop: usize) {
         self.exec = self.exec.override_dop(dop);
-    }
-
-    // ---- reuse cache ---------------------------------------------------
-
-    /// Lifetime counters of the intermediate-result reuse cache.
-    #[must_use]
-    pub fn cache_report(&self) -> CacheReport {
-        self.cache.lock().report()
-    }
-
-    /// Drop every cached intermediate result (counters are kept).
-    pub fn clear_cache(&self) {
-        self.cache.lock().clear();
     }
 
     // ---- catalog -------------------------------------------------------
@@ -486,7 +466,6 @@ impl<S: StableStore> Database<S> {
                     for idx in self.indexes.iter_mut().filter(|i| i.table == table) {
                         idx.index.insert(tid);
                     }
-                    self.note_cache_write(table, DeltaEvent::Insert(tid));
                     inserted.push(tid);
                     touched.insert(table);
                 }
@@ -522,16 +501,6 @@ impl<S: StableStore> Database<S> {
                     {
                         idx.index.insert(tid);
                     }
-                    // A heap-overflow relocation moves the tuple to a new
-                    // physical slot: cached physical pointers on the table
-                    // can no longer be patched, only dropped.
-                    let phys_after = self.table(table).rel.read().resolve(tid)?;
-                    let event = if phys_after == phys {
-                        DeltaEvent::Update(phys)
-                    } else {
-                        DeltaEvent::Barrier
-                    };
-                    self.note_cache_write(table, event);
                     touched.insert(table);
                 }
                 WriteOp::Delete { table, tid } => {
@@ -545,7 +514,6 @@ impl<S: StableStore> Database<S> {
                         idx.index.delete_entry(&tid);
                     }
                     self.table(table).rel.write().delete(tid)?;
-                    self.note_cache_write(table, DeltaEvent::Delete(phys));
                     touched.insert(table);
                 }
             }
@@ -564,22 +532,6 @@ impl<S: StableStore> Database<S> {
             rel.clear_dirty();
         }
         Ok(inserted)
-    }
-
-    /// Feed one applied write into the reuse cache's delta logs. Both
-    /// commit paths ([`Database::commit`] and the transaction engine)
-    /// route through [`Database::apply_and_log`], so this is the single
-    /// append site: it reads the table's partition versions *after* the
-    /// write, extending each hot maintained entry's version chain by
-    /// exactly the link the write created.
-    fn note_cache_write(&self, table: TableId, event: DeltaEvent) {
-        let mut cache = self.cache.lock();
-        if cache.report().entries == 0 {
-            return;
-        }
-        let t = self.table(table);
-        let rel = t.rel.read();
-        cache.note_write(&t.name, event, rel.partition_versions());
     }
 
     /// Abort: discard the buffered writes — "the log entry is removed and
@@ -782,10 +734,6 @@ impl<S: StableStore> Database<S> {
         ));
         report.merge(mmdb_check::log_checks::check_log_buffer(
             self.recovery.log_buffer(),
-        ));
-        report.merge(mmdb_check::cache_checks::check_cache(
-            &self.cache.lock(),
-            self,
         ));
         report
     }

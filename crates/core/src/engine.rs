@@ -12,8 +12,8 @@
 //! Two-level synchronization:
 //!
 //! * **The engine latch** (`Mutex<Database>`) serializes *physical* access
-//!   to the shared data structures (relations, indexes, reuse cache,
-//!   recovery buffers). It is only ever held for the duration of one
+//!   to the shared data structures (relations, indexes, recovery
+//!   buffers). It is only ever held for the duration of one
 //!   operation — never across a blocking partition-lock acquisition, so a
 //!   session waiting for a transaction lock cannot wedge the engine.
 //! * **Partition locks** (shared [`LockManager`]) provide *logical*

@@ -64,7 +64,6 @@ pub struct QueryBuilder<'a, S: StableStore> {
     pushdown: bool,
     reorder: bool,
     forced_join: Option<JoinMethod>,
-    cache: Option<bool>,
 }
 
 /// A finished query: materialized rows plus the per-operator profile
@@ -93,7 +92,6 @@ impl<S: StableStore> Database<S> {
             pushdown: true,
             reorder: true,
             forced_join: None,
-            cache: None,
         }
     }
 }
@@ -200,17 +198,6 @@ impl<S: StableStore> QueryBuilder<'_, S> {
         self
     }
 
-    /// Consult (and populate) the intermediate-result reuse cache for
-    /// this query only, overriding [`mmdb_exec::ExecConfig::cache`].
-    /// Fresh cached subtrees substitute into the plan (shown as
-    /// `[cached]` in the explain text); any write to an input table
-    /// since the entry was stored makes it unservable.
-    #[must_use]
-    pub fn cache(mut self, on: bool) -> Self {
-        self.cache = Some(on);
-        self
-    }
-
     /// Lower the builder state to a logical plan (projection resolved).
     fn logical(&self) -> Result<LogicalPlan, DbError> {
         let projection: Vec<(String, String)> = if self.projection.is_empty() {
@@ -270,16 +257,11 @@ impl<S: StableStore> QueryBuilder<'_, S> {
     }
 
     /// Plan the query without executing it, returning the stable explain
-    /// rendering (estimates only; actuals show `-`). With caching on,
-    /// fresh cached subtrees substitute in and render as `[cached]`.
+    /// rendering (estimates only; actuals show `-`).
     pub fn explain(&self) -> Result<String, DbError> {
         let logical = self.logical()?;
-        let mut planned = Planner::plan(&logical, self.db, &self.options())
+        let planned = Planner::plan(&logical, self.db, &self.options())
             .map_err(|e| DbError::BadQuery(e.to_string()))?;
-        if self.cache.unwrap_or(self.db.exec_config().cache) {
-            let mut cache = self.db.cache.lock();
-            let _ = mmdb_exec::apply_cache(&mut planned, &mut cache, self.db);
-        }
         Ok(PlanProfile::estimates(&planned).render())
     }
 
@@ -290,28 +272,14 @@ impl<S: StableStore> QueryBuilder<'_, S> {
             Some(d) => db.exec_config().override_dop(d),
             None => db.exec_config(),
         };
-        let use_cache = self.cache.unwrap_or(cfg.cache);
 
         // Phase 1: logical plan; Phase 2: cost-based physical plan.
         let logical = self.logical()?;
-        let mut planned = Planner::plan(&logical, db, &self.options())
+        let planned = Planner::plan(&logical, db, &self.options())
             .map_err(|e| DbError::BadQuery(e.to_string()))?;
-
-        // Substitute fresh cached results for plan subtrees, and ticket
-        // the cacheable subtrees this run should retain. Sound because
-        // the builder holds `&Database` until execution finishes: no
-        // write can move the stamped versions in between.
-        let tickets = if use_cache {
-            let mut cache = db.cache.lock();
-            mmdb_exec::apply_cache(&mut planned, &mut cache, db)
-        } else {
-            std::collections::HashMap::new()
-        };
 
         #[cfg(feature = "check")]
         {
-            // Checked *after* substitution: the invariants must hold for
-            // the plan we actually execute, absorbed work included.
             let report = mmdb_check::plan_checks::check_plans(&logical, &planned, db);
             if let Err(msg) = report.into_result() {
                 return Err(DbError::BadQuery(format!("plan invariants: {msg}")));
@@ -338,7 +306,7 @@ impl<S: StableStore> QueryBuilder<'_, S> {
             .collect::<Result<_, _>>()?;
         let guards: Vec<_> = handles.iter().map(|h| h.read()).collect();
         let rels: Vec<&mmdb_storage::Relation> = guards.iter().map(|r| &**r).collect();
-        let mut root = db.bind_plan(&planned.root, &planned.tables, &rels, &desc, &tickets)?;
+        let mut root = db.bind_plan(&planned.root, &planned.tables, &rels, &desc)?;
         let mut ctx = ExecContext::new(cfg, planned.node_count);
         let list = root.execute(&mut ctx)?;
         drop(root);
@@ -353,8 +321,7 @@ impl<S: StableStore> QueryBuilder<'_, S> {
                     .collect(),
             );
         }
-        let mut profile = PlanProfile::assemble(&planned, &ctx);
-        profile.cache = db.cache_report();
+        let profile = PlanProfile::assemble(&planned, &ctx);
         Ok(QueryOutput {
             columns: desc
                 .column_names()
@@ -613,78 +580,6 @@ mod tests {
             .collect();
         v.sort();
         v
-    }
-
-    #[test]
-    fn reuse_cache_serves_and_invalidates() {
-        let mut db = company_db();
-        let run = |db: &Database| {
-            db.query("emp")
-                .filter("age", Predicate::greater(KeyValue::Int(60)))
-                .join("dept_id", "dept", "id")
-                .project(&[("emp", "ename"), ("dept", "dname")])
-                .cache(true)
-                .run()
-                .unwrap()
-        };
-
-        let cold = run(&db);
-        assert_eq!(cold.rows.len(), 2);
-        assert_eq!(cold.profile.cache.hits, 0);
-        assert!(cold.profile.cache.entries > 0, "cold run populates");
-        assert!(!cold.profile.render().contains("[cached]"));
-
-        let warm = run(&db);
-        assert_eq!(warm.rows, cold.rows, "cache hit must be bit-identical");
-        assert!(warm.profile.cache.hits > 0, "{:?}", warm.profile.cache);
-        let text = warm.profile.render();
-        assert!(text.contains("[cached]"), "{text}");
-        #[cfg(feature = "check")]
-        assert!(db.deep_check().is_ok());
-
-        // A committed write to an input table moves its partition
-        // versions: the next run recomputes and sees the new row.
-        let mut txn = db.begin();
-        db.insert(
-            &mut txn,
-            "emp",
-            vec!["Elder".into(), 80i64.into(), 1i64.into()],
-        )
-        .unwrap();
-        db.commit(txn).unwrap();
-        let after = run(&db);
-        assert_eq!(after.rows.len(), 3, "recomputed, not served stale");
-        assert!(!after.profile.render().contains("[cached]"));
-
-        // Cache off by default: the same query without the knob ignores
-        // (and does not populate beyond) the cache.
-        let plain = db
-            .query("emp")
-            .filter("age", Predicate::greater(KeyValue::Int(60)))
-            .join("dept_id", "dept", "id")
-            .project(&[("emp", "ename"), ("dept", "dname")])
-            .run()
-            .unwrap();
-        assert_eq!(plain.rows, after.rows);
-
-        db.clear_cache();
-        assert_eq!(db.cache_report().entries, 0);
-    }
-
-    #[test]
-    fn cached_explain_matches_cached_run() {
-        let db = company_db();
-        let builder = || {
-            db.query("emp")
-                .filter("age", Predicate::greater(KeyValue::Int(60)))
-                .project(&[("emp", "ename")])
-                .cache(true)
-        };
-        let _ = builder().run().unwrap();
-        let explained = builder().explain().unwrap();
-        assert!(explained.contains("[cached]"), "{explained}");
-        let out = builder().run().unwrap();
-        assert_eq!(out.rows.len(), 2);
     }
 
     #[test]

@@ -6,14 +6,14 @@ use crate::catalog::{decode_catalog, CatalogMeta};
 use crate::db::{AnyIndex, Database, IndexDef, IndexKind, Table, CATALOG_SLOTS};
 use crate::error::DbError;
 use crate::shared::{live_field, SharedAdapter};
-use mmdb_exec::{run_tasks, ExecConfig, ReuseCache};
+use mmdb_exec::{run_tasks, ExecConfig};
 use mmdb_index::sort::run_sort;
 use mmdb_index::stats::Counters;
 use mmdb_index::{ModifiedLinearHash, TTree, TTreeConfig};
 use mmdb_lock::LockManager;
 use mmdb_recovery::{PartitionKey, RecoveryManager, RestartPhase, StableStore};
 use mmdb_storage::{value_hash, value_order_tag, Partition, Relation, TupleId};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -198,7 +198,6 @@ impl<S: StableStore + Sync> CrashedDatabase<S> {
             recovery: self.recovery,
             exec,
             catalog_epoch,
-            cache: Mutex::new(ReuseCache::default()),
         };
         for t in &meta.tables {
             db.tables.push(Table {

@@ -19,9 +19,6 @@
 //!   comparison-count formulas ([`plan::cost`]; pushdown, join
 //!   reordering, method choice), and an instrumented operator engine
 //!   with per-operator estimates-vs-actuals profiles.
-//! * **Intermediate-result reuse** ([`cache`]): bounded plan-keyed
-//!   memoisation of selection/join temp lists with per-partition
-//!   version-stamp invalidation and cost-weighted LRU eviction.
 //!
 //! Every operator consumes and produces §2.3 temporary lists — tuple
 //! pointers only; attribute values are extracted exactly when compared and
@@ -31,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod cache;
 pub mod error;
 pub mod join;
 pub mod parallel;
@@ -52,11 +48,6 @@ impl<T: Adapter<Entry = TupleId, Key = KeyValue>> TupleAdapter for T {}
 pub trait HashTupleAdapter: HashAdapter<Entry = TupleId, Key = KeyValue> {}
 impl<T: HashAdapter<Entry = TupleId, Key = KeyValue>> HashTupleAdapter for T {}
 
-pub use cache::{
-    apply_cache, covers, CacheEntry, CacheReport, CachedReadOp, DeltaApplyOp, DeltaEvent, DeltaRec,
-    DeltaView, MemoizeOp, RefilterOp, ReuseCache, ReuseKey, StoreTicket, VersionSource,
-    DELTA_BUDGET,
-};
 pub use error::ExecError;
 pub use join::{
     hash_join, nested_loops_join, precomputed_join, sort_merge_join, theta_nested_loops_join,
@@ -68,8 +59,7 @@ pub use parallel::{
 };
 pub use plan::cost::{choose_select_path, IndexAvailability, JoinMethod, SelectPath};
 pub use plan::{
-    CachedMode, ExecContext, LogicalPlan, PlanError, PlanProfile, PlannedQuery, Planner,
-    PlannerOptions,
+    ExecContext, LogicalPlan, PlanError, PlanProfile, PlannedQuery, Planner, PlannerOptions,
 };
 pub use project::{project_hash, project_hash_sized, project_sort, ProjectOutput};
 pub use select::{select_hash_index, select_scan, select_scan_iter, select_tree_index, Predicate};

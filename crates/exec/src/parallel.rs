@@ -75,11 +75,6 @@ pub struct ExecConfig {
     /// **bytes** run serially even when `dop > 1` (thread spawn + merge
     /// overhead dwarfs cache-resident inputs). `0` disables the floor.
     pub parallel_threshold: usize,
-    /// Consult the plan-keyed intermediate-result reuse cache. Off by
-    /// default: cached reads substitute whole plan subtrees, which
-    /// changes the shape `explain()` and per-operator profiles report.
-    /// `QueryBuilder::cache` overrides this per query.
-    pub cache: bool,
 }
 
 impl Default for ExecConfig {
@@ -89,7 +84,6 @@ impl Default for ExecConfig {
         ExecConfig {
             dop: available_workers(),
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-            cache: false,
         }
     }
 }
@@ -101,7 +95,6 @@ impl ExecConfig {
         ExecConfig {
             dop: 1,
             parallel_threshold: 0,
-            cache: false,
         }
     }
 
@@ -600,12 +593,10 @@ mod tests {
         let cfg = ExecConfig {
             dop: 4,
             parallel_threshold: 1000,
-            cache: true,
         };
         let overridden = cfg.override_dop(2);
         assert_eq!(overridden.dop, 2);
         assert_eq!(overridden.parallel_threshold, 1000, "threshold survives");
-        assert!(overridden.cache, "cache flag survives");
         assert_eq!(cfg.override_dop(0).dop, 1, "clamped to 1");
     }
 
@@ -614,7 +605,6 @@ mod tests {
         let cfg = ExecConfig {
             dop: 8,
             parallel_threshold: 4096,
-            cache: false,
         };
         assert!(!cfg.parallel_for(4095));
         assert!(cfg.parallel_for(4096));

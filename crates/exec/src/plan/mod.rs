@@ -28,7 +28,7 @@ pub use physical::{
     PostFilterOp, ProjectOp, SeqFilterOp, TreeLookupOp,
 };
 pub use planner::{
-    selectivity, CachedMode, NodeId, PlanError, PlanNode, PlanNodeKind, PlannedQuery, Planner,
-    PlannerOptions, EQ_SELECTIVITY, RANGE_SELECTIVITY,
+    selectivity, NodeId, PlanError, PlanNode, PlanNodeKind, PlannedQuery, Planner, PlannerOptions,
+    EQ_SELECTIVITY, RANGE_SELECTIVITY,
 };
 pub use profile::{node_label, OpProfile, PlanProfile};

@@ -201,59 +201,6 @@ pub enum PlanNodeKind {
     /// Hash-based duplicate elimination over the projected columns
     /// (§3.4's winner).
     Distinct,
-    /// A subtree replaced by a reuse-cache hit (see `crate::cache`). The
-    /// node is a leaf: it reads the memoised temp list instead of
-    /// recomputing. It carries the logical work it absorbed so plan
-    /// invariants (every written filter/join appears exactly once) remain
-    /// checkable on the substituted tree.
-    Cached {
-        /// Stable fingerprint of the absorbed subtree's canonical form.
-        fingerprint: u64,
-        /// The canonical form itself (the fingerprint's preimage).
-        canonical: String,
-        /// Tables the absorbed subtree had bound, in temp-list column
-        /// order (the cached rows' arity equals this length).
-        tables: Vec<String>,
-        /// Filters absorbed from the replaced subtree, as
-        /// `(table, attr, pred)`.
-        filters: Vec<(String, String, Predicate)>,
-        /// Joins absorbed from the replaced subtree, as
-        /// `(source_table, outer_attr, inner_table, inner_attr)`.
-        joins: Vec<(String, String, String, String)>,
-        /// How the cache serves this node (the §3.3.5 alternative the
-        /// cost comparison picked).
-        mode: CachedMode,
-    },
-}
-
-/// The reuse alternative chosen for a [`PlanNodeKind::Cached`] node.
-/// Each variant costs differently under the §3.3.4 formulas, and each
-/// renders distinctly in explain (`[cached]`, `[cached⊆ refilter]`,
-/// `[cached+Δ]`).
-#[derive(Debug, Clone)]
-pub enum CachedMode {
-    /// Exact fingerprint hit on a fresh entry: serve the rows as-is
-    /// (zero comparisons).
-    Exact,
-    /// Served from a *subsuming* entry over the same `(table, attr)`
-    /// whose predicate interval contains this node's: the cached rows
-    /// are re-filtered with the node's own predicate (`filters[0]`).
-    Subsumed {
-        /// Fingerprint of the subsuming entry.
-        entry_fingerprint: u64,
-        /// Canonical form of the subsuming entry (its preimage).
-        entry_canonical: String,
-        /// The subsuming entry's predicate — the invariant checker
-        /// verifies its interval contains the node's residual predicate.
-        entry_pred: Predicate,
-    },
-    /// Exact hit on a stale-but-maintained entry: the pending delta log
-    /// exactly covers the version gap, so the rows are patched at read
-    /// time instead of recomputed.
-    Delta {
-        /// Pending delta records at plan time (the cost driver).
-        pending: usize,
-    },
 }
 
 /// A planned query: the annotated operator tree plus binding metadata.
@@ -270,16 +217,6 @@ pub struct PlannedQuery {
     pub columns: Vec<(String, String)>,
     /// Whether duplicate elimination runs.
     pub distinct: bool,
-}
-
-impl PlannedQuery {
-    /// Re-assign pre-order ids (root = 0) and refresh `node_count` after
-    /// a structural rewrite (e.g. reuse-cache subtree substitution).
-    pub fn renumber(&mut self) {
-        let mut next = 0;
-        assign_ids(&mut self.root, &mut next);
-        self.node_count = next;
-    }
 }
 
 /// Equality predicates keep 1/10 of their input (System R default).

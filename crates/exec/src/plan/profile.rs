@@ -8,7 +8,7 @@
 
 use crate::plan::cost::JoinMethod;
 use crate::plan::physical::{ExecContext, OpActuals};
-use crate::plan::planner::{CachedMode, NodeId, PlanNode, PlanNodeKind, PlannedQuery};
+use crate::plan::planner::{NodeId, PlanNode, PlanNodeKind, PlannedQuery};
 use mmdb_index::stats::Snapshot;
 use std::time::Duration;
 
@@ -47,10 +47,6 @@ pub struct OpProfile {
 pub struct PlanProfile {
     /// Operators in pre-order (parents before children).
     pub ops: Vec<OpProfile>,
-    /// Reuse-cache counters at the time the profile was assembled
-    /// (all-zero when the cache is off). Deliberately absent from
-    /// [`PlanProfile::render`] so explain snapshots stay stable.
-    pub cache: crate::cache::CacheReport,
 }
 
 impl PlanProfile {
@@ -59,10 +55,7 @@ impl PlanProfile {
     pub fn assemble(planned: &PlannedQuery, ctx: &ExecContext) -> PlanProfile {
         let mut ops = Vec::with_capacity(planned.node_count);
         walk(&planned.root, 0, &ctx.actuals, &mut ops);
-        PlanProfile {
-            ops,
-            cache: crate::cache::CacheReport::default(),
-        }
+        PlanProfile { ops }
     }
 
     /// Profile of an unexecuted plan (estimates only).
@@ -70,10 +63,7 @@ impl PlanProfile {
     pub fn estimates(planned: &PlannedQuery) -> PlanProfile {
         let mut ops = Vec::with_capacity(planned.node_count);
         walk(&planned.root, 0, &[], &mut ops);
-        PlanProfile {
-            ops,
-            cache: crate::cache::CacheReport::default(),
-        }
+        PlanProfile { ops }
     }
 
     /// Stable indented rendering: one line per operator with estimated
@@ -158,15 +148,6 @@ pub fn node_label(kind: &PlanNodeKind) -> String {
             format!("project [{}]", names.join(", "))
         }
         PlanNodeKind::Distinct => "distinct[Hash]".to_string(),
-        PlanNodeKind::Cached {
-            canonical, mode, ..
-        } => match mode {
-            CachedMode::Exact => format!("[cached] {canonical}"),
-            CachedMode::Subsumed {
-                entry_canonical, ..
-            } => format!("[cached⊆ refilter] {canonical} from {entry_canonical}"),
-            CachedMode::Delta { pending } => format!("[cached+Δ] {canonical} (pending={pending})"),
-        },
     }
 }
 

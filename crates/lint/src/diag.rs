@@ -9,7 +9,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`version-bump`, `lock-order`, `panic-path`,
+    /// Rule id (`dirty-mark`, `lock-order`, `panic-path`,
     /// `feature-gate`, or `bad-waiver`).
     pub rule: String,
     /// What is wrong.

@@ -1,9 +1,10 @@
 //! `mmdb-lint` — a workspace invariant linter (DESIGN.md §13).
 //!
 //! Four hand-maintained conventions in this codebase are load-bearing
-//! but invisible to the compiler: version-stamp discipline (reuse-cache
-//! safety), lock-acquisition order (the upcoming multi-session 2PL),
-//! panic-free hot kernels, and `check`-feature gating of the
+//! but invisible to the compiler: dirty-partition marking (commit and
+//! checkpoint durability), lock-acquisition order (the upcoming
+//! multi-session 2PL), panic-free hot kernels, and `check`-feature
+//! gating of the
 //! verification hooks. `mmdb-check` (PR 2) verifies runtime *state*;
 //! this crate is its compile-time sibling: a std-only static pass over
 //! `crates/*/src/**/*.rs` that turns those conventions into CI-gated
@@ -116,7 +117,7 @@ fn waiver_scope(w: &Waiver, toks: &[lexer::Tok], fns: &[FnInfo]) -> (u32, u32) {
 pub fn lint(files: &[SourceFile], policy: &Policy) -> LintReport {
     let ws = scan_sources(files);
     let mut raw: Vec<Diagnostic> = Vec::new();
-    rules::version_bump::run(&ws, policy, &mut raw);
+    rules::dirty_mark::run(&ws, policy, &mut raw);
     rules::lock_order::run(&ws, policy, &mut raw);
     rules::panic_path::run(&ws, policy, &mut raw);
     rules::feature_gate::run(&ws, policy, &mut raw);

@@ -1,5 +1,5 @@
 //! The checked-in lint policy: which paths each rule covers, the
-//! canonical lock order, sink/bump vocabularies for the version-stamp
+//! canonical lock order, sink/mark vocabularies for the dirty-mark
 //! rule, and allowlist entries (which, like inline waivers, are only
 //! accepted with a written justification).
 //!
@@ -16,9 +16,9 @@ pub struct AllowEntry {
     pub justification: String,
 }
 
-/// Version-stamp discipline (rule `version-bump`).
+/// Dirty-partition discipline (rule `dirty-mark`).
 #[derive(Debug, Clone, Default)]
-pub struct VersionPolicy {
+pub struct DirtyPolicy {
     /// Path prefixes the rule scans.
     pub paths: Vec<String>,
     /// Impl types whose `&mut self` methods are mutating entry points.
@@ -27,16 +27,8 @@ pub struct VersionPolicy {
     pub mut_param_types: Vec<String>,
     /// Idents whose call means "writes tuple storage".
     pub sinks: Vec<String>,
-    /// Idents whose presence means "bumps the version counters".
+    /// Idents whose presence means "marks the partition dirty".
     pub bumps: Vec<String>,
-    /// Idents whose call means "appends to a reuse-cache delta log".
-    /// Every such append must ride a call path that also bumps, or the
-    /// recorded version stamps cannot cover the write.
-    pub delta_sinks: Vec<String>,
-    /// Extra path prefixes scanned for delta-log call-graph context.
-    /// Unlike `paths`, files here never contribute mutating entry
-    /// points — only appends, bumps, and call edges.
-    pub delta_paths: Vec<String>,
     /// Entry points excused from the rule.
     pub allow: Vec<AllowEntry>,
 }
@@ -97,8 +89,8 @@ pub struct GatePolicy {
 /// The whole policy file.
 #[derive(Debug, Clone, Default)]
 pub struct Policy {
-    /// Rule `version-bump`.
-    pub version: VersionPolicy,
+    /// Rule `dirty-mark`.
+    pub dirty: DirtyPolicy,
     /// Rule `lock-order`.
     pub lock: LockPolicy,
     /// Rule `panic-path`.
@@ -161,16 +153,14 @@ impl Policy {
             let key = key.trim();
             let value = value.trim();
             match (section.as_str(), key) {
-                ("version-bump", "paths") => p.version.paths.extend(split_list(value)),
-                ("version-bump", "impl_types") => p.version.impl_types.extend(split_list(value)),
-                ("version-bump", "mut_param_types") => {
-                    p.version.mut_param_types.extend(split_list(value));
+                ("dirty-mark", "paths") => p.dirty.paths.extend(split_list(value)),
+                ("dirty-mark", "impl_types") => p.dirty.impl_types.extend(split_list(value)),
+                ("dirty-mark", "mut_param_types") => {
+                    p.dirty.mut_param_types.extend(split_list(value));
                 }
-                ("version-bump", "sinks") => p.version.sinks.extend(split_list(value)),
-                ("version-bump", "bumps") => p.version.bumps.extend(split_list(value)),
-                ("version-bump", "delta_sinks") => p.version.delta_sinks.extend(split_list(value)),
-                ("version-bump", "delta_paths") => p.version.delta_paths.extend(split_list(value)),
-                ("version-bump", "allow") => p.version.allow.push(parse_allow(value, line_no)?),
+                ("dirty-mark", "sinks") => p.dirty.sinks.extend(split_list(value)),
+                ("dirty-mark", "bumps") => p.dirty.bumps.extend(split_list(value)),
+                ("dirty-mark", "allow") => p.dirty.allow.push(parse_allow(value, line_no)?),
                 ("lock-order", "paths") => p.lock.paths.extend(split_list(value)),
                 ("lock-order", "order") => p.lock.order.extend(split_list(value)),
                 ("lock-order", "reentrant") => p.lock.reentrant.extend(split_list(value)),

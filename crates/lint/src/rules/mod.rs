@@ -1,10 +1,10 @@
 //! The four invariant rules. Each gets the scanned workspace and the
 //! policy, and appends [`Diagnostic`](crate::diag::Diagnostic)s.
 
+pub mod dirty_mark;
 pub mod feature_gate;
 pub mod lock_order;
 pub mod panic_path;
-pub mod version_bump;
 
 use crate::lexer::{Kind, Tok};
 
@@ -62,7 +62,7 @@ pub fn call_matches(call: &str, name: &str, qual_name: &str, has_impl_type: bool
     }
 }
 
-/// Every ident in a token slice (for marker presence like `versions`).
+/// Every ident in a token slice (for marker presence like `mark_dirty`).
 #[must_use]
 pub fn idents_in(toks: &[Tok]) -> Vec<&str> {
     toks.iter()

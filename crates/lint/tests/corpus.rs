@@ -32,10 +32,9 @@ const SEEDED: &[(&str, u32, &str)] = &[
     ("crates/lockfix/src/lib.rs", 37, "lock-order"),
     ("crates/lockfix/src/lib.rs", 75, "lock-order"),
     ("crates/lockfix/src/lib.rs", 89, "lock-order"),
-    ("crates/storagefix/src/lib.rs", 24, "version-bump"),
-    ("crates/storagefix/src/lib.rs", 30, "version-bump"),
-    ("crates/storagefix/src/lib.rs", 36, "version-bump"),
-    ("crates/storagefix/src/lib.rs", 65, "version-bump"),
+    ("crates/storagefix/src/lib.rs", 24, "dirty-mark"),
+    ("crates/storagefix/src/lib.rs", 30, "dirty-mark"),
+    ("crates/storagefix/src/lib.rs", 36, "dirty-mark"),
 ];
 
 #[test]
@@ -71,7 +70,7 @@ fn waivers_silence_exactly_the_waived_sites() {
     assert!(report
         .waived
         .iter()
-        .any(|(d, _)| d.file == "crates/storagefix/src/lib.rs" && d.rule == "version-bump"));
+        .any(|(d, _)| d.file == "crates/storagefix/src/lib.rs" && d.rule == "dirty-mark"));
     // …and both appear, used, in the inventory.
     assert_eq!(report.waivers.len(), 2);
     assert!(report.waivers.iter().all(|w| w.used));
@@ -123,8 +122,7 @@ fn fixture_policy_parses_with_expected_shape() {
     let policy_text = std::fs::read_to_string(root.join("fixture.policy")).unwrap();
     let p = Policy::parse(&policy_text).unwrap();
     assert_eq!(p.lock.order, vec!["catalog", "relation", "partition"]);
-    assert_eq!(p.version.allow.len(), 1);
-    assert!(p.version.allow[0].justification.contains("bumps"));
-    assert_eq!(p.version.delta_sinks, vec!["push_delta"]);
-    assert_eq!(p.version.delta_paths, vec!["crates/storagefix/src"]);
+    assert_eq!(p.dirty.allow.len(), 1);
+    assert!(p.dirty.allow[0].justification.contains("dirty"));
+    assert_eq!(p.dirty.bumps, vec!["mark_dirty"]);
 }

@@ -1,4 +1,4 @@
-//! Version-bump fixtures: clean, violating, transitively violating,
+//! Dirty-mark fixtures: clean, violating, transitively violating,
 //! waived, and policy-allowlisted mutators.
 
 pub struct Relation {
@@ -14,30 +14,30 @@ impl Relation {
 
     fn write_slot(&mut self, _slot: usize) {}
 
-    /// Clean: reaches the sink and the bump.
+    /// Clean: reaches the sink and the dirty mark.
     pub fn insert_ok(&mut self) {
         self.write_slot(0);
         self.mark_dirty();
     }
 
-    /// SEEDED VIOLATION (version-bump): writes without bumping.
+    /// SEEDED VIOLATION (dirty-mark): writes without marking.
     pub fn insert_bad(&mut self) {
         self.write_slot(1);
     }
 
-    /// SEEDED VIOLATION (version-bump): reaches the sink only through
+    /// SEEDED VIOLATION (dirty-mark): reaches the sink only through
     /// `touch`, which is itself also flagged.
     pub fn update_bad(&mut self) {
         self.touch();
     }
 
-    /// SEEDED VIOLATION (version-bump): helper on the path of
+    /// SEEDED VIOLATION (dirty-mark): helper on the path of
     /// `update_bad`; a mutating entry in its own right.
     fn touch(&mut self) {
         self.write_slot(2);
     }
 
-    // mmdb-lint: allow(version-bump) — compaction bumps once in the caller after the whole batch moves
+    // mmdb-lint: allow(dirty-mark) — compaction marks once in the caller after the whole batch moves
     pub fn compact_step(&mut self) {
         self.write_slot(3);
     }
@@ -50,18 +50,3 @@ pub fn free_fixup(part: &mut Partition) {
 
 /// The raw partition write; an entry with no calls, so never flagged.
 pub fn write_raw(_part: &mut Partition) {}
-
-/// The delta-log append helper; inert on its own.
-pub fn push_delta(_part: &mut Partition) {}
-
-/// Clean: the delta-log append rides a write path that also bumps.
-pub fn logged_write_ok(rel: &mut Relation, part: &mut Partition) {
-    push_delta(part);
-    rel.mark_dirty();
-}
-
-/// SEEDED VIOLATION (version-bump): appends to the delta log outside
-/// any bumping write path.
-pub fn logged_write_bad(part: &mut Partition) {
-    push_delta(part);
-}

@@ -105,7 +105,7 @@ fn raw_identifiers_are_plain_idents() {
 fn trailing_vs_own_line_waivers_and_dash_variants() {
     let src = "\
 let a = xs[i]; // mmdb-lint: allow(panic-path) — bound above
-// mmdb-lint: allow(version-bump, lock-order) -- two rules, double dash
+// mmdb-lint: allow(dirty-mark, lock-order) -- two rules, double dash
 fn f() {}
 ";
     let lexed = lex(src);
@@ -113,7 +113,7 @@ fn f() {}
     assert!(!lexed.waivers[0].own_line);
     assert_eq!(lexed.waivers[0].justification, "bound above");
     assert!(lexed.waivers[1].own_line);
-    assert_eq!(lexed.waivers[1].rules, vec!["version-bump", "lock-order"]);
+    assert_eq!(lexed.waivers[1].rules, vec!["dirty-mark", "lock-order"]);
     assert_eq!(lexed.waivers[1].justification, "two rules, double dash");
 }
 

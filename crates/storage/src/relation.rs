@@ -28,11 +28,6 @@ pub struct Relation {
     /// hook; cleared one partition at a time as a fuzzy checkpoint makes
     /// progress).
     ckpt_dirty: Vec<bool>,
-    /// Monotone per-partition version counters, bumped on every mutation
-    /// (insert/update/delete) alongside the dirty bits. Never reset —
-    /// readers snapshot them to detect later writes (reuse-cache
-    /// invalidation stamps).
-    versions: Vec<u64>,
 }
 
 impl Relation {
@@ -47,7 +42,6 @@ impl Relation {
             len: 0,
             dirty: Vec::new(),
             ckpt_dirty: Vec::new(),
-            versions: Vec::new(),
         }
     }
 
@@ -102,7 +96,6 @@ impl Relation {
     fn mark_dirty(&mut self, p: u32) {
         self.dirty[p as usize] = true;
         self.ckpt_dirty[p as usize] = true;
-        self.versions[p as usize] += 1;
     }
 
     /// Find (or create) a partition that can host `values`.
@@ -123,7 +116,6 @@ impl Relation {
             .push(Partition::new(self.schema.arity(), self.config));
         self.dirty.push(true);
         self.ckpt_dirty.push(true);
-        self.versions.push(1);
         (self.partitions.len() - 1) as u32
     }
 
@@ -347,8 +339,8 @@ impl Relation {
     /// Install an already-decoded partition at position `p` (the parallel
     /// restart path decodes images on pool workers, then installs them
     /// serially in plan order). Gaps up to `p` are filled with empty
-    /// partitions; an existing partition is replaced and its version
-    /// bumped.
+    /// partitions; an existing partition is replaced. Installed
+    /// partitions start clean: the image already is the disk copy.
     pub fn install_partition(&mut self, p: u32, part: Partition) {
         if p as usize >= self.partitions.len() {
             while self.partitions.len() < p as usize {
@@ -356,17 +348,14 @@ impl Relation {
                     .push(Partition::new(self.schema.arity(), self.config));
                 self.dirty.push(false);
                 self.ckpt_dirty.push(false);
-                self.versions.push(1);
             }
             self.partitions.push(part);
             self.dirty.push(false);
             self.ckpt_dirty.push(false);
-            self.versions.push(1);
         } else {
             self.partitions[p as usize] = part;
             self.dirty[p as usize] = false;
             self.ckpt_dirty[p as usize] = false;
-            self.versions[p as usize] += 1;
         }
         self.len = self.partitions.iter().map(Partition::live).sum();
     }
@@ -400,16 +389,6 @@ impl Relation {
             .filter(|(_, d)| **d)
             .map(|(i, _)| i as u32)
             .collect()
-    }
-
-    /// Per-partition version counters. A partition's counter strictly
-    /// increases with every mutation that touches it, so equality of a
-    /// stored snapshot with the live slice proves the partition's bytes
-    /// are unchanged since the snapshot was taken. New partitions extend
-    /// the slice, so a length change is itself a version change.
-    #[must_use]
-    pub fn partition_versions(&self) -> &[u64] {
-        &self.versions
     }
 
     /// Mark one partition checkpointed. Cleared per partition (not
@@ -593,42 +572,56 @@ mod tests {
 
     #[test]
     fn dirty_tracking() {
-        let mut r = Relation::with_default_config("emp", emp_schema());
+        let mut r = Relation::new("emp", emp_schema(), PartitionConfig::tiny());
         assert!(r.dirty_partitions().is_empty());
         let t = r.insert(&emp_row("A", 1, 10)).unwrap();
         assert_eq!(r.dirty_partitions(), vec![0]);
         r.clear_dirty();
         assert!(r.dirty_partitions().is_empty());
+        // The per-commit reset leaves the checkpoint's work list alone.
+        assert_eq!(r.checkpoint_dirty_partitions(), vec![0]);
         r.update_field(t, 2, &OwnedValue::Int(5)).unwrap();
         assert_eq!(r.dirty_partitions(), vec![0]);
-    }
 
-    #[test]
-    fn partition_versions_bump_on_every_write() {
-        let mut r = Relation::with_default_config("emp", emp_schema());
-        assert!(r.partition_versions().is_empty());
-        let t = r.insert(&emp_row("A", 1, 10)).unwrap();
-        let v0 = r.partition_versions().to_vec();
-        assert_eq!(v0.len(), 1);
-        r.update_field(t, 2, &OwnedValue::Int(11)).unwrap();
-        let v1 = r.partition_versions().to_vec();
-        assert!(v1[0] > v0[0], "update must bump the version");
-        r.delete(t).unwrap();
-        let v2 = r.partition_versions().to_vec();
-        assert!(v2[0] > v1[0], "delete must bump the version");
-        // clear_dirty never resets versions.
+        // A relocating update dirties both the partition left holding the
+        // forwarding address and the one the tuple moved to.
+        let mut moved = None;
+        for grow in 1..=8 {
+            r.clear_dirty();
+            r.update_field(t, 0, &OwnedValue::Str("y".repeat(grow * 60)))
+                .unwrap();
+            let now = r.resolve(t).unwrap();
+            if now != t {
+                moved = Some(now);
+                break;
+            }
+            assert_eq!(r.dirty_partitions(), vec![t.partition]);
+        }
+        let moved = moved.expect("tuple should have relocated via forwarding");
+        let both = vec![t.partition, moved.partition];
+        assert_eq!(r.dirty_partitions(), both);
+        assert_eq!(r.checkpoint_dirty_partitions(), both);
+
+        // Deleting through the forwarding chain dirties every partition
+        // on it; a plain delete dirties the tuple's own partition.
         r.clear_dirty();
-        assert_eq!(r.partition_versions(), &v2[..]);
-    }
+        for p in &both {
+            r.clear_checkpoint_dirty(*p);
+        }
+        assert!(r.checkpoint_dirty_partitions().is_empty());
+        r.delete(t).unwrap();
+        assert_eq!(r.dirty_partitions(), both);
+        assert_eq!(r.checkpoint_dirty_partitions(), both);
+        let u = r.insert(&emp_row("B", 2, 20)).unwrap();
+        r.clear_dirty();
+        r.delete(u).unwrap();
+        assert_eq!(r.dirty_partitions(), vec![u.partition]);
 
-    #[test]
-    fn load_partition_image_bumps_version() {
-        let mut r = Relation::with_default_config("emp", emp_schema());
-        r.insert(&emp_row("A", 1, 10)).unwrap();
+        // An installed restart image is the disk copy: clean on both lists.
         let img = r.partition_image(0).unwrap();
-        let before = r.partition_versions()[0];
         r.load_partition_image(0, &img).unwrap();
-        assert!(r.partition_versions()[0] > before);
+        assert!(!r.dirty_partitions().contains(&0));
+        assert!(!r.checkpoint_dirty_partitions().contains(&0));
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Fixture for the version-bump regression test: a Relation method that
-//! reaches a tuple-storage write without ever bumping a partition
-//! version. Never compiled — linted under a virtual src path.
+//! Fixture for the dirty-mark regression test: a Relation method that
+//! reaches a tuple-storage write without ever marking its partition
+//! dirty. Never compiled — linted under a virtual src path.
 
 pub struct Relation;
 
 impl Relation {
     fn forward(&mut self, _slot: u32) {}
 
-    /// Bump-free mutation: reaches `forward` but neither `mark_dirty`
-    /// nor `versions`. The linter must flag this function.
+    /// Unmarked mutation: reaches `forward` but never `mark_dirty`.
+    /// The linter must flag this function.
     pub fn relocate(&mut self, slot: u32) {
         self.forward(slot);
     }

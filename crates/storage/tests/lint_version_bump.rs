@@ -1,7 +1,8 @@
-//! Regression test for the version-stamp discipline: `mmdb-lint`, run
+//! Regression test for the dirty-partition discipline: `mmdb-lint`, run
 //! with the real workspace policy, must flag a Relation mutation that
-//! reaches tuple storage without bumping a partition version — the
-//! exact hazard that would silently stale the reuse cache.
+//! reaches tuple storage without marking its partition dirty — the
+//! exact hazard that would drop a committed write from the log and the
+//! checkpoint, losing it at restart.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -34,17 +35,17 @@ fn bump_free_mutation_is_reported_at_the_exact_location() {
         report
             .findings
             .iter()
-            .any(|d| d.rule == "version-bump" && d.file == virtual_path && d.line == fn_line),
-        "expected a version-bump finding at {virtual_path}:{fn_line}; got:\n{}",
+            .any(|d| d.rule == "dirty-mark" && d.file == virtual_path && d.line == fn_line),
+        "expected a dirty-mark finding at {virtual_path}:{fn_line}; got:\n{}",
         report.render()
     );
     // `forward` itself (the sink) must not be flagged — only the
-    // mutating entry that reaches it bump-free.
+    // mutating entry that reaches it without the mark.
     assert_eq!(report.findings.len(), 1, "report:\n{}", report.render());
 }
 
 #[test]
-fn adding_the_bump_silences_the_finding() {
+fn adding_the_mark_silences_the_finding() {
     let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let policy_text = std::fs::read_to_string(manifest.join("../../mmdb-lint.policy")).unwrap();
     let policy = Policy::parse(&policy_text).unwrap();
@@ -63,7 +64,7 @@ fn adding_the_bump_silences_the_finding() {
     );
     assert!(
         report.findings.is_empty(),
-        "bumped variant must be clean; got:\n{}",
+        "marked variant must be clean; got:\n{}",
         report.render()
     );
 }

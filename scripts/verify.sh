@@ -36,14 +36,14 @@ gate "clippy-D-warnings" cargo clippy --workspace --all-targets -- -D warnings
 # Every feature combination must at least typecheck.
 gate "check-all-features" cargo check --workspace --all-features
 
-# Workspace invariant linter (DESIGN.md §13): version-stamp discipline,
+# Workspace invariant linter (DESIGN.md §13): dirty-partition marking,
 # lock order, panic-free hot kernels, check-feature gating. Fails on any
 # unwaived finding.
 gate "lint-invariants"   cargo run --release -q -p mmdb-lint -- --root . --policy mmdb-lint.policy
 
-# Smoke-test the gate itself: inject a bump-free mutation fixture into a
+# Smoke-test the gate itself: inject an unmarked mutation fixture into a
 # copy of the storage sources and demand the linter FAILS on it with a
-# version-bump finding — proving lint-invariants can actually fail.
+# dirty-mark finding — proving lint-invariants can actually fail.
 lint_seeded_smoke() {
     tmp=$(mktemp -d) || return 1
     mkdir -p "$tmp/crates/storage" || return 1
@@ -54,7 +54,7 @@ lint_seeded_smoke() {
     status=$?
     rm -rf "$tmp"
     [ "$status" -eq 1 ] || { echo "$out"; echo "expected exit 1, got $status"; return 1; }
-    echo "$out" | grep -q "version-bump" || { echo "$out"; return 1; }
+    echo "$out" | grep -q "dirty-mark" || { echo "$out"; return 1; }
 }
 gate "lint-seeded-smoke" lint_seeded_smoke
 
@@ -77,17 +77,6 @@ gate "explorer-smoke"    cargo test -p mmdb-check explore -q
 # fastest measured method (writes results/planner_accuracy.csv).
 gate "plan-golden"       cargo test --test plan_explain -q
 gate "planner-accuracy"  cargo run --release --example planner_accuracy
-
-# Reuse-cache acceptance: repeated sub-plan must hit the cache with
-# bit-identical rows at >= 5x warm speedup, and a committed write must
-# force a recompute (writes results/reuse_cache.csv).
-gate "reuse-cache-accept" cargo run --release --example reuse_cache
-
-# Reuse-optimizer acceptance: a narrower selection must be served by
-# re-filtering a cached wider entry bit-identically, and a hot entry
-# must absorb committed write bursts via delta application cheaper than
-# cold recompute (writes results/reuse_subsumption.csv).
-gate "reuse-subsume-accept" cargo run --release --example reuse_cache -- --subsume
 
 # Restart-performance acceptance: bulk index reconstruction must beat
 # tuple-at-a-time reinsertion by >= 2x on a 100k-row rebuild (an
@@ -123,12 +112,6 @@ gate "inject-smoke"      cargo test -p mmdb-recovery --test stable_store_conform
 # must restart to exactly the latest-LSN committed images.
 gate "prop-recovery"     cargo test --test prop_recovery -q
 
-# Reuse-cache properties: random query/write interleavings — now mixing
-# subsumption re-filters and delta application with writes — must
-# produce cached results bit-identical to cold runs, with no stale entry
-# served (64-seed sweep; MMDB_CACHE_SEED replays one).
-gate "cache-prop"        env MMDB_CACHE_SEEDS=64 cargo test --test prop_cache -q
-
 # Parallel-scaling bench, criterion --test smoke mode (each case once).
 gate "bench-smoke"       cargo bench -p mmdb-bench --bench scaling -- --test
 
@@ -145,7 +128,7 @@ gate "bench-baseline"    bench_baseline_diff
 
 # Perf-regression gate: the same fresh quick-mode run, numerically diffed
 # against the committed baseline — fails if any tracked kernel (join_4k/,
-# dedup_4k/, scaling_10k/, reuse_10k/) is more than 25% slower than its baseline cell
+# dedup_4k/, scaling_10k/) is more than 25% slower than its baseline cell
 # after dividing out the run-wide host-speed factor (median ratio across
 # all cells, so a uniformly slower host doesn't flag every kernel). A
 # failing pass re-measures in-process and keeps per-key minima before

@@ -320,84 +320,6 @@ project [orders.oid, emp.ename, dept.dname]  [est_rows=60 act_rows=100 est_cmp=0
 }
 
 #[test]
-fn golden_cached_subtree() {
-    let db = fixture();
-    let q = || {
-        db.query("emp")
-            .filter("age", Predicate::greater(KeyValue::Int(60)))
-            .join("dept_id", "dept", "id")
-            .project(&[("emp", "ename"), ("dept", "dname")])
-            .parallelism(1)
-            .cache(true)
-    };
-    let cold = q().run().unwrap();
-    assert_eq!(cold.profile.render(), {
-        "\
-project [emp.ename, dept.dname]  [est_rows=2 act_rows=2 est_cmp=0 act_cmp=0]
-  join[TreeJoin] emp.dept_id = dept.id  [est_rows=2 act_rows=2 est_cmp=5 act_cmp=8]
-      rejected: HashJoin est_cmp=11, SortMerge est_cmp=8, NestedLoops est_cmp=6
-    select emp.age > 60 via TreeLookup  [est_rows=2 act_rows=2 est_cmp=2 act_cmp=4]
-"
-    });
-    // The warm run substitutes the whole join subtree: the canonical
-    // form is method-independent, so the snapshot stays stable even if
-    // cost tweaks change which join kernel the cold run picked.
-    let warm = q().run().unwrap();
-    assert_eq!(sorted_rows(&warm), sorted_rows(&cold));
-    assert_eq!(
-        warm.profile.render(),
-        "\
-project [emp.ename, dept.dname]  [est_rows=2 act_rows=2 est_cmp=0 act_cmp=0]
-  [cached] join(sel(emp.age > 60), emp.dept_id=dept.id, scan(dept))  [est_rows=2 act_rows=2 est_cmp=0 act_cmp=0]
-"
-    );
-    assert!(warm.profile.cache.hits >= 1);
-}
-
-#[test]
-fn golden_subsumed_refilter() {
-    let db = fixture();
-    // Warm a wide seq-scan selection (orders.dept_id is unindexed, so
-    // the cached TempList is order-safe and maintainable).
-    let wide = db
-        .query("orders")
-        .filter(
-            "dept_id",
-            Predicate::between(KeyValue::Int(1), KeyValue::Int(2)),
-        )
-        .project(&[("orders", "oid")])
-        .parallelism(1)
-        .cache(true)
-        .run()
-        .unwrap();
-    assert_eq!(wide.rows.len(), 40);
-    // The narrower query has no exact entry; the planner costs the
-    // subsumed re-filter against recompute and serves from the wide one.
-    let q = |cached: bool| {
-        db.query("orders")
-            .filter("dept_id", Predicate::Eq(KeyValue::Int(2)))
-            .project(&[("orders", "oid")])
-            .parallelism(1)
-            .cache(cached)
-            .run()
-            .unwrap()
-    };
-    let narrow = q(true);
-    let cold = q(false);
-    // Bit-identical to the cold oracle — rows AND row order.
-    assert_eq!(narrow.rows, cold.rows);
-    assert_eq!(narrow.columns, cold.columns);
-    assert_eq!(
-        narrow.profile.render(),
-        "\
-project [orders.oid]  [est_rows=6 act_rows=20 est_cmp=0 act_cmp=0]
-  [cached⊆ refilter] sel(orders.dept_id = 2) from sel(orders.dept_id in [1, 2])  [est_rows=40 act_rows=20 est_cmp=40 act_cmp=40]
-"
-    );
-    assert!(narrow.profile.cache.subsumed_hits >= 1);
-}
-
-#[test]
 fn explain_round_trips_estimates_and_actuals() {
     let db = fixture();
     let q = || {

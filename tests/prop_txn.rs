@@ -349,147 +349,6 @@ fn serializable_across_seeds() {
     }
 }
 
-// ---- cached reads under concurrent writers -----------------------------
-
-/// Reader sessions run the same query cached and cold inside one
-/// [`mmdb_core::Session::read`] closure — the S-lock pins the table, so
-/// the pair observes a single snapshot and must agree bit for bit even
-/// while writer sessions commit update bursts between closures. The
-/// filtered attribute is unindexed, so cached entries are seq-scan
-/// TempLists: exactly the entries eligible for subsumption re-filters
-/// and delta application as the writers move partition versions.
-fn run_cached_read_seed(seed: u64) -> u64 {
-    const ROWS: i64 = 40;
-    let engine = TxnEngine::new(Database::in_memory());
-    engine.with_db(|db| {
-        db.create_table(
-            "acct",
-            Schema::of(&[("k", AttrType::Int), ("v", AttrType::Int)]),
-        )
-        .unwrap();
-        db.create_index("acct_k", "acct", "k", IndexKind::Hash)
-            .unwrap();
-        let mut txn = db.begin();
-        for i in 0..ROWS {
-            db.insert(
-                &mut txn,
-                "acct",
-                vec![OwnedValue::Int(i), OwnedValue::Int((i * 31) % 100)],
-            )
-            .unwrap();
-        }
-        db.commit(txn).unwrap();
-    });
-
-    let mut handles = Vec::new();
-    for w in 0..2u64 {
-        let session = engine.session();
-        handles.push(thread::spawn(move || {
-            let mut rng = SplitMix64::new(seed.wrapping_mul(31).wrapping_add(w + 1));
-            for _ in 0..6 {
-                let key = (rng.next_u64() % ROWS as u64) as i64;
-                let val = (rng.next_u64() % 100) as i64;
-                let mut txn = session.begin();
-                let step = match lookup(&session, &mut txn, "acct", key) {
-                    Ok(Some((tid, _))) => {
-                        session.update(&mut txn, "acct", tid, "v", OwnedValue::Int(val))
-                    }
-                    Ok(None) => Ok(()),
-                    Err(e) => Err(e),
-                };
-                match step {
-                    Ok(()) => match session.commit(txn) {
-                        Ok(_) | Err(TxnError::Deadlock) => {}
-                        Err(e) => panic!("unexpected commit error: {e}"),
-                    },
-                    Err(TxnError::Deadlock) => {}
-                    Err(e) => panic!("unexpected writer error: {e}"),
-                }
-            }
-        }));
-    }
-    for r in 0..2u64 {
-        let session = engine.session();
-        handles.push(thread::spawn(move || {
-            let mut rng = SplitMix64::new(seed.wrapping_mul(97).wrapping_add(r + 1));
-            for _ in 0..8 {
-                let hi = [30i64, 60, 90][(rng.next_u64() % 3) as usize];
-                let mut txn = session.begin();
-                let pair = session.read(&mut txn, &["acct"], |db| {
-                    let run = |cached: bool| {
-                        db.query("acct")
-                            .filter("v", Predicate::less(KeyValue::Int(hi)))
-                            .project(&[("acct", "k"), ("acct", "v")])
-                            .parallelism(1)
-                            .cache(cached)
-                            .run()
-                    };
-                    Ok((run(true)?, run(false)?))
-                });
-                match pair {
-                    Ok((warm, cold)) => {
-                        assert_eq!(
-                            warm.rows, cold.rows,
-                            "seed {seed}: cached read diverged from its cold twin under \
-                             concurrent writers (v < {hi})\n  replay: MMDB_TXN_SEED={seed} \
-                             cargo test --test prop_txn cached_reads_against_writers -- \
-                             --nocapture"
-                        );
-                        match session.commit(txn) {
-                            Ok(_) | Err(TxnError::Deadlock) => {}
-                            Err(e) => panic!("unexpected commit error: {e}"),
-                        }
-                    }
-                    Err(TxnError::Deadlock) => {}
-                    Err(e) => panic!("unexpected reader error: {e}"),
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-
-    let db = engine
-        .into_inner()
-        .expect("all sessions joined; engine must unwrap");
-    #[cfg(feature = "check")]
-    if let Err(msg) = db.deep_check().into_result() {
-        panic!("seed {seed}: deep_check after quiescence: {msg}");
-    }
-    // One more quiescent twin pair: whatever the cache retained through
-    // the concurrent phase must still answer exactly.
-    let quiescent = |cached: bool| {
-        db.query("acct")
-            .filter("v", Predicate::less(KeyValue::Int(60)))
-            .project(&[("acct", "k"), ("acct", "v")])
-            .parallelism(1)
-            .cache(cached)
-            .run()
-            .unwrap()
-    };
-    assert_eq!(
-        quiescent(true).rows,
-        quiescent(false).rows,
-        "seed {seed}: quiescent cached run diverged from cold"
-    );
-    db.cache_report().hits
-}
-
-#[test]
-fn cached_reads_against_writers() {
-    if let Some(seed) = env_u64("MMDB_TXN_SEED") {
-        run_cached_read_seed(seed);
-        return;
-    }
-    let n = env_u64("MMDB_TXN_SEEDS").unwrap_or(64);
-    let hits: u64 = (0..n).map(run_cached_read_seed).sum();
-    assert!(
-        hits > 0,
-        "no warm hit across the whole sweep: the readers never reused an entry"
-    );
-}
-
 // ---- deadlock negative tests -------------------------------------------
 
 /// Build an engine with `names` one-row tables (key 0, value 0).
