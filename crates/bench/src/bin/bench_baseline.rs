@@ -1,9 +1,9 @@
-//! Quick-mode perf baseline: re-runs the criterion suites' workloads
-//! (`index_ops`, `join_kernels`, `dedup`, `scaling`) at reduced
-//! cardinalities with fixed seeds — plus the `txn_throughput` cells
-//! measuring multi-session commit throughput through the `TxnEngine` —
-//! and emits machine-readable `BENCH_baseline.json` (op → ns/iter) so
-//! future changes have a perf baseline to diff against.
+//! Quick-mode perf baseline: re-runs the workloads of the `index_ops`,
+//! `join_kernels` and `dedup` criterion suites at reduced cardinalities
+//! with fixed seeds — plus T-Tree descent over a stored attribute and
+//! restart's 100k-row index rebuild — and emits machine-readable
+//! `BENCH_baseline.json` (op → ns/iter) so future changes have a perf
+//! baseline to diff against.
 //!
 //! ```text
 //! bench_baseline [--out FILE]
@@ -13,8 +13,7 @@
 //! The second form diffs a fresh run (or an already-generated `--fresh`
 //! file) against a committed baseline, printing per-key ratios, and exits
 //! non-zero if any *tracked* kernel (`join_4k/`, `dedup_4k/`,
-//! `scaling_10k/`, `recovery_100k/` — the keys large enough
-//! to be meaningful
+//! `recovery_100k/` — the keys large enough to be meaningful
 //! at quick-mode iteration counts) regressed by more than 25% beyond the run-wide
 //! host-speed factor (see [`REGRESS_LIMIT`]); a failing pass re-measures
 //! up to [`MAX_ATTEMPTS`] times, keeping per-key minima. `verify.sh`
@@ -37,8 +36,7 @@
 use mmdb_bench::indexes::{shuffled_keys, IndexKindB};
 use mmdb_bench::time_best;
 use mmdb_exec::{
-    hash_join, parallel_hash_join, parallel_project_hash, parallel_select_scan, project_hash,
-    project_sort, sort_merge_join, tree_join, tree_merge_join, ExecConfig, JoinSide, Predicate,
+    hash_join, project_hash, project_sort, sort_merge_join, tree_join, tree_merge_join, JoinSide,
 };
 use mmdb_index::adapter::Adapter;
 use mmdb_index::traits::OrderedIndex;
@@ -59,10 +57,7 @@ const INDEX_N: usize = 10_000;
 const NODE_SIZE: usize = 30;
 /// Join / dedup cardinality (criterion runs 10,000).
 const JOIN_N: usize = 4_000;
-/// Parallel-scaling cardinality and fan-outs.
-const SCALE_N: usize = 10_000;
-const DOPS: [usize; 3] = [1, 2, 4];
-/// Iterations per macro cell (join/dedup/scaling). These cells gate the
+/// Iterations per macro cell (join/dedup). These cells gate the
 /// `bench-regress` comparison, so they run enough iterations that the
 /// best-of-reps minimum sits well above scheduler jitter.
 const MACRO_ITERS: usize = 10;
@@ -319,187 +314,6 @@ fn dedup_suite(out: &mut BTreeMap<String, u64>) {
     }
 }
 
-fn scaling_suite(out: &mut BTreeMap<String, u64>) {
-    let outer = build_join_relation("r1", &RelationSpec::unique(SCALE_N, 1));
-    let inner = build_matching_relation("r2", &RelationSpec::unique(SCALE_N, 2), &outer, 100.0);
-    let o = JoinSide::new(&outer.relation, JoinRelation::JCOL, &outer.tids);
-    let i = JoinSide::new(&inner.relation, JoinRelation::JCOL, &inner.tids);
-    let pred = Predicate::greater(KeyValue::Int(0));
-    let dedup = build_join_relation(
-        "r3",
-        &RelationSpec {
-            cardinality: SCALE_N,
-            duplicate_pct: 90.0,
-            sigma: 0.8,
-            seed: 3,
-        },
-    );
-    let list = TempList::from_tids(dedup.tids.clone());
-    let desc = ResultDescriptor::new(vec![OutputField::new(0, JoinRelation::JCOL, "jcol")]);
-    for dop in DOPS {
-        // The *production* config: `override_dop` keeps the bytes-based
-        // `parallel_threshold`, so cache-resident inputs like these 10k
-        // rows run the identical serial path at every dop — which is the
-        // point: dop > 1 must never lose to dop 1 on small inputs. (The
-        // `with_dop` constructor used by the determinism tests disables
-        // the floor to force fan-out.)
-        let cfg = ExecConfig::default().override_dop(dop);
-        measure(
-            out,
-            &format!("scaling_10k/scan/dop{dop}"),
-            MACRO_ITERS,
-            || {
-                black_box(
-                    parallel_select_scan(&outer.relation, JoinRelation::JCOL, &pred, cfg)
-                        .expect("scan")
-                        .len(),
-                );
-            },
-        );
-        measure(
-            out,
-            &format!("scaling_10k/hash_join/dop{dop}"),
-            MACRO_ITERS,
-            || {
-                black_box(parallel_hash_join(o, i, cfg).expect("join").pairs.len());
-            },
-        );
-        measure(
-            out,
-            &format!("scaling_10k/distinct/dop{dop}"),
-            MACRO_ITERS,
-            || {
-                black_box(
-                    parallel_project_hash(&list, &desc, &[&dedup.relation], cfg)
-                        .expect("dedup")
-                        .rows
-                        .len(),
-                );
-            },
-        );
-    }
-}
-
-/// Concurrent-transaction throughput over the [`TxnEngine`]: ns/txn at
-/// 1, 8, and 64 client sessions for read-only, mixed (read + update),
-/// and write-heavy (insert-batch) transactions. Each cell divides total
-/// wall clock by a fixed transaction budget, so the number includes
-/// lock acquisition, deadlock retries, group commit, and client
-/// coordination — the multi-session cost the single-threaded kernels
-/// above never see.
-fn txn_suite(out: &mut BTreeMap<String, u64>) {
-    use mmdb_core::{Database, IndexKind, TxnEngine};
-
-    const CLIENTS: [usize; 3] = [1, 8, 64];
-    /// Total transactions per cell, split evenly across the clients.
-    const TOTAL_TXNS: usize = 256;
-    /// Seeded rows the read/update transactions range over.
-    const HOT_KEYS: i64 = 256;
-
-    // Seeded, thread-local key stream (splitmix64) — `measure`'s fixed
-    // seeds discipline, without threading a shared RNG through clients.
-    fn next_key(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    for mode in ["read_only", "mixed", "write_heavy"] {
-        for clients in CLIENTS {
-            let mut db = Database::in_memory();
-            db.create_table(
-                "t",
-                Schema::of(&[("k", AttrType::Int), ("v", AttrType::Int)]),
-            )
-            .expect("create");
-            db.create_index("t_k", "t", "k", IndexKind::TTree)
-                .expect("index");
-            let mut seed_txn = db.begin();
-            for k in 0..HOT_KEYS {
-                db.insert(
-                    &mut seed_txn,
-                    "t",
-                    vec![OwnedValue::Int(k), OwnedValue::Int(k)],
-                )
-                .expect("seed insert");
-            }
-            db.commit(seed_txn).expect("seed commit");
-            let engine = TxnEngine::new(db);
-            let per_client = TOTAL_TXNS / clients;
-            // Disjoint key ranges keep write-heavy inserts unique across
-            // clients, reps, and compare-mode re-measure attempts.
-            let fresh_base = std::sync::atomic::AtomicI64::new(10_000);
-            let ((), secs) = time_best(reps(), || {
-                std::thread::scope(|scope| {
-                    for c in 0..clients {
-                        let e = engine.clone();
-                        let fresh = &fresh_base;
-                        scope.spawn(move || {
-                            let session = e.session();
-                            let mut rng = (c as u64 + 1) * 0x0dd0_c0ff_ee15_600d;
-                            for _ in 0..per_client {
-                                let r = session.with_retry(10_000, |s, txn| {
-                                    match mode {
-                                        "read_only" => {
-                                            for _ in 0..2 {
-                                                let k =
-                                                    (next_key(&mut rng) % HOT_KEYS as u64) as i64;
-                                                black_box(s.select_values(
-                                                    txn,
-                                                    "t",
-                                                    "k",
-                                                    &Predicate::Eq(KeyValue::Int(k)),
-                                                    &["v"],
-                                                )?);
-                                            }
-                                        }
-                                        "mixed" => {
-                                            let k = (next_key(&mut rng) % HOT_KEYS as u64) as i64;
-                                            let hits = s.select(
-                                                txn,
-                                                "t",
-                                                "k",
-                                                &Predicate::Eq(KeyValue::Int(k)),
-                                            )?;
-                                            let tid = hits.iter().next().map(|row| row[0]);
-                                            if let Some(tid) = tid {
-                                                let v = (next_key(&mut rng) % 100_000) as i64;
-                                                s.update(txn, "t", tid, "v", OwnedValue::Int(v))?;
-                                            }
-                                        }
-                                        _ => {
-                                            let base = fresh
-                                                .fetch_add(2, std::sync::atomic::Ordering::Relaxed);
-                                            for j in 0..2 {
-                                                s.insert(
-                                                    txn,
-                                                    "t",
-                                                    vec![
-                                                        OwnedValue::Int(base + j),
-                                                        OwnedValue::Int(-1),
-                                                    ],
-                                                )?;
-                                            }
-                                        }
-                                    }
-                                    Ok(())
-                                });
-                                black_box(r.expect("transaction must eventually commit"));
-                            }
-                        });
-                    }
-                });
-            });
-            let ns = (secs * 1e9 / (per_client * clients) as f64)
-                .round()
-                .max(0.0);
-            out.insert(format!("txn_throughput/{mode}/c{clients}"), ns as u64);
-        }
-    }
-}
-
 /// Restart's index-rebuild kernels at the issue's 100k-row scale:
 /// tuple-at-a-time insertion (the pre-§16 restart loop — re-locking the
 /// relation through the adapter on every comparison) against the bulk
@@ -613,13 +427,10 @@ fn write_json(path: &str, entries: &BTreeMap<String, u64>) -> std::io::Result<()
     std::fs::write(path, s)
 }
 
-/// Key prefixes gated by `--compare`. Only the join/dedup/scaling/recovery
-/// cells are large enough (hundreds of µs) to clear quick-mode jitter; the
+/// Key prefixes gated by `--compare`. Only the join/dedup/recovery cells
+/// are large enough (hundreds of µs) to clear quick-mode jitter; the
 /// per-op index cells swing too much at these iteration counts to gate.
-/// The `txn_throughput/` cells are recorded (and printed by compares)
-/// but not gated: thread scheduling on a small host swings them well
-/// past [`REGRESS_LIMIT`] run-to-run.
-const TRACKED_PREFIXES: [&str; 4] = ["join_4k/", "dedup_4k/", "scaling_10k/", "recovery_100k/"];
+const TRACKED_PREFIXES: [&str; 3] = ["join_4k/", "dedup_4k/", "recovery_100k/"];
 /// A tracked kernel more than this factor slower than baseline fails —
 /// after dividing out the run-wide host-speed factor (the median ratio
 /// over every key the two files share, untracked cells included). The
@@ -670,14 +481,12 @@ fn run_all_suites() -> BTreeMap<String, u64> {
     ttree_attr_suite(&mut entries);
     join_suite(&mut entries);
     dedup_suite(&mut entries);
-    scaling_suite(&mut entries);
-    txn_suite(&mut entries);
     recovery_suite(&mut entries);
     entries
 }
 
 /// Run-wide host-speed factor: the median fresh/baseline ratio over
-/// every key both maps share. With ~45 cells, one genuinely regressed
+/// every key both maps share. With ~40 cells, one genuinely regressed
 /// kernel barely moves the median, while a uniformly slower host moves
 /// the whole distribution — exactly the signal to divide out.
 fn host_speed_factor(base: &BTreeMap<String, u64>, fresh: &BTreeMap<String, u64>) -> f64 {

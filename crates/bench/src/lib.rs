@@ -21,7 +21,6 @@
 //! | [`precomputed`] | §3.3.5 — precomputed join vs the rest |
 //! | [`aspects`] | §3.2.2's unpublished aspects: create / scan / range / delete |
 //! | [`locking`] | §2.4's lock-granularity cost claim |
-//! | [`scaling`] | (beyond the paper) parallel operator speedup vs dop |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,7 +36,6 @@ pub mod joins;
 pub mod locking;
 pub mod precomputed;
 pub mod projection;
-pub mod scaling;
 pub mod storage_costs;
 
 pub use figure::{Figure, Scale};

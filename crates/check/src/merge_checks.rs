@@ -1,9 +1,9 @@
 //! Worker-pool merge determinism.
 //!
-//! The parallel executor's only merge rule is
+//! The worker pool's only merge rule is
 //! [`mmdb_exec::merge_indexed`]: workers tag results with their task
-//! index and the pool reorders by tag, so query output is independent of
-//! completion order. This check feeds a tagged result set through the
+//! index and the pool reorders by tag, so restart's output is independent
+//! of completion order. This check feeds a tagged result set through the
 //! merge under several adversarial completion orders (identity,
 //! reversed, rotated, seeded shuffles) and demands identical output.
 

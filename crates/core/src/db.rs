@@ -9,8 +9,7 @@ use crate::restart::{build_index_bulk, CrashedDatabase};
 use crate::shared::SharedAdapter;
 use crate::txn::{Transaction, WriteOp};
 use mmdb_exec::{
-    choose_select_path, parallel_select_scan, select_hash_index, select_tree_index, ExecConfig,
-    Predicate,
+    choose_select_path, select_hash_index, select_scan_iter, select_tree_index, Predicate,
 };
 use mmdb_index::traits::{OrderedIndex, UnorderedIndex};
 use mmdb_index::{ModifiedLinearHash, TTree};
@@ -90,7 +89,6 @@ pub struct Database<S: StableStore = MemDisk> {
     pub(crate) indexes: Vec<IndexDef>,
     pub(crate) locks: Arc<LockManager>,
     pub(crate) recovery: RecoveryManager<S>,
-    pub(crate) exec: ExecConfig,
     /// Monotone catalog version; selects which shadow slot the next
     /// persist writes (see [`Database::persist_catalog`]).
     pub(crate) catalog_epoch: u64,
@@ -127,24 +125,8 @@ impl<S: StableStore> Database<S> {
             indexes: Vec::new(),
             locks: Arc::new(LockManager::default()),
             recovery: RecoveryManager::new(disk),
-            exec: ExecConfig::default(),
             catalog_epoch: 0,
         }
-    }
-
-    // ---- execution config ---------------------------------------------
-
-    /// The execution config select and query pipelines run with.
-    #[must_use]
-    pub fn exec_config(&self) -> ExecConfig {
-        self.exec
-    }
-
-    /// Set the degree of parallelism for subsequent operations, keeping
-    /// every other [`ExecConfig`] field (e.g. the parallel threshold)
-    /// intact. `dop = 1` restores the strictly serial (paper) code paths.
-    pub fn set_parallelism(&mut self, dop: usize) {
-        self.exec = self.exec.override_dop(dop);
     }
 
     // ---- catalog -------------------------------------------------------
@@ -596,7 +578,7 @@ impl<S: StableStore> Database<S> {
             BoundSelect::Tree(idx) => Ok(select_tree_index(idx, pred)),
             BoundSelect::Scan => {
                 let rel = self.table(t).rel.read();
-                Ok(parallel_select_scan(&rel, attr_idx, pred, self.exec)?)
+                Ok(select_scan_iter(&rel, attr_idx, rel.iter_tids(), pred)?)
             }
         }
     }

@@ -60,7 +60,6 @@ pub struct QueryBuilder<'a, S: StableStore> {
     steps: Vec<Step>,
     projection: Vec<(String, String)>,
     distinct: bool,
-    dop: Option<usize>,
     pushdown: bool,
     reorder: bool,
     forced_join: Option<JoinMethod>,
@@ -88,7 +87,6 @@ impl<S: StableStore> Database<S> {
             steps: Vec::new(),
             projection: Vec::new(),
             distinct: false,
-            dop: None,
             pushdown: true,
             reorder: true,
             forced_join: None,
@@ -160,16 +158,6 @@ impl<S: StableStore> QueryBuilder<'_, S> {
     #[must_use]
     pub fn distinct(mut self) -> Self {
         self.distinct = true;
-        self
-    }
-
-    /// Degree of parallelism for this query only. Overrides just the
-    /// `dop` of the database-level [`mmdb_exec::ExecConfig`] — every
-    /// other field (e.g. the parallel threshold) is kept. `dop = 1`
-    /// forces the serial code paths.
-    #[must_use]
-    pub fn parallelism(mut self, dop: usize) -> Self {
-        self.dop = Some(dop);
         self
     }
 
@@ -268,10 +256,6 @@ impl<S: StableStore> QueryBuilder<'_, S> {
     /// Execute the pipeline: plan, bind, run, materialize.
     pub fn run(self) -> Result<QueryOutput, DbError> {
         let db = self.db;
-        let cfg = match self.dop {
-            Some(d) => db.exec_config().override_dop(d),
-            None => db.exec_config(),
-        };
 
         // Phase 1: logical plan; Phase 2: cost-based physical plan.
         let logical = self.logical()?;
@@ -307,7 +291,7 @@ impl<S: StableStore> QueryBuilder<'_, S> {
         let guards: Vec<_> = handles.iter().map(|h| h.read()).collect();
         let rels: Vec<&mmdb_storage::Relation> = guards.iter().map(|r| &**r).collect();
         let mut root = db.bind_plan(&planned.root, &planned.tables, &rels, &desc)?;
-        let mut ctx = ExecContext::new(cfg, planned.node_count);
+        let mut ctx = ExecContext::new(planned.node_count);
         let list = root.execute(&mut ctx)?;
         drop(root);
 
@@ -482,40 +466,6 @@ mod tests {
             "filtered outer cannot tree-merge: {}",
             joins[0].label
         );
-    }
-
-    #[test]
-    fn parallelism_knob_leaves_results_identical() {
-        let mut db = company_db();
-        let run = |db: &Database, dop: usize| {
-            db.query("emp")
-                .filter("age", Predicate::greater(KeyValue::Int(20)))
-                .join("dept_id", "dept", "id")
-                .project(&[("dept", "dname")])
-                .distinct()
-                .parallelism(dop)
-                .run()
-                .unwrap()
-        };
-        let serial = run(&db, 1);
-        assert_eq!(serial.rows.len(), 3);
-        for dop in [2, 4, 8] {
-            let par = run(&db, dop);
-            assert_eq!(par.rows, serial.rows, "dop={dop}");
-            assert_eq!(par.columns, serial.columns);
-        }
-        // The database-level knob feeds queries that don't set their own.
-        db.set_parallelism(4);
-        assert_eq!(db.exec_config().dop, 4);
-        let out = db
-            .query("emp")
-            .filter("age", Predicate::greater(KeyValue::Int(20)))
-            .join("dept_id", "dept", "id")
-            .project(&[("dept", "dname")])
-            .distinct()
-            .run()
-            .unwrap();
-        assert_eq!(out.rows, serial.rows);
     }
 
     #[test]

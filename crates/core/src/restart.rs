@@ -196,7 +196,6 @@ impl<S: StableStore + Sync> CrashedDatabase<S> {
             indexes: Vec::new(),
             locks: Arc::new(LockManager::default()),
             recovery: self.recovery,
-            exec,
             catalog_epoch,
         };
         for t in &meta.tables {

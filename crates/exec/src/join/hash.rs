@@ -9,12 +9,12 @@
 //! Cost model (§3.3.4 Test 1): ≈ |R1| + |R1|·k probes with k a fixed
 //! lookup cost — "much smaller than log₂(|R2|) but larger than 2".
 //!
-//! The probe loop is **batched**: a morsel of outer keys is materialized
+//! The probe loop is **batched**: a batch of outer keys is materialized
 //! (tuple dereference + hash) before any bucket is walked, then the
-//! morsel probes the table in a tight loop. The table stores each entry's
+//! batch probes the table in a tight loop. The table stores each entry's
 //! 64-bit hash next to its chain link, so a chain walk compares integers
 //! and dereferences an inner tuple only when the full hashes already
-//! agree — bucket lines stay hot across the morsel and almost every
+//! agree — bucket lines stay hot across the batch and almost every
 //! non-match is decided without touching tuple memory.
 
 use super::{JoinOutput, JoinSide};
@@ -40,19 +40,17 @@ fn probe_eligible(v: &Value<'_>) -> bool {
     !matches!(v, Value::Ptr(None) | Value::PtrList(_))
 }
 
-/// Outer tuples hashed per probe morsel before the tight probe loop.
+/// Outer tuples hashed per probe batch before the tight probe loop.
 const PROBE_BATCH: usize = 1024;
 
 /// Chain terminator in [`BatchProbeTable`]'s link arrays.
 const NIL: u32 = u32::MAX;
 
-/// Read-only chained-bucket probe table over the inner join side,
-/// shareable across worker threads (plain owned arrays — unlike
-/// [`mmdb_index::ChainedBucketHash`], whose `Cell` counters are not
-/// `Sync`). Replicates the chained-bucket *observable* semantics:
-/// prepend-on-insert chains walked head-first, so per-key matches come
-/// back in reverse insertion order.
-pub(crate) struct BatchProbeTable<'a> {
+/// Read-only chained-bucket probe table over the inner join side.
+/// Replicates the chained-bucket *observable* semantics of
+/// [`mmdb_index::ChainedBucketHash`]: prepend-on-insert chains walked
+/// head-first, so per-key matches come back in reverse insertion order.
+struct BatchProbeTable<'a> {
     inner: JoinSide<'a>,
     heads: Vec<u32>,
     next: Vec<u32>,
@@ -61,14 +59,14 @@ pub(crate) struct BatchProbeTable<'a> {
     hashes: Vec<u64>,
     mask: u64,
     /// Counters accumulated while building (one hash call per entry).
-    pub(crate) build_stats: mmdb_index::stats::Snapshot,
+    build_stats: mmdb_index::stats::Snapshot,
 }
 
 impl<'a> BatchProbeTable<'a> {
     /// Build on the inner side, inserting `inner.tids` in order exactly
     /// like the serial chained-bucket build loop.
     // mmdb-lint: allow(panic-path) — `next`/`hashes` are sized to inner.len() and indexed by the enumerate index `node < inner.len()`; `heads` has table_size entries and every bucket index is masked with `table_size - 1`
-    pub(crate) fn build(inner: JoinSide<'a>) -> Result<Self, ExecError> {
+    fn build(inner: JoinSide<'a>) -> Result<Self, ExecError> {
         let table_size = inner.len().max(8).next_power_of_two();
         let mask = (table_size - 1) as u64;
         let mut heads = vec![NIL; table_size];
@@ -94,26 +92,23 @@ impl<'a> BatchProbeTable<'a> {
         })
     }
 
-    /// Probe a contiguous range of the outer side, appending `(outer,
-    /// inner)` pairs to `out` in outer order with per-key matches in
-    /// reverse insertion order. Outer tuples are dereferenced and hashed
-    /// a [`PROBE_BATCH`]-sized morsel at a time; the subsequent probe
-    /// loop touches only the batch, the bucket arrays, and (on full-hash
+    /// Probe with the whole outer side, appending `(outer, inner)` pairs
+    /// to `out` in outer order with per-key matches in reverse insertion
+    /// order. Outer tuples are dereferenced and hashed a
+    /// [`PROBE_BATCH`]-sized batch at a time; the subsequent probe loop
+    /// touches only the batch, the bucket arrays, and (on full-hash
     /// agreement) the candidate inner tuple.
-    // mmdb-lint: allow(panic-path) — `outer.tids[start..end]` has end clamped by .min(range.end) and callers pass subranges of 0..outer.len(); bucket indices are masked; `node` values come from heads/next, which hold only NIL or indices < inner.len()
-    pub(crate) fn probe_range(
+    // mmdb-lint: allow(panic-path) — bucket indices are masked; `node` values come from heads/next, which hold only NIL or indices < inner.len()
+    fn probe(
         &self,
         outer: JoinSide<'_>,
-        range: std::ops::Range<usize>,
         out: &mut TempList,
         counters: &Counters,
     ) -> Result<(), ExecError> {
         let mut batch: Vec<(TupleId, u64, Value<'_>)> = Vec::with_capacity(PROBE_BATCH);
-        let mut start = range.start;
-        while start < range.end {
-            let end = (start + PROBE_BATCH).min(range.end);
+        for chunk in outer.tids.chunks(PROBE_BATCH) {
             batch.clear();
-            for &ot in &outer.tids[start..end] {
+            for &ot in chunk {
                 let ov = outer.value(ot)?;
                 if probe_eligible(&ov) {
                     counters.hash_calls(1);
@@ -135,20 +130,19 @@ impl<'a> BatchProbeTable<'a> {
                     node = self.next[node as usize];
                 }
             }
-            start = end;
         }
         Ok(())
     }
 }
 
 /// Join by building a chained-bucket hash table on the inner side and
-/// probing it with batched morsels of outer keys. The returned stats
+/// probing it with batches of outer keys. The returned stats
 /// include the build.
 pub fn hash_join(outer: JoinSide<'_>, inner: JoinSide<'_>) -> Result<JoinOutput, ExecError> {
     let table = BatchProbeTable::build(inner)?;
     let counters = Counters::default();
     let mut out = TempList::new(2);
-    table.probe_range(outer, 0..outer.len(), &mut out, &counters)?;
+    table.probe(outer, &mut out, &counters)?;
     Ok(JoinOutput {
         pairs: out,
         stats: table.build_stats.plus(&counters.snapshot()),

@@ -22,7 +22,6 @@ mod tree;
 mod tree_merge;
 
 pub use hash::hash_join;
-pub(crate) use hash::BatchProbeTable;
 pub use nested::{nested_loops_join, theta_nested_loops_join, ThetaOp};
 pub use precomputed::precomputed_join;
 pub(crate) use sort_merge::run_entries;

@@ -11,9 +11,10 @@
 //!   pointer join.
 //! * **Projection** ([`project`]): duplicate elimination by Hashing
 //!   \[DKO84\] (table size |R|/2) and by Sort Scan \[BBD83\].
-//! * **Partition-parallel execution** ([`parallel`]): morsel-style
-//!   multicore variants of the scan, join, and dedup hot paths, bit-
-//!   identical to their serial counterparts ([`parallel::ExecConfig`]).
+//! * **Restart's worker pool** ([`parallel`]): the index-ordered
+//!   fan-out that restart borrows for image fetch, decode and index
+//!   rebuilds ([`parallel::ExecConfig`]). Every query operator is
+//!   single-threaded, as in the paper.
 //! * **Two-phase query compilation** ([`plan`]): typed logical plans, a
 //!   cost-based planner over the §4 preference ordering and the §3.3.4
 //!   comparison-count formulas ([`plan::cost`]; pushdown, join
@@ -53,10 +54,7 @@ pub use join::{
     hash_join, nested_loops_join, precomputed_join, sort_merge_join, theta_nested_loops_join,
     tree_ineq_join, tree_join, tree_merge_join, IneqOp, JoinOutput, JoinSide, ThetaOp,
 };
-pub use parallel::{
-    merge_indexed, parallel_hash_join, parallel_nested_loops_join, parallel_project_hash,
-    parallel_select_scan, parallel_theta_join, run_tasks, ExecConfig,
-};
+pub use parallel::{merge_indexed, run_tasks, ExecConfig};
 pub use plan::cost::{choose_select_path, IndexAvailability, JoinMethod, SelectPath};
 pub use plan::{
     ExecContext, LogicalPlan, PlanError, PlanProfile, PlannedQuery, Planner, PlannerOptions,

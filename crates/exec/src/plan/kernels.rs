@@ -8,9 +8,9 @@
 
 use crate::error::ExecError;
 use crate::join::{
-    precomputed_join, sort_merge_join, tree_join, tree_merge_join, JoinOutput, JoinSide,
+    hash_join, nested_loops_join, precomputed_join, sort_merge_join, tree_join, tree_merge_join,
+    JoinOutput, JoinSide,
 };
-use crate::parallel::{parallel_hash_join, parallel_nested_loops_join, ExecConfig};
 use crate::plan::cost::JoinMethod;
 use crate::TupleAdapter;
 use mmdb_index::TTree;
@@ -34,7 +34,6 @@ pub trait JoinKernel {
         &self,
         outer_tids: &[TupleId],
         inner_tids: Option<&[TupleId]>,
-        cfg: ExecConfig,
     ) -> Result<JoinOutput, ExecError>;
 }
 
@@ -55,7 +54,6 @@ impl JoinKernel for PrecomputedKernel<'_> {
         &self,
         outer_tids: &[TupleId],
         _inner_tids: Option<&[TupleId]>,
-        _cfg: ExecConfig,
     ) -> Result<JoinOutput, ExecError> {
         precomputed_join(JoinSide::new(self.outer_rel, self.outer_attr, outer_tids))
     }
@@ -87,7 +85,6 @@ impl<A: TupleAdapter, B: TupleAdapter> JoinKernel for TreeMergeKernel<'_, A, B> 
         &self,
         _outer_tids: &[TupleId],
         _inner_tids: Option<&[TupleId]>,
-        _cfg: ExecConfig,
     ) -> Result<JoinOutput, ExecError> {
         tree_merge_join(
             self.outer_rel,
@@ -119,7 +116,6 @@ impl<A: TupleAdapter> JoinKernel for TreeJoinKernel<'_, A> {
         &self,
         outer_tids: &[TupleId],
         _inner_tids: Option<&[TupleId]>,
-        _cfg: ExecConfig,
     ) -> Result<JoinOutput, ExecError> {
         tree_join(
             JoinSide::new(self.outer_rel, self.outer_attr, outer_tids),
@@ -151,7 +147,6 @@ impl JoinKernel for SidesKernel<'_> {
         &self,
         outer_tids: &[TupleId],
         inner_tids: Option<&[TupleId]>,
-        cfg: ExecConfig,
     ) -> Result<JoinOutput, ExecError> {
         let itids = inner_tids.ok_or_else(|| {
             ExecError::BadPlan(format!("{:?} planned without an inner access", self.method))
@@ -159,9 +154,9 @@ impl JoinKernel for SidesKernel<'_> {
         let outer = JoinSide::new(self.outer_rel, self.outer_attr, outer_tids);
         let inner = JoinSide::new(self.inner_rel, self.inner_attr, itids);
         match self.method {
-            JoinMethod::HashJoin => parallel_hash_join(outer, inner, cfg),
+            JoinMethod::HashJoin => hash_join(outer, inner),
             JoinMethod::SortMerge => sort_merge_join(outer, inner),
-            JoinMethod::NestedLoops => parallel_nested_loops_join(outer, inner, cfg),
+            JoinMethod::NestedLoops => nested_loops_join(outer, inner),
             other => Err(ExecError::BadPlan(format!(
                 "SidesKernel cannot run {other:?}"
             ))),
@@ -192,10 +187,10 @@ mod tests {
                 method,
             };
             assert_eq!(k.method(), method);
-            let a = k.run(&otids, Some(&itids), ExecConfig::serial()).unwrap();
+            let a = k.run(&otids, Some(&itids)).unwrap();
             assert_eq!(normalize(&a.pairs, &orel, &irel), want, "{method:?}");
             // A tid-consuming method without its inner list is a plan bug.
-            assert!(k.run(&otids, None, ExecConfig::serial()).is_err());
+            assert!(k.run(&otids, None).is_err());
         }
         // Asking a SidesKernel for an index method is a plan bug.
         let k = SidesKernel {
@@ -205,6 +200,6 @@ mod tests {
             inner_attr: 1,
             method: JoinMethod::TreeMerge,
         };
-        assert!(k.run(&otids, Some(&itids), ExecConfig::serial()).is_err());
+        assert!(k.run(&otids, Some(&itids)).is_err());
     }
 }

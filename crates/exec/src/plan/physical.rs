@@ -1,18 +1,18 @@
 //! The instrumented operator engine.
 //!
 //! A bound physical plan is a tree of [`Operator`] trait objects — one
-//! abstraction covering every kernel in the crate: serial and parallel
-//! scans, all six join methods (via [`JoinKernel`]), projection, and
-//! duplicate elimination. Each operator materialises its output temp
-//! list (the paper's operators all materialise — tuple *pointers*, never
-//! tuple copies) and records per-operator runtime actuals into the shared
-//! [`ExecContext`], keyed by plan-node id.
+//! abstraction covering every kernel in the crate: scans, all six join
+//! methods (via [`JoinKernel`]), projection, and duplicate elimination.
+//! Each operator materialises its output temp list (the paper's
+//! operators all materialise — tuple *pointers*, never tuple copies) and
+//! records per-operator runtime actuals into the shared [`ExecContext`],
+//! keyed by plan-node id.
 
 use crate::error::ExecError;
-use crate::parallel::{parallel_project_hash, parallel_select_scan, ExecConfig};
 use crate::plan::kernels::JoinKernel;
 use crate::plan::planner::NodeId;
-use crate::select::{select_hash_index, select_tree_index, Predicate};
+use crate::project::project_hash;
+use crate::select::{select_hash_index, select_scan_iter, select_tree_index, Predicate};
 use crate::{HashTupleAdapter, TupleAdapter};
 use mmdb_index::stats::Snapshot;
 use mmdb_index::traits::{OrderedIndex, UnorderedIndex};
@@ -36,12 +36,9 @@ pub struct OpActuals {
     pub elapsed: Duration,
 }
 
-/// Shared execution state: the config plus per-operator actuals.
+/// Shared execution state: per-operator actuals.
 #[derive(Debug)]
 pub struct ExecContext {
-    /// Execution config (degree of parallelism etc.) seen by every
-    /// operator.
-    pub cfg: ExecConfig,
     /// Actuals slot per plan node, indexed by [`NodeId`].
     pub actuals: Vec<OpActuals>,
 }
@@ -49,9 +46,8 @@ pub struct ExecContext {
 impl ExecContext {
     /// A context with `node_count` zeroed actuals slots.
     #[must_use]
-    pub fn new(cfg: ExecConfig, node_count: usize) -> Self {
+    pub fn new(node_count: usize) -> Self {
         ExecContext {
-            cfg,
             actuals: vec![OpActuals::default(); node_count],
         }
     }
@@ -109,8 +105,7 @@ impl Operator for FullScanOp<'_> {
     }
 }
 
-/// Sequential-scan selection (§4's path of last resort), parallelised
-/// over partitions when the config allows.
+/// Sequential-scan selection (§4's path of last resort).
 pub struct SeqFilterOp<'a> {
     /// Plan-node id.
     pub id: NodeId,
@@ -126,7 +121,7 @@ impl Operator for SeqFilterOp<'_> {
     fn execute(&mut self, ctx: &mut ExecContext) -> Result<TempList, ExecError> {
         let t = Instant::now();
         let rows_in = self.rel.len();
-        let out = parallel_select_scan(self.rel, self.attr, &self.pred, ctx.cfg)?;
+        let out = select_scan_iter(self.rel, self.attr, self.rel.iter_tids(), &self.pred)?;
         // The scan path tests every live tuple exactly once.
         let stats = Snapshot {
             comparisons: rows_in as u64,
@@ -253,9 +248,7 @@ impl Operator for JoinOp<'_> {
         let mut outer_tids = input.column(self.src_col);
         outer_tids.sort_unstable();
         outer_tids.dedup();
-        let jout = self
-            .kernel
-            .run(&outer_tids, inner_tids.as_deref(), ctx.cfg)?;
+        let jout = self.kernel.run(&outer_tids, inner_tids.as_deref())?;
         let mut matches: HashMap<TupleId, Vec<TupleId>> = HashMap::with_capacity(outer_tids.len());
         for pair in jout.pairs.iter() {
             matches.entry(pair[0]).or_default().push(pair[1]);
@@ -304,7 +297,7 @@ impl Operator for ProjectOp<'_> {
 }
 
 /// Duplicate elimination by hashing (§3.4's winner) over the projected
-/// columns, parallelised when the config allows.
+/// columns.
 pub struct DistinctOp<'a> {
     /// Plan-node id.
     pub id: NodeId,
@@ -320,7 +313,7 @@ impl Operator for DistinctOp<'_> {
     fn execute(&mut self, ctx: &mut ExecContext) -> Result<TempList, ExecError> {
         let input = self.child.execute(ctx)?;
         let t = Instant::now();
-        let out = parallel_project_hash(&input, &self.desc, &self.sources, ctx.cfg)?;
+        let out = project_hash(&input, &self.desc, &self.sources)?;
         ctx.record(self.id, input.len(), out.rows.len(), out.stats, t.elapsed());
         Ok(out.rows)
     }
@@ -373,7 +366,7 @@ mod tests {
             desc,
             sources: vec![&orel, &irel],
         };
-        let mut ctx = ExecContext::new(ExecConfig::serial(), 6);
+        let mut ctx = ExecContext::new(6);
         let out = distinct.execute(&mut ctx).unwrap();
         // Outer survivors: jcol ∈ {2, 2, 5}. Joins: 2→two matches each,
         // 5→two matches. Widened rows: 2*2 + 2*2 + 1*2 = wait — outers
@@ -405,7 +398,7 @@ mod tests {
             ttree.insert(*t);
             hash.insert(*t);
         }
-        let mut ctx = ExecContext::new(ExecConfig::serial(), 2);
+        let mut ctx = ExecContext::new(2);
         let mut tree_op = TreeLookupOp {
             id: 0,
             index: &ttree,

@@ -33,7 +33,7 @@ pub struct ProjectOutput {
 /// reused scratch buffer (cleared first) — the
 /// dedup loops call this once per row and once per chain visit, so the
 /// buffer turns two allocations per visited row into zero.
-pub(crate) fn row_values_into<'a>(
+fn row_values_into<'a>(
     list: &TempList,
     i: usize,
     desc: &ResultDescriptor,
@@ -43,7 +43,7 @@ pub(crate) fn row_values_into<'a>(
     Ok(list.materialize_row_into(i, desc, sources, out)?)
 }
 
-pub(crate) fn rows_equal(a: &[Value<'_>], b: &[Value<'_>], counters: &Counters) -> bool {
+fn rows_equal(a: &[Value<'_>], b: &[Value<'_>], counters: &Counters) -> bool {
     for (x, y) in a.iter().zip(b) {
         counters.comparisons(1);
         if x.total_cmp(y) != Ordering::Equal {
@@ -64,7 +64,7 @@ fn rows_cmp(a: &[Value<'_>], b: &[Value<'_>], counters: &Counters) -> Ordering {
     Ordering::Equal
 }
 
-pub(crate) fn hash_row(vals: &[Value<'_>], counters: &Counters) -> u64 {
+fn hash_row(vals: &[Value<'_>], counters: &Counters) -> u64 {
     counters.hash_calls(1);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in vals {

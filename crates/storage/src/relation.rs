@@ -293,24 +293,6 @@ impl Relation {
         self.partition_views().flat_map(|v| v.tids())
     }
 
-    /// Live tuple ids of one partition, in slot order.
-    pub fn tids_in_partition(
-        &self,
-        p: u32,
-    ) -> Result<impl Iterator<Item = TupleId> + '_, StorageError> {
-        Ok(self.partition_view(p)?.tids())
-    }
-
-    /// Read-only view of one partition. Views borrow the relation
-    /// immutably, so they are `Sync`-shareable into scoped worker threads
-    /// for partition-parallel scans.
-    pub fn partition_view(&self, p: u32) -> Result<PartitionView<'_>, StorageError> {
-        Ok(PartitionView {
-            part: self.partition(p)?,
-            index: p,
-        })
-    }
-
     /// Views of every partition, in partition order.
     pub fn partition_views(&self) -> impl Iterator<Item = PartitionView<'_>> {
         self.partitions
@@ -404,8 +386,7 @@ impl Relation {
 
 /// Read-only handle on one partition of a [`Relation`].
 ///
-/// The handle is `Copy` and borrows the relation immutably, so a parallel
-/// scan can hand one view per partition to scoped worker threads: the
+/// The handle is `Copy` and borrows the relation immutably; the
 /// partition data is owned (`Vec<u8>` slots + heap), making `&Partition`
 /// — and therefore this view — `Send + Sync`.
 #[derive(Clone, Copy)]
@@ -654,10 +635,6 @@ mod tests {
         }
         assert_eq!(live_total, r.len());
         assert_eq!(from_views, r.tids());
-        // Single-partition access agrees with the full enumeration.
-        let p0: Vec<_> = r.tids_in_partition(0).unwrap().collect();
-        assert!(from_views.starts_with(&p0));
-        assert!(r.partition_view(r.partition_count() as u32).is_err());
     }
 
     #[test]

@@ -146,9 +146,7 @@ impl TempList {
     }
 
     /// Move every row of `other` onto the end of `self` (bulk `Vec`
-    /// extend — no per-row arity checks or pushes). This is the merge
-    /// primitive for partition-parallel operators: per-partition results
-    /// are appended in partition order to keep output deterministic.
+    /// extend — no per-row arity checks or pushes).
     pub fn append(&mut self, other: TempList) -> Result<(), StorageError> {
         if other.arity != self.arity {
             return Err(StorageError::ArityMismatch {
@@ -159,17 +157,6 @@ impl TempList {
         let mut rows = other.rows;
         self.rows.append(&mut rows);
         Ok(())
-    }
-
-    /// Merge a sequence of same-arity lists into one, pre-sizing the
-    /// result to the exact total row count.
-    pub fn merged(arity: usize, parts: Vec<TempList>) -> Result<TempList, StorageError> {
-        let total: usize = parts.iter().map(TempList::len).sum();
-        let mut out = TempList::with_capacity(arity, total);
-        for part in parts {
-            out.append(part)?;
-        }
-        Ok(out)
     }
 
     /// Row `i` as a slice of tuple ids.
@@ -365,25 +352,5 @@ mod tests {
         let mut a = TempList::new(2);
         let b = TempList::from_tids(vec![TupleId::new(0, 0)]);
         assert!(a.append(b).is_err());
-    }
-
-    #[test]
-    fn merged_concatenates_parts_in_order() {
-        let parts: Vec<TempList> = (0u32..3)
-            .map(|p| TempList::from_tids(vec![TupleId::new(p, 0), TupleId::new(p, 1)]))
-            .collect();
-        let merged = TempList::merged(1, parts).unwrap();
-        assert_eq!(merged.len(), 6);
-        assert_eq!(
-            merged.column(0),
-            vec![
-                TupleId::new(0, 0),
-                TupleId::new(0, 1),
-                TupleId::new(1, 0),
-                TupleId::new(1, 1),
-                TupleId::new(2, 0),
-                TupleId::new(2, 1),
-            ]
-        );
     }
 }

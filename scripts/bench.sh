@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # Regenerate the quick-mode perf baseline (BENCH_baseline.json).
 #
-# Runs the bench_baseline binary: the criterion suites' workloads
-# (index_ops, join_kernels, dedup, scaling) at reduced cardinalities with
-# fixed seeds, best-of-3 timing, sorted JSON keys. Two runs produce files
-# that align line-by-line — only the measured ns values move — so a
+# Runs the bench_baseline binary: the workloads of the index_ops,
+# join_kernels and dedup criterion suites (plus T-Tree attribute descent
+# and restart's index rebuild) at reduced cardinalities with fixed seeds,
+# best-of-3 timing, sorted JSON keys. Two runs produce files that align
+# line-by-line — only the measured ns values move — so a
 # regression shows up as a clean numeric diff against the checked-in
 # baseline.
 #

@@ -245,6 +245,17 @@ fn crash_recovery_of_bulk_data_across_partitions() {
         .select("big", "k", &Predicate::Eq(KeyValue::Int(1_000_000)))
         .unwrap();
     assert_eq!(bumped.len(), 100, "post-flush committed updates recovered");
+    // `pad` is unindexed, so this select takes the scan path: tids come
+    // back in partition, then slot order — exactly `select_scan` over
+    // `Relation::tids`.
+    let pred = Predicate::greater(KeyValue::Str("pad-5".into()));
+    let scanned = db2.select("big", "pad", &pred).unwrap();
+    let want = db2
+        .with_relation("big", |r| mmdb_exec::select_scan(r, 1, &r.tids(), &pred))
+        .unwrap()
+        .unwrap();
+    assert!(scanned.len() > 1000);
+    assert_eq!(scanned, want);
 }
 
 #[test]

@@ -148,6 +148,16 @@ fn parallel_recovery_bit_identical_across_dop() {
                 vec![("t_k", base.1.len()), ("t_v", base.1.len())],
                 "seed {seed}, dop {dop}: per-index rebuild stats"
             );
+            // Restart's fetch and decode fan out through the pool; its
+            // merge rule must be completion-order independent on exactly
+            // this result shape (the partition load order).
+            #[cfg(all(feature = "check", debug_assertions))]
+            {
+                let tagged: Vec<_> = report.loaded.iter().cloned().enumerate().collect();
+                mmdb_check::merge_checks::check_merge_determinism(&tagged)
+                    .into_result()
+                    .unwrap_or_else(|e| panic!("seed {seed}, dop {dop}: {e}"));
+            }
             db.validate_indexes().unwrap();
             #[cfg(feature = "check")]
             db.deep_check().into_result().unwrap_or_else(|e| {

@@ -3,10 +3,9 @@
 //! a join-reordering case whose plans demonstrably differ from naive
 //! placement while producing identical results.
 //!
-//! All queries run with `parallelism(1)` — serial execution makes the
-//! actual comparison counts deterministic, so the full
-//! estimates-vs-actuals rendering can be snapshotted, not just the plan
-//! shape.
+//! Execution is serial, so the actual comparison counts are
+//! deterministic and the full estimates-vs-actuals rendering can be
+//! snapshotted, not just the plan shape.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -98,7 +97,6 @@ fn golden_tree_merge() {
         .query("emp")
         .join("dept_id", "dept", "id")
         .project(&[("emp", "ename"), ("dept", "dname")])
-        .parallelism(1)
         .run()
         .unwrap();
     assert_eq!(out.rows.len(), 5);
@@ -121,7 +119,6 @@ fn golden_tree_join() {
         .filter("age", Predicate::greater(KeyValue::Int(60)))
         .join("dept_id", "dept", "id")
         .project(&[("emp", "ename"), ("dept", "dname")])
-        .parallelism(1)
         .run()
         .unwrap();
     assert_eq!(out.rows.len(), 2);
@@ -145,7 +142,6 @@ fn golden_hash_join() {
         .query("emp")
         .join("dept_id", "orders", "dept_id")
         .project(&[("emp", "ename"), ("orders", "oid")])
-        .parallelism(1)
         .run()
         .unwrap();
     assert_eq!(out.rows.len(), 100);
@@ -168,7 +164,6 @@ fn golden_precomputed() {
         .query("emp")
         .join("dept_ptr", "dept", "id")
         .project(&[("emp", "ename"), ("dept", "dname")])
-        .parallelism(1)
         .run()
         .unwrap();
     assert_eq!(out.rows.len(), 5);
@@ -191,7 +186,6 @@ fn golden_forced_sort_merge() {
         .join("dept_id", "dept", "id")
         .project(&[("emp", "ename"), ("dept", "dname")])
         .force_join_method(JoinMethod::SortMerge)
-        .parallelism(1)
         .run()
         .unwrap();
     assert_eq!(out.rows.len(), 5);
@@ -215,7 +209,6 @@ fn golden_forced_nested_loops() {
         .join("dept_id", "dept", "id")
         .project(&[("emp", "ename"), ("dept", "dname")])
         .force_join_method(JoinMethod::NestedLoops)
-        .parallelism(1)
         .run()
         .unwrap();
     assert_eq!(out.rows.len(), 5);
@@ -241,7 +234,6 @@ fn golden_pushdown_changes_the_plan_not_the_answer() {
             .project(&[("emp", "ename")])
             .pushdown(pushdown)
             .reorder(pushdown)
-            .parallelism(1)
             .run()
             .unwrap()
     };
@@ -286,7 +278,6 @@ fn golden_reorder_changes_the_plan_not_the_answer() {
             .join_from("orders", "dept_id", "dept", "id")
             .project(&[("orders", "oid"), ("emp", "ename"), ("dept", "dname")])
             .reorder(reorder)
-            .parallelism(1)
             .run()
             .unwrap()
     };
@@ -328,7 +319,6 @@ fn explain_round_trips_estimates_and_actuals() {
             .join("dept_id", "dept", "id")
             .join_from("dept", "id", "orders", "dept_id")
             .project(&[("emp", "ename"), ("orders", "oid")])
-            .parallelism(1)
     };
     let explained = q().explain().unwrap();
     let out = q().run().unwrap();

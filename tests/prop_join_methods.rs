@@ -224,6 +224,12 @@ proptest! {
         let desc = ResultDescriptor::new(vec![OutputField::new(0, 1, "jcol")]);
         let h = project_hash(&list, &desc, &[&rel]).unwrap();
         let s = project_sort(&list, &desc, &[&rel]).unwrap();
+        #[cfg(all(feature = "check", debug_assertions))]
+        for rows in [&h.rows, &s.rows] {
+            mmdb_check::storage_checks::check_templist(rows, &desc, &[&rel])
+                .into_result()
+                .map_err(TestCaseError::fail)?;
+        }
         let mut distinct: Vec<i64> = vals.clone();
         distinct.sort_unstable();
         distinct.dedup();

@@ -1,8 +1,8 @@
 //! Property tests for the cost-based planner: over random workloads,
-//! the planned execution is tuple-for-tuple identical to every forced
-//! join method and to fully serial execution, and the chosen join
-//! method never estimates more comparisons than any alternative the
-//! planner rejected.
+//! the planned execution returns the same rows as every forced join
+//! method and as naive predicate placement, and the chosen join method
+//! never estimates more comparisons than any alternative the planner
+//! rejected.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -86,11 +86,6 @@ proptest! {
         let planned = query().run().unwrap();
         let want = canonical(&planned);
 
-        // Fully serial execution is tuple-for-tuple identical (same
-        // order, not just the same multiset).
-        let serial = query().parallelism(1).run().unwrap();
-        prop_assert_eq!(&serial.rows, &planned.rows);
-
         // Every forced method yields the same multiset of rows.
         for m in FORCIBLE {
             let forced = query().force_join_method(m).run().unwrap();
@@ -115,28 +110,6 @@ proptest! {
                     join.label
                 );
             }
-        }
-    }
-
-    #[test]
-    fn dop_never_changes_results(
-        v1 in values_strategy(40),
-        v2 in values_strategy(40),
-    ) {
-        let db = build_db(&v1, &v2, &[0]);
-        let run = |dop: usize| {
-            db.query("r1")
-                .join("jcol", "r2", "jcol")
-                .project(&[("r1", "pk"), ("r2", "pk")])
-                .distinct()
-                .parallelism(dop)
-                .run()
-                .unwrap()
-        };
-        let serial = run(1);
-        for dop in [2, 4, 8] {
-            let par = run(dop);
-            prop_assert_eq!(&par.rows, &serial.rows, "dop={}", dop);
         }
     }
 }
