@@ -1,9 +1,11 @@
-//! Quick-mode perf baseline: re-runs the workloads of the `index_ops`,
-//! `join_kernels` and `dedup` criterion suites at reduced cardinalities
-//! with fixed seeds — plus T-Tree descent over a stored attribute and
-//! restart's 100k-row index rebuild — and emits machine-readable
+//! Quick-mode kernel baseline: times the true kernels — index probe,
+//! insert/delete and ordered scan, T-Tree descent over a stored
+//! attribute, the join kernels and the dedup kernels — at fixed small
+//! cardinalities and seeds, and emits machine-readable
 //! `BENCH_baseline.json` (op → ns/iter) so future changes have a perf
-//! baseline to diff against.
+//! baseline to diff against. End-to-end operations, restart's index
+//! rebuild among them, are timed by `benchmark/`; the paper's figures and
+//! the design ablations by the `figures` binary.
 //!
 //! ```text
 //! bench_baseline [--out FILE]
@@ -12,23 +14,21 @@
 //!
 //! The second form diffs a fresh run (or an already-generated `--fresh`
 //! file) against a committed baseline, printing per-key ratios, and exits
-//! non-zero if any *tracked* kernel (`join_4k/`, `dedup_4k/`,
-//! `recovery_100k/` — the keys large enough to be meaningful
-//! at quick-mode iteration counts) regressed by more than 25% beyond the run-wide
-//! host-speed factor (see [`REGRESS_LIMIT`]); a failing pass re-measures
-//! up to [`MAX_ATTEMPTS`] times, keeping per-key minima. `verify.sh`
-//! wires this up as the `bench-regress` gate.
+//! non-zero if any *tracked* kernel (`join_4k/`, `dedup_4k/` — the keys
+//! large enough to be meaningful at quick-mode iteration counts)
+//! regressed by more than 25% beyond the run-wide host-speed factor (see
+//! [`REGRESS_LIMIT`]); a failing pass re-measures up to [`MAX_ATTEMPTS`]
+//! times, keeping per-key minima. `verify.sh` wires this up as the
+//! `bench-regress` gate.
 //!
-//! Deliberately *not* criterion: criterion is a dev-dependency (benches
-//! only) and its on-disk reports are not stable to diff. Keys are emitted
-//! in sorted (`BTreeMap`) order with fixed workload sizes and seeds, so
-//! two generated files align line-by-line and only the measured ns values
-//! move. Each cell is best-of-`MMDB_BENCH_REPS` (default 3) over a fixed
-//! iteration count — the same minimum-time defence the figure harness
-//! uses against scheduler noise. The emitted file also records the host:
-//! CPU count and a measured per-iter noise floor (spread of three repeats
-//! of a fixed sort workload), so a future reader can judge whether a
-//! numeric diff is signal or scheduler jitter.
+//! Keys are emitted in sorted (`BTreeMap`) order with fixed workload
+//! sizes and seeds, so two generated files align line-by-line and only
+//! the measured ns values move. Each cell is best-of-`MMDB_BENCH_REPS`
+//! (default 3) over a fixed iteration count — the same minimum-time
+//! defence the figure harness uses against scheduler noise. The emitted
+//! file also records the host: CPU count and a measured per-iter noise
+//! floor (spread of three repeats of a fixed sort workload), so a future
+//! reader can judge whether a numeric diff is signal or scheduler jitter.
 
 // The report itself goes to stdout.
 #![allow(clippy::print_stdout)]
@@ -51,11 +51,14 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::hint::black_box;
 
-/// Index-suite cardinality (criterion runs 30,000; quick mode 1/3).
+/// Index cardinality: a third of the paper's 30,000-element indexes.
 const INDEX_N: usize = 10_000;
-/// T-Tree / array node size (the criterion suites' fixed choice).
+/// Node size for the B-Tree, T-Tree and extendible/linear hash cells.
+/// Modified Linear Hash reads it as its target average chain length, so
+/// each probe walks a chain of up to 30 single-entry nodes (EXPERIMENTS.md,
+/// Graph 1).
 const NODE_SIZE: usize = 30;
-/// Join / dedup cardinality (criterion runs 10,000).
+/// Join / dedup cardinality.
 const JOIN_N: usize = 4_000;
 /// Iterations per macro cell (join/dedup). These cells gate the
 /// `bench-regress` comparison, so they run enough iterations that the
@@ -102,8 +105,7 @@ fn index_suite(out: &mut BTreeMap<String, u64>) {
     }
     let keys = shuffled_keys(INDEX_N, 3);
     for kind in IndexKindB::all() {
-        // Same N/10 concession the criterion suite makes for the array's
-        // O(n) shifts.
+        // The array's O(n) shifts would dominate the run at full N.
         let n = if kind == IndexKindB::Array {
             INDEX_N / 10
         } else {
@@ -314,66 +316,6 @@ fn dedup_suite(out: &mut BTreeMap<String, u64>) {
     }
 }
 
-/// Restart's index-rebuild kernels at the issue's 100k-row scale:
-/// tuple-at-a-time insertion (the pre-§16 restart loop — re-locking the
-/// relation through the adapter on every comparison) against the bulk
-/// run-sort + bottom-up build `recover` now uses. Both cells rebuild
-/// the same T-Tree over the same 100k-row relation; the ratio between
-/// them is the algorithmic win the bulk path exists for.
-fn recovery_suite(out: &mut BTreeMap<String, u64>) {
-    use mmdb_core::SharedAdapter;
-    use mmdb_index::sort::run_sort;
-    use mmdb_index::stats::Counters;
-    use mmdb_storage::value_order_tag;
-    use parking_lot::RwLock;
-    use std::sync::Arc;
-
-    const REBUILD_N: usize = 100_000;
-    /// The restart path's run length (L2-resident `(tag, tid)` runs).
-    const RUN_LEN: usize = 16_384;
-
-    let mut rel = Relation::new(
-        "r",
-        Schema::of(&[("k", AttrType::Int)]),
-        PartitionConfig::default(),
-    );
-    for k in shuffled_keys(REBUILD_N, 11) {
-        rel.insert(&[OwnedValue::Int(k as i64)]).expect("insert");
-    }
-    let rel = Arc::new(RwLock::new(rel));
-
-    measure(out, "recovery_100k/tuple_rebuild", 1, || {
-        let adapter = SharedAdapter::new(Arc::clone(&rel), 0);
-        let mut t = TTree::new(adapter, TTreeConfig::with_node_size(NODE_SIZE));
-        for tid in rel.read().iter_tids() {
-            t.insert(tid);
-        }
-        black_box(t.len());
-    });
-
-    measure(out, "recovery_100k/bulk_rebuild", 1, || {
-        let adapter = SharedAdapter::new(Arc::clone(&rel), 0);
-        let tagged = {
-            let r = rel.read();
-            let mut v: Vec<(u64, TupleId)> = r
-                .iter_tids()
-                .map(|tid| (value_order_tag(&r.field(tid, 0).expect("live")), tid))
-                .collect();
-            let counters = Counters::default();
-            run_sort(&mut v, RUN_LEN, &counters, &mut |a, b| {
-                a.0.cmp(&b.0).then_with(|| {
-                    r.field(a.1, 0)
-                        .expect("live")
-                        .total_cmp(&r.field(b.1, 0).expect("live"))
-                })
-            });
-            v
-        };
-        let t = TTree::build_from_sorted(adapter, TTreeConfig::with_node_size(NODE_SIZE), tagged);
-        black_box(t.len());
-    });
-}
-
 /// Host CPUs visible to the process (what `ExecConfig::default` clamps to).
 fn host_cpus() -> u64 {
     std::thread::available_parallelism()
@@ -427,10 +369,10 @@ fn write_json(path: &str, entries: &BTreeMap<String, u64>) -> std::io::Result<()
     std::fs::write(path, s)
 }
 
-/// Key prefixes gated by `--compare`. Only the join/dedup/recovery cells
-/// are large enough (hundreds of µs) to clear quick-mode jitter; the
-/// per-op index cells swing too much at these iteration counts to gate.
-const TRACKED_PREFIXES: [&str; 3] = ["join_4k/", "dedup_4k/", "recovery_100k/"];
+/// Key prefixes gated by `--compare`. Only the join/dedup cells are
+/// large enough (hundreds of µs) to clear quick-mode jitter; the per-op
+/// index cells swing too much at these iteration counts to gate.
+const TRACKED_PREFIXES: [&str; 2] = ["join_4k/", "dedup_4k/"];
 /// A tracked kernel more than this factor slower than baseline fails —
 /// after dividing out the run-wide host-speed factor (the median ratio
 /// over every key the two files share, untracked cells included). The
@@ -481,7 +423,6 @@ fn run_all_suites() -> BTreeMap<String, u64> {
     ttree_attr_suite(&mut entries);
     join_suite(&mut entries);
     dedup_suite(&mut entries);
-    recovery_suite(&mut entries);
     entries
 }
 
@@ -633,4 +574,77 @@ fn main() {
     let entries = run_all_suites();
     write_json(&out_path, &entries).expect("write baseline");
     println!("wrote {} ({} entries)", out_path, entries.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A baseline shaped like the real one: untracked per-op cells around
+    /// a handful of tracked join/dedup cells.
+    fn baseline() -> BTreeMap<String, u64> {
+        let mut m = BTreeMap::new();
+        for (n, kind) in ["AVL Tree", "B Tree", "T Tree", "Array", "Linear Hash"]
+            .iter()
+            .enumerate()
+        {
+            m.insert(format!("index_search/{kind}"), 100 + 10 * n as u64);
+            m.insert(format!("index_insert_delete/{kind}"), 50 + 10 * n as u64);
+        }
+        for (n, kernel) in ["hash_join", "tree_join", "sort_merge", "tree_merge"]
+            .iter()
+            .enumerate()
+        {
+            m.insert(format!("join_4k/{kernel}"), 300_000 + 100_000 * n as u64);
+        }
+        m.insert("dedup_4k/hash/0pct".into(), 200_000);
+        m.insert("dedup_4k/sort_scan/0pct".into(), 370_000);
+        m
+    }
+
+    /// The verdict `compare` reaches on one attempt.
+    fn verdict(base: &BTreeMap<String, u64>, fresh: &BTreeMap<String, u64>) -> Vec<String> {
+        let factor = host_speed_factor(base, fresh).max(1.0);
+        regressions(base, fresh, REGRESS_LIMIT * factor)
+    }
+
+    #[test]
+    fn one_slower_tracked_kernel_is_reported() {
+        let base = baseline();
+        let mut fresh = base.clone();
+        *fresh.get_mut("join_4k/tree_join").unwrap() *= 2;
+        assert_eq!(host_speed_factor(&base, &fresh), 1.0);
+        assert_eq!(verdict(&base, &fresh), vec!["join_4k/tree_join"]);
+    }
+
+    #[test]
+    fn uniformly_slower_host_is_not_a_regression() {
+        let base = baseline();
+        let fresh: BTreeMap<String, u64> = base.iter().map(|(k, v)| (k.clone(), v * 2)).collect();
+        assert_eq!(host_speed_factor(&base, &fresh), 2.0);
+        assert!(verdict(&base, &fresh).is_empty());
+        // Without the host-speed factor every tracked cell would fail.
+        assert_eq!(regressions(&base, &fresh, REGRESS_LIMIT).len(), 6);
+    }
+
+    #[test]
+    fn missing_tracked_kernel_is_reported() {
+        let base = baseline();
+        let mut fresh = base.clone();
+        fresh.remove("dedup_4k/hash/0pct");
+        fresh.remove("index_search/B Tree");
+        assert_eq!(verdict(&base, &fresh), vec!["dedup_4k/hash/0pct"]);
+    }
+
+    #[test]
+    fn written_baseline_parses_back() {
+        let base = baseline();
+        let path = std::env::temp_dir().join(format!("mmdb-bench-{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        write_json(path, &base).unwrap();
+        let text = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_file(path).unwrap();
+        assert_eq!(parse_entries(&text), base);
+        assert!(text.contains(&format!("\"host_cpus\": {}", host_cpus())));
+    }
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! figures [--scale F] [--out DIR] [all|graph1|graph2|storage|table1|graph3|
 //!          graph4|graph5|graph6|graph7|graph8|graph9|graph10|graph11|
-//!          graph12|precomputed|aspects|locking]
+//!          graph12|precomputed|aspects|locking|ablation]
 //! ```
 //!
 //! Prints each figure as an aligned table and writes `DIR/<id>.csv`
@@ -14,13 +14,13 @@
 #![allow(clippy::print_stdout)]
 
 use mmdb_bench::{
-    aspects, figure::Scale, graph1, graph10, graph2, graph3, joins, locking, precomputed,
+    ablation, aspects, figure::Scale, graph1, graph10, graph2, graph3, joins, locking, precomputed,
     projection, storage_costs, Figure,
 };
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures [--scale F] [--out DIR] [all|graph1|graph2|storage|table1|graph3|graph4|graph5|graph6|graph7|graph8|graph9|graph10|graph11|graph12|precomputed|aspects|locking]..."
+        "usage: figures [--scale F] [--out DIR] [all|graph1|graph2|storage|table1|graph3|graph4|graph5|graph6|graph7|graph8|graph9|graph10|graph11|graph12|precomputed|aspects|locking|ablation]..."
     );
     std::process::exit(2);
 }
@@ -79,6 +79,7 @@ fn main() {
     run("precomputed", &mut || vec![precomputed::run(scale)]);
     run("aspects", &mut || vec![aspects::run(scale)]);
     run("locking", &mut || vec![locking::run(scale)]);
+    run("ablation", &mut || ablation::run(scale));
 
     if figures.is_empty() {
         usage();

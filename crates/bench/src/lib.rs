@@ -21,10 +21,12 @@
 //! | [`precomputed`] | §3.3.5 — precomputed join vs the rest |
 //! | [`aspects`] | §3.2.2's unpublished aspects: create / scan / range / delete |
 //! | [`locking`] | §2.4's lock-granularity cost claim |
+//! | [`ablation`] | DESIGN.md §5's ablations: T-Tree slack, sort cutoff, dedup table size |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod ablation;
 pub mod aspects;
 pub mod figure;
 pub mod graph1;

@@ -117,29 +117,21 @@ impl SplitMix64 {
     }
 }
 
+/// Cap on the steps of one schedule; exceeding it is reported as a
+/// livelock.
+const MAX_STEPS: usize = 10_000;
+
 /// Drives scenarios through many seeded schedules.
 #[derive(Debug, Clone)]
 pub struct Explorer {
     seeds: u64,
-    max_steps: usize,
 }
 
 impl Explorer {
     /// Explore `seeds` distinct schedules (seeds `0..seeds`).
     #[must_use]
     pub fn new(seeds: u64) -> Self {
-        Explorer {
-            seeds,
-            max_steps: 10_000,
-        }
-    }
-
-    /// Cap the steps per schedule (default 10 000); exceeding the cap is
-    /// reported as a livelock.
-    #[must_use]
-    pub fn with_max_steps(mut self, max_steps: usize) -> Self {
-        self.max_steps = max_steps;
-        self
+        Explorer { seeds }
     }
 
     /// Run every seed against a fresh scenario; the first failing seed
@@ -172,10 +164,10 @@ impl Explorer {
             message,
         };
         while !active.is_empty() {
-            if trace.len() >= self.max_steps {
+            if trace.len() >= MAX_STEPS {
                 return Err(fail(
                     trace,
-                    format!("no quiescence after {} steps (livelock?)", self.max_steps),
+                    format!("no quiescence after {MAX_STEPS} steps (livelock?)"),
                 ));
             }
             let pick = (rng.next_u64() % active.len() as u64) as usize;

@@ -60,12 +60,6 @@ impl Transaction {
         self.id.0
     }
 
-    /// Number of buffered writes.
-    #[must_use]
-    pub fn pending_writes(&self) -> usize {
-        self.writes.len()
-    }
-
     /// True when the transaction has no buffered writes (read-only so far).
     #[must_use]
     pub fn is_read_only(&self) -> bool {

@@ -100,20 +100,6 @@ impl PlanProfile {
         out
     }
 
-    /// Field-wise sum of every operator's actual counters.
-    #[must_use]
-    pub fn total_stats(&self) -> Snapshot {
-        self.ops
-            .iter()
-            .fold(Snapshot::default(), |acc, op| acc.plus(&op.stats))
-    }
-
-    /// Sum of every operator's actual self time.
-    #[must_use]
-    pub fn total_elapsed(&self) -> Duration {
-        self.ops.iter().map(|op| op.elapsed).sum()
-    }
-
     /// The join operators, in pre-order.
     #[must_use]
     pub fn joins(&self) -> Vec<&OpProfile> {

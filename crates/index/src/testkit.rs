@@ -94,15 +94,6 @@ impl<A: Adapter<Entry = u64, Key = u64>> Model<A> {
             .any(|e| self.adapter.cmp_entry_key(e, &k) == Ordering::Equal)
     }
 
-    #[allow(dead_code)]
-    pub fn delete_by_key(&mut self, k: u64) -> Option<u64> {
-        let pos = self
-            .entries
-            .iter()
-            .position(|e| self.adapter.cmp_entry_key(e, &k) == Ordering::Equal)?;
-        Some(self.entries.remove(pos))
-    }
-
     pub fn delete_entry(&mut self, e: u64) -> bool {
         if let Some(pos) = self.entries.iter().position(|x| *x == e) {
             self.entries.remove(pos);

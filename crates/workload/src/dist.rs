@@ -35,12 +35,6 @@ impl TruncatedNormal {
         TruncatedNormal::new(0.4)
     }
 
-    /// The paper's near-uniform distribution (σ = 0.8).
-    #[must_use]
-    pub fn near_uniform() -> Self {
-        TruncatedNormal::new(0.8)
-    }
-
     /// The configured standard deviation.
     #[must_use]
     pub fn sigma(&self) -> f64 {

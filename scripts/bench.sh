@@ -1,13 +1,12 @@
 #!/usr/bin/env sh
-# Regenerate the quick-mode perf baseline (BENCH_baseline.json).
+# Regenerate the quick-mode kernel baseline (BENCH_baseline.json).
 #
-# Runs the bench_baseline binary: the workloads of the index_ops,
-# join_kernels and dedup criterion suites (plus T-Tree attribute descent
-# and restart's index rebuild) at reduced cardinalities with fixed seeds,
-# best-of-3 timing, sorted JSON keys. Two runs produce files that align
-# line-by-line — only the measured ns values move — so a
-# regression shows up as a clean numeric diff against the checked-in
-# baseline.
+# Runs the bench_baseline binary: index probe, insert/delete and ordered
+# scan, T-Tree attribute descent, and the join and dedup kernels at
+# small fixed cardinalities and seeds, best-of-3 timing, sorted JSON
+# keys. Two runs produce files that align line-by-line — only the
+# measured ns values move — so a regression shows up as a clean numeric
+# diff against the checked-in baseline.
 #
 # The emitted file records host metadata (CPU count, measured per-iter
 # noise floor from 3 repeats) alongside the entries, so a reader can

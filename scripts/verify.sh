@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Full verification: build, tests, lint gates, the mmdb-check deep
-# invariant layer, and a bench smoke run — with a per-gate PASS/FAIL
-# summary at the end. Exits non-zero if any gate fails.
+# invariant layer, the kernel-baseline gates and an end-to-end benchmark
+# smoke run — with a per-gate PASS/FAIL summary at the end. Exits
+# non-zero if any gate fails.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -112,9 +113,6 @@ gate "inject-smoke"      cargo test -p mmdb-recovery --test stable_store_conform
 # must restart to exactly the latest-LSN committed images.
 gate "prop-recovery"     cargo test --test prop_recovery -q
 
-# Join-kernel bench, criterion --test smoke mode (each case once).
-gate "bench-smoke"       cargo bench -p mmdb-bench --bench join_kernels -- --test
-
 # Perf-baseline smoke: the quick-mode baseline generator must run and
 # emit a file whose keys align with the checked-in BENCH_baseline.json
 # (values are wall-clock and expected to move; only structure is gated).
@@ -128,7 +126,7 @@ gate "bench-baseline"    bench_baseline_diff
 
 # Perf-regression gate: the same fresh quick-mode run, numerically diffed
 # against the committed baseline — fails if any tracked kernel (join_4k/,
-# dedup_4k/, recovery_100k/) is more than 25% slower than its baseline cell
+# dedup_4k/) is more than 25% slower than its baseline cell
 # after dividing out the run-wide host-speed factor (median ratio across
 # all cells, so a uniformly slower host doesn't flag every kernel). A
 # failing pass re-measures in-process and keeps per-key minima before
