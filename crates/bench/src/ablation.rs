@@ -49,11 +49,11 @@ fn ttree_slack(scale: Scale) -> Figure {
                 },
             );
             for k in &keys {
-                t.insert(*k);
+                t.insert((), *k);
             }
             for pair in ops.chunks_exact(2) {
-                t.delete(&pair[0]);
-                t.insert(pair[1] + n as u64);
+                t.delete((), &pair[0]);
+                t.insert((), pair[1] + n as u64);
             }
             assert_eq!(t.len(), n);
             t.stats().rotations

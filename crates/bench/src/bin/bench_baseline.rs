@@ -147,15 +147,16 @@ fn index_suite(out: &mut BTreeMap<String, u64>) {
 fn ttree_attr_suite(out: &mut BTreeMap<String, u64>) {
     /// [`AttrAdapter`] with the tag hooks forced back to the
     /// always-undecided default — the pre-cache behaviour.
-    struct Untagged<'a>(AttrAdapter<'a>);
-    impl Adapter for Untagged<'_> {
+    struct Untagged(AttrAdapter);
+    impl Adapter for Untagged {
         type Entry = TupleId;
         type Key = KeyValue;
-        fn cmp_entries(&self, a: &TupleId, b: &TupleId) -> Ordering {
-            self.0.cmp_entries(a, b)
+        type Ctx<'c> = &'c Relation;
+        fn cmp_entries(&self, rel: &Relation, a: &TupleId, b: &TupleId) -> Ordering {
+            self.0.cmp_entries(rel, a, b)
         }
-        fn cmp_entry_key(&self, e: &TupleId, key: &KeyValue) -> Ordering {
-            self.0.cmp_entry_key(e, key)
+        fn cmp_entry_key(&self, rel: &Relation, e: &TupleId, key: &KeyValue) -> Ordering {
+            self.0.cmp_entry_key(rel, e, key)
         }
     }
 
@@ -187,16 +188,16 @@ fn ttree_attr_suite(out: &mut BTreeMap<String, u64>) {
         .collect();
     for (attr, label) in [(0usize, "int"), (1, "str"), (2, "str_shared_prefix")] {
         let mut tagged = TTree::new(
-            AttrAdapter::new(&rel, attr),
+            AttrAdapter::new(attr),
             TTreeConfig::with_node_size(NODE_SIZE),
         );
         let mut plain = TTree::new(
-            Untagged(AttrAdapter::new(&rel, attr)),
+            Untagged(AttrAdapter::new(attr)),
             TTreeConfig::with_node_size(NODE_SIZE),
         );
         for t in &tids {
-            tagged.insert(*t);
-            plain.insert(*t);
+            tagged.insert(&rel, *t);
+            plain.insert(&rel, *t);
         }
         let probe = |k: u64| -> KeyValue {
             match attr {
@@ -213,7 +214,7 @@ fn ttree_attr_suite(out: &mut BTreeMap<String, u64>) {
             || {
                 let k = probe(probes[i % INDEX_N]);
                 i += 1;
-                black_box(tagged.search(black_box(&k)));
+                black_box(tagged.search(&rel, black_box(&k)));
             },
         );
         let mut i = 0usize;
@@ -224,7 +225,7 @@ fn ttree_attr_suite(out: &mut BTreeMap<String, u64>) {
             || {
                 let k = probe(probes[i % INDEX_N]);
                 i += 1;
-                black_box(plain.search(black_box(&k)));
+                black_box(plain.search(&rel, black_box(&k)));
             },
         );
     }
@@ -236,24 +237,24 @@ fn join_suite(out: &mut BTreeMap<String, u64>) {
     let o = JoinSide::new(&outer.relation, JoinRelation::JCOL, &outer.tids);
     let i = JoinSide::new(&inner.relation, JoinRelation::JCOL, &inner.tids);
     let mut oidx = TTree::new(
-        AttrAdapter::new(&outer.relation, JoinRelation::JCOL),
+        AttrAdapter::new(JoinRelation::JCOL),
         TTreeConfig::with_node_size(NODE_SIZE),
     );
     for t in &outer.tids {
-        oidx.insert(*t);
+        oidx.insert(&outer.relation, *t);
     }
     let mut iidx = TTree::new(
-        AttrAdapter::new(&inner.relation, JoinRelation::JCOL),
+        AttrAdapter::new(JoinRelation::JCOL),
         TTreeConfig::with_node_size(NODE_SIZE),
     );
     for t in &inner.tids {
-        iidx.insert(*t);
+        iidx.insert(&inner.relation, *t);
     }
     measure(out, "join_4k/hash_join", MACRO_ITERS, || {
         black_box(hash_join(o, i).expect("join").len());
     });
     measure(out, "join_4k/tree_join", MACRO_ITERS, || {
-        black_box(tree_join(o, &iidx).expect("join").len());
+        black_box(tree_join(o, &inner.relation, &iidx).expect("join").len());
     });
     measure(out, "join_4k/sort_merge", MACRO_ITERS, || {
         black_box(sort_merge_join(o, i).expect("join").len());

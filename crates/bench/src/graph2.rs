@@ -173,9 +173,9 @@ mod tests {
         let arr_moves = {
             let a = &arr_cell;
             moves_of(
-                Box::new(move |k| a.borrow_mut().insert(k)),
+                Box::new(move |k| a.borrow_mut().insert((), k)),
                 Box::new(move |k| {
-                    a.borrow_mut().delete(&k);
+                    a.borrow_mut().delete((), &k);
                 }),
                 Box::new(move || a.borrow().stats().data_moves),
             )
@@ -188,9 +188,9 @@ mod tests {
         let tt_moves = {
             let t = &tt_cell;
             moves_of(
-                Box::new(move |k| t.borrow_mut().insert(k)),
+                Box::new(move |k| t.borrow_mut().insert((), k)),
                 Box::new(move |k| {
-                    t.borrow_mut().delete(&k);
+                    t.borrow_mut().delete((), &k);
                 }),
                 Box::new(move || t.borrow().stats().data_moves),
             )

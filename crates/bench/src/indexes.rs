@@ -135,42 +135,42 @@ impl BenchIndex {
     /// Insert a key.
     pub fn insert(&mut self, k: u64) {
         match self {
-            BenchIndex::Array(i) => i.insert(k),
-            BenchIndex::Avl(i) => i.insert(k),
-            BenchIndex::BTree(i) => i.insert(k),
-            BenchIndex::TTree(i) => i.insert(k),
-            BenchIndex::ChainedBucket(i) => i.insert(k),
-            BenchIndex::Extendible(i) => i.insert(k),
-            BenchIndex::Linear(i) => i.insert(k),
-            BenchIndex::ModLinear(i) => i.insert(k),
+            BenchIndex::Array(i) => i.insert((), k),
+            BenchIndex::Avl(i) => i.insert((), k),
+            BenchIndex::BTree(i) => i.insert((), k),
+            BenchIndex::TTree(i) => i.insert((), k),
+            BenchIndex::ChainedBucket(i) => i.insert((), k),
+            BenchIndex::Extendible(i) => i.insert((), k),
+            BenchIndex::Linear(i) => i.insert((), k),
+            BenchIndex::ModLinear(i) => i.insert((), k),
         }
     }
 
     /// Point search; true when found.
     pub fn search(&self, k: u64) -> bool {
         match self {
-            BenchIndex::Array(i) => i.search(&k).is_some(),
-            BenchIndex::Avl(i) => i.search(&k).is_some(),
-            BenchIndex::BTree(i) => i.search(&k).is_some(),
-            BenchIndex::TTree(i) => i.search(&k).is_some(),
-            BenchIndex::ChainedBucket(i) => i.search(&k).is_some(),
-            BenchIndex::Extendible(i) => i.search(&k).is_some(),
-            BenchIndex::Linear(i) => i.search(&k).is_some(),
-            BenchIndex::ModLinear(i) => i.search(&k).is_some(),
+            BenchIndex::Array(i) => i.search((), &k).is_some(),
+            BenchIndex::Avl(i) => i.search((), &k).is_some(),
+            BenchIndex::BTree(i) => i.search((), &k).is_some(),
+            BenchIndex::TTree(i) => i.search((), &k).is_some(),
+            BenchIndex::ChainedBucket(i) => i.search((), &k).is_some(),
+            BenchIndex::Extendible(i) => i.search((), &k).is_some(),
+            BenchIndex::Linear(i) => i.search((), &k).is_some(),
+            BenchIndex::ModLinear(i) => i.search((), &k).is_some(),
         }
     }
 
     /// Delete one entry with key `k`; true when something was removed.
     pub fn delete(&mut self, k: u64) -> bool {
         match self {
-            BenchIndex::Array(i) => i.delete(&k).is_some(),
-            BenchIndex::Avl(i) => i.delete(&k).is_some(),
-            BenchIndex::BTree(i) => i.delete(&k).is_some(),
-            BenchIndex::TTree(i) => i.delete(&k).is_some(),
-            BenchIndex::ChainedBucket(i) => i.delete(&k).is_some(),
-            BenchIndex::Extendible(i) => i.delete(&k).is_some(),
-            BenchIndex::Linear(i) => i.delete(&k).is_some(),
-            BenchIndex::ModLinear(i) => i.delete(&k).is_some(),
+            BenchIndex::Array(i) => i.delete((), &k).is_some(),
+            BenchIndex::Avl(i) => i.delete((), &k).is_some(),
+            BenchIndex::BTree(i) => i.delete((), &k).is_some(),
+            BenchIndex::TTree(i) => i.delete((), &k).is_some(),
+            BenchIndex::ChainedBucket(i) => i.delete((), &k).is_some(),
+            BenchIndex::Extendible(i) => i.delete((), &k).is_some(),
+            BenchIndex::Linear(i) => i.delete((), &k).is_some(),
+            BenchIndex::ModLinear(i) => i.delete((), &k).is_some(),
         }
     }
 
@@ -178,12 +178,13 @@ impl BenchIndex {
     /// hash structures (they cannot serve ranges).
     pub fn range_count(&self, lo: u64, hi: u64) -> Option<usize> {
         use std::ops::Bound;
+        let (lo, hi) = (Bound::Included(&lo), Bound::Included(&hi));
         let mut out = Vec::new();
         match self {
-            BenchIndex::Array(i) => i.range(Bound::Included(&lo), Bound::Included(&hi), &mut out),
-            BenchIndex::Avl(i) => i.range(Bound::Included(&lo), Bound::Included(&hi), &mut out),
-            BenchIndex::BTree(i) => i.range(Bound::Included(&lo), Bound::Included(&hi), &mut out),
-            BenchIndex::TTree(i) => i.range(Bound::Included(&lo), Bound::Included(&hi), &mut out),
+            BenchIndex::Array(i) => i.range((), lo, hi, &mut out),
+            BenchIndex::Avl(i) => i.range((), lo, hi, &mut out),
+            BenchIndex::BTree(i) => i.range((), lo, hi, &mut out),
+            BenchIndex::TTree(i) => i.range((), lo, hi, &mut out),
             _ => return None,
         }
         Some(out.len())

@@ -43,23 +43,25 @@ pub fn time_methods(outer: &JoinRelation, inner: &JoinRelation) -> MethodTimes {
 
     // Pre-existing indices (builds untimed, per the paper).
     let mut oidx = TTree::new(
-        AttrAdapter::new(&outer.relation, JoinRelation::JCOL),
+        AttrAdapter::new(JoinRelation::JCOL),
         TTreeConfig::with_node_size(JOIN_NODE_SIZE),
     );
     for t in &outer.tids {
-        oidx.insert(*t);
+        oidx.insert(&outer.relation, *t);
     }
     let mut iidx = TTree::new(
-        AttrAdapter::new(&inner.relation, JoinRelation::JCOL),
+        AttrAdapter::new(JoinRelation::JCOL),
         TTreeConfig::with_node_size(JOIN_NODE_SIZE),
     );
     for t in &inner.tids {
-        iidx.insert(*t);
+        iidx.insert(&inner.relation, *t);
     }
 
     // Best of 2 runs per method (sub-50ms cells are scheduler-noisy).
     let (hj, hash) = time_best(2, || hash_join(o, i).expect("hash join"));
-    let (tj, tree) = time_best(2, || tree_join(o, &iidx).expect("tree join"));
+    let (tj, tree) = time_best(2, || {
+        tree_join(o, &inner.relation, &iidx).expect("tree join")
+    });
     let (sj, sort) = time_best(2, || sort_merge_join(o, i).expect("sort merge"));
     let (mj, merge) = time_best(2, || {
         tree_merge_join(

@@ -66,18 +66,18 @@ pub fn run(scale: Scale) -> Figure {
     let inner = JoinSide::new(&dept, 1, &dtids);
     let ptr_side = JoinSide::new(&emp, 2, &etids); // the FK pointer
 
-    let mut e_idx = TTree::new(AttrAdapter::new(&emp, 1), TTreeConfig::with_node_size(30));
+    let mut e_idx = TTree::new(AttrAdapter::new(1), TTreeConfig::with_node_size(30));
     for t in &etids {
-        e_idx.insert(*t);
+        e_idx.insert(&emp, *t);
     }
-    let mut d_idx = TTree::new(AttrAdapter::new(&dept, 1), TTreeConfig::with_node_size(30));
+    let mut d_idx = TTree::new(AttrAdapter::new(1), TTreeConfig::with_node_size(30));
     for t in &dtids {
-        d_idx.insert(*t);
+        d_idx.insert(&dept, *t);
     }
 
     let (pc, pc_secs) = time_best(3, || precomputed_join(ptr_side).expect("precomputed"));
     let (hj, hj_secs) = time_best(3, || hash_join(outer, inner).expect("hash"));
-    let (tj, tj_secs) = time_best(3, || tree_join(outer, &d_idx).expect("tree"));
+    let (tj, tj_secs) = time_best(3, || tree_join(outer, &dept, &d_idx).expect("tree"));
     let (sm, sm_secs) = time_best(3, || sort_merge_join(outer, inner).expect("sort merge"));
     let (tm, tm_secs) = time_best(3, || {
         tree_merge_join(&emp, 1, &e_idx, &dept, 1, &d_idx).expect("tree merge")

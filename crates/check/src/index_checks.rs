@@ -28,18 +28,20 @@ use mmdb_index::{
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-/// Uniform entry point: every index structure can be deep-checked.
-pub trait DeepCheck {
+/// Uniform entry point: every index structure can be deep-checked,
+/// comparing its entries through the adapter context `cx` (see
+/// [`Adapter::Ctx`]).
+pub trait DeepCheck<A: Adapter> {
     /// Re-derive every structural invariant; returns a clean report or the
     /// full list of violations.
-    fn deep_check(&self) -> Report;
+    fn deep_check(&self, cx: A::Ctx<'_>) -> Report;
 }
 
 /// First adjacent out-of-order pair in `entries`, if any.
-fn first_unsorted<A: Adapter>(adapter: &A, entries: &[A::Entry]) -> Option<usize> {
+fn first_unsorted<A: Adapter>(adapter: &A, cx: A::Ctx<'_>, entries: &[A::Entry]) -> Option<usize> {
     entries
         .windows(2)
-        .position(|w| adapter.cmp_entries(&w[0], &w[1]) == Ordering::Greater)
+        .position(|w| adapter.cmp_entries(cx, &w[0], &w[1]) == Ordering::Greater)
 }
 
 /// Index tree views by node id, reporting duplicate ids (a share or cycle
@@ -68,6 +70,7 @@ fn tree_map<E: Clone>(
 fn check_binary_tree<A: Adapter>(
     structure: &str,
     adapter: &A,
+    cx: A::Ctx<'_>,
     root: Option<u32>,
     map: &HashMap<u32, TreeNodeView<A::Entry>>,
     report: &mut Report,
@@ -173,7 +176,7 @@ fn check_binary_tree<A: Adapter>(
     let mut prev: Option<(u32, A::Entry)> = None;
     for id in &order {
         let v = &map[id];
-        if let Some(i) = first_unsorted(adapter, &v.entries) {
+        if let Some(i) = first_unsorted(adapter, cx, &v.entries) {
             report.fail(
                 structure,
                 format!("node {id}"),
@@ -182,7 +185,7 @@ fn check_binary_tree<A: Adapter>(
             );
         }
         if let (Some((pid, pmax)), Some(first)) = (&prev, v.entries.first()) {
-            if adapter.cmp_entries(pmax, first) == Ordering::Greater {
+            if adapter.cmp_entries(cx, pmax, first) == Ordering::Greater {
                 report.fail(
                     structure,
                     format!("node {id}"),
@@ -198,13 +201,20 @@ fn check_binary_tree<A: Adapter>(
     order
 }
 
-impl<A: Adapter> DeepCheck for TTree<A> {
-    fn deep_check(&self) -> Report {
+impl<A: Adapter> DeepCheck<A> for TTree<A> {
+    fn deep_check(&self, cx: A::Ctx<'_>) -> Report {
         let mut report = Report::new();
         let s = "ttree";
         let views = self.raw_nodes();
         let map = tree_map(s, &views, &mut report);
-        let order = check_binary_tree(s, self.raw_adapter(), self.raw_root(), &map, &mut report);
+        let order = check_binary_tree(
+            s,
+            self.raw_adapter(),
+            cx,
+            self.raw_root(),
+            &map,
+            &mut report,
+        );
         let cfg = self.config();
         let mut total = 0usize;
         for id in &order {
@@ -276,13 +286,20 @@ fn glb_leaf<E>(map: &HashMap<u32, TreeNodeView<E>>, left: Option<u32>) -> Option
     Some(cur)
 }
 
-impl<A: Adapter> DeepCheck for AvlTree<A> {
-    fn deep_check(&self) -> Report {
+impl<A: Adapter> DeepCheck<A> for AvlTree<A> {
+    fn deep_check(&self, cx: A::Ctx<'_>) -> Report {
         let mut report = Report::new();
         let s = "avl";
         let views = self.raw_nodes();
         let map = tree_map(s, &views, &mut report);
-        let order = check_binary_tree(s, self.raw_adapter(), self.raw_root(), &map, &mut report);
+        let order = check_binary_tree(
+            s,
+            self.raw_adapter(),
+            cx,
+            self.raw_root(),
+            &map,
+            &mut report,
+        );
         if order.len() != OrderedIndex::len(self) {
             report.fail(
                 s,
@@ -299,8 +316,8 @@ impl<A: Adapter> DeepCheck for AvlTree<A> {
     }
 }
 
-impl<A: Adapter> DeepCheck for BTree<A> {
-    fn deep_check(&self) -> Report {
+impl<A: Adapter> DeepCheck<A> for BTree<A> {
+    fn deep_check(&self, cx: A::Ctx<'_>) -> Report {
         let mut report = Report::new();
         let s = "btree";
         let views = self.raw_nodes();
@@ -409,7 +426,7 @@ impl<A: Adapter> DeepCheck for BTree<A> {
                 stack.push((v.children[pos], depth + 1, 0));
             }
         }
-        if let Some(i) = first_unsorted(adapter, &in_order) {
+        if let Some(i) = first_unsorted(adapter, cx, &in_order) {
             report.fail(
                 s,
                 "tree".to_string(),
@@ -445,12 +462,12 @@ impl<A: Adapter> DeepCheck for BTree<A> {
     }
 }
 
-impl<A: Adapter> DeepCheck for ArrayIndex<A> {
-    fn deep_check(&self) -> Report {
+impl<A: Adapter> DeepCheck<A> for ArrayIndex<A> {
+    fn deep_check(&self, cx: A::Ctx<'_>) -> Report {
         let mut report = Report::new();
         let s = "array";
         let data = self.as_slice();
-        if let Some(i) = first_unsorted(self.raw_adapter(), data) {
+        if let Some(i) = first_unsorted(self.raw_adapter(), cx, data) {
             report.fail(
                 s,
                 format!("position {i}"),
@@ -486,8 +503,8 @@ impl<A: Adapter> DeepCheck for ArrayIndex<A> {
     }
 }
 
-impl<A: HashAdapter> DeepCheck for ChainedBucketHash<A> {
-    fn deep_check(&self) -> Report {
+impl<A: HashAdapter> DeepCheck<A> for ChainedBucketHash<A> {
+    fn deep_check(&self, cx: A::Ctx<'_>) -> Report {
         let mut report = Report::new();
         let s = "chained-hash";
         let buckets = self.raw_buckets();
@@ -511,7 +528,7 @@ impl<A: HashAdapter> DeepCheck for ChainedBucketHash<A> {
             }
             total += b.entries.len();
             for (i, e) in b.entries.iter().enumerate() {
-                let home = self.raw_home_bucket(e);
+                let home = self.raw_home_bucket(cx, e);
                 if home != b.bucket {
                     report.fail(
                         s,
@@ -537,8 +554,8 @@ impl<A: HashAdapter> DeepCheck for ChainedBucketHash<A> {
     }
 }
 
-impl<A: HashAdapter> DeepCheck for ExtendibleHash<A> {
-    fn deep_check(&self) -> Report {
+impl<A: HashAdapter> DeepCheck<A> for ExtendibleHash<A> {
+    fn deep_check(&self, cx: A::Ctx<'_>) -> Report {
         let mut report = Report::new();
         let s = "extendible-hash";
         let directory = self.raw_directory();
@@ -593,7 +610,7 @@ impl<A: HashAdapter> DeepCheck for ExtendibleHash<A> {
                 slot += stride;
             }
             for (i, e) in b.entries.iter().enumerate() {
-                if self.raw_hash_of(e) & mask != b.pattern {
+                if self.raw_hash_of(cx, e) & mask != b.pattern {
                     report.fail(
                         s,
                         format!("bucket {}", b.id),
@@ -629,8 +646,8 @@ impl<A: HashAdapter> DeepCheck for ExtendibleHash<A> {
     }
 }
 
-impl<A: HashAdapter> DeepCheck for LinearHash<A> {
-    fn deep_check(&self) -> Report {
+impl<A: HashAdapter> DeepCheck<A> for LinearHash<A> {
+    fn deep_check(&self, cx: A::Ctx<'_>) -> Report {
         let mut report = Report::new();
         let s = "linear-hash";
         let buckets = self.raw_buckets();
@@ -659,7 +676,7 @@ impl<A: HashAdapter> DeepCheck for LinearHash<A> {
         for b in &buckets {
             total += b.entries.len();
             for (i, e) in b.entries.iter().enumerate() {
-                let addr = self.raw_address_of(e);
+                let addr = self.raw_address_of(cx, e);
                 if addr != b.bucket {
                     report.fail(
                         s,
@@ -685,8 +702,8 @@ impl<A: HashAdapter> DeepCheck for LinearHash<A> {
     }
 }
 
-impl<A: HashAdapter> DeepCheck for ModifiedLinearHash<A> {
-    fn deep_check(&self) -> Report {
+impl<A: HashAdapter> DeepCheck<A> for ModifiedLinearHash<A> {
+    fn deep_check(&self, cx: A::Ctx<'_>) -> Report {
         let mut report = Report::new();
         let s = "modlinear-hash";
         let chains = self.raw_chains();
@@ -723,7 +740,7 @@ impl<A: HashAdapter> DeepCheck for ModifiedLinearHash<A> {
             }
             total += c.entries.len();
             for (i, e) in c.entries.iter().enumerate() {
-                let addr = self.raw_address_of(e);
+                let addr = self.raw_address_of(cx, e);
                 if addr != c.bucket {
                     report.fail(
                         s,
@@ -771,32 +788,32 @@ mod tests {
         let mut ml = ModifiedLinearHash::new(nat(), 2);
         for k in 0..200u64 {
             let k = (k * 7919) % 1000;
-            t.insert(k);
-            OrderedIndex::insert(&mut avl, k);
-            OrderedIndex::insert(&mut bt, k);
-            OrderedIndex::insert(&mut arr, k);
-            UnorderedIndex::insert(&mut ch, k);
-            UnorderedIndex::insert(&mut ext, k);
-            UnorderedIndex::insert(&mut lin, k);
-            UnorderedIndex::insert(&mut ml, k);
+            t.insert((), k);
+            OrderedIndex::insert(&mut avl, (), k);
+            OrderedIndex::insert(&mut bt, (), k);
+            OrderedIndex::insert(&mut arr, (), k);
+            UnorderedIndex::insert(&mut ch, (), k);
+            UnorderedIndex::insert(&mut ext, (), k);
+            UnorderedIndex::insert(&mut lin, (), k);
+            UnorderedIndex::insert(&mut ml, (), k);
         }
         for k in (0..150u64).map(|k| (k * 7919) % 1000) {
-            let _ = t.delete(&k);
-            let _ = OrderedIndex::delete(&mut avl, &k);
-            let _ = OrderedIndex::delete(&mut bt, &k);
-            let _ = OrderedIndex::delete(&mut arr, &k);
-            let _ = UnorderedIndex::delete(&mut ch, &k);
-            let _ = UnorderedIndex::delete(&mut ext, &k);
-            let _ = UnorderedIndex::delete(&mut lin, &k);
-            let _ = UnorderedIndex::delete(&mut ml, &k);
+            let _ = t.delete((), &k);
+            let _ = OrderedIndex::delete(&mut avl, (), &k);
+            let _ = OrderedIndex::delete(&mut bt, (), &k);
+            let _ = OrderedIndex::delete(&mut arr, (), &k);
+            let _ = UnorderedIndex::delete(&mut ch, (), &k);
+            let _ = UnorderedIndex::delete(&mut ext, (), &k);
+            let _ = UnorderedIndex::delete(&mut lin, (), &k);
+            let _ = UnorderedIndex::delete(&mut ml, (), &k);
         }
-        t.deep_check().assert_ok();
-        avl.deep_check().assert_ok();
-        bt.deep_check().assert_ok();
-        arr.deep_check().assert_ok();
-        ch.deep_check().assert_ok();
-        ext.deep_check().assert_ok();
-        lin.deep_check().assert_ok();
-        ml.deep_check().assert_ok();
+        t.deep_check(()).assert_ok();
+        avl.deep_check(()).assert_ok();
+        bt.deep_check(()).assert_ok();
+        arr.deep_check(()).assert_ok();
+        ch.deep_check(()).assert_ok();
+        ext.deep_check(()).assert_ok();
+        lin.deep_check(()).assert_ok();
+        ml.deep_check(()).assert_ok();
     }
 }

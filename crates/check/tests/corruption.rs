@@ -14,7 +14,7 @@ use mmdb_recovery::{PartitionKey, StableLogBuffer};
 fn ttree(n: u64) -> TTree<NaturalAdapter<u64>> {
     let mut t = TTree::new(NaturalAdapter::new(), TTreeConfig::with_node_size(4));
     for k in 0..n {
-        t.insert(k);
+        t.insert((), k);
     }
     t
 }
@@ -31,7 +31,7 @@ fn ttree_overfilled_node_is_rejected() {
     while items.len() <= max {
         items.push(top);
     }
-    let msg = t.deep_check().into_result().unwrap_err();
+    let msg = t.deep_check(()).into_result().unwrap_err();
     assert!(msg.contains("[ttree]"), "{msg}");
     assert!(msg.contains("node-occupancy-max"), "{msg}");
     assert!(msg.contains(&format!("node {root}")), "{msg}");
@@ -50,7 +50,7 @@ fn ttree_underfilled_internal_node_is_rejected() {
     let id = internal.id;
     let min = t.config().min_count();
     t.raw_items_mut(id).truncate(min - 1);
-    let msg = t.deep_check().into_result().unwrap_err();
+    let msg = t.deep_check(()).into_result().unwrap_err();
     assert!(msg.contains("[ttree]"), "{msg}");
     assert!(msg.contains("node-occupancy-min"), "{msg}");
     assert!(msg.contains(&format!("node {id}")), "{msg}");
@@ -67,15 +67,15 @@ fn ttree_underfilled_bulk_build_is_rejected() {
     // NaturalAdapter's entry tags are the default 0, so pre-tagged
     // pairs carry 0 (bulk build requires tags agree with the adapter).
     let tagged: Vec<(u64, u64)> = (0..200u64).map(|k| (0, k)).collect();
-    let good = TTree::build_from_sorted(NaturalAdapter::new(), config, tagged.clone());
-    good.validate().unwrap();
-    good.deep_check().assert_ok();
+    let good = TTree::build_from_sorted(NaturalAdapter::new(), (), config, tagged.clone());
+    good.validate(()).unwrap();
+    good.deep_check(()).assert_ok();
     // Fill 2 per node: internal nodes sit far below min_count while
     // their GLB donor leaves have entries to spare.
     let min = config.min_count();
     assert!(2 < min, "fill must undercut min_count {min}");
-    let bad = TTree::raw_build_with_fill(NaturalAdapter::new(), config, tagged, 2);
-    let msg = bad.deep_check().into_result().unwrap_err();
+    let bad = TTree::raw_build_with_fill(NaturalAdapter::new(), (), config, tagged, 2);
+    let msg = bad.deep_check(()).into_result().unwrap_err();
     assert!(msg.contains("[ttree]"), "{msg}");
     assert!(msg.contains("node-occupancy-min"), "{msg}");
     assert!(msg.contains(&format!("min_count {min}")), "{msg}");
@@ -91,7 +91,7 @@ fn ttree_swapped_keys_are_rejected() {
         .expect("node-size-4 tree has multi-entry nodes");
     let id = victim.id;
     t.raw_items_mut(id).swap(0, 1);
-    let msg = t.deep_check().into_result().unwrap_err();
+    let msg = t.deep_check(()).into_result().unwrap_err();
     assert!(msg.contains("[ttree]"), "{msg}");
     assert!(msg.contains("key-order"), "{msg}");
     assert!(msg.contains(&format!("node {id}")), "{msg}");
@@ -102,7 +102,7 @@ fn chained_hash_swapped_bucket_heads_are_rejected() {
     let mut h: ChainedBucketHash<NaturalAdapter<u64>> =
         ChainedBucketHash::with_capacity(NaturalAdapter::new(), 16);
     for k in 0..64u64 {
-        UnorderedIndex::insert(&mut h, k);
+        UnorderedIndex::insert(&mut h, (), k);
     }
     // Two non-empty buckets whose chains now live under the wrong head.
     let full: Vec<usize> = h
@@ -113,7 +113,7 @@ fn chained_hash_swapped_bucket_heads_are_rejected() {
         .collect();
     let (a, b) = (full[0], full[1]);
     h.raw_swap_heads(a, b);
-    let msg = h.deep_check().into_result().unwrap_err();
+    let msg = h.deep_check(()).into_result().unwrap_err();
     assert!(msg.contains("[chained-hash]"), "{msg}");
     assert!(msg.contains("bucket-addressing"), "{msg}");
     assert!(

@@ -5,7 +5,6 @@
 
 use crate::db::{AnyIndex, Database, IndexKind, TableId};
 use crate::error::DbError;
-use crate::shared::SharedAdapter;
 use mmdb_exec::plan::{
     AttrInfo, BoxedOperator, DistinctOp, FullScanOp, HashLookupOp, JoinKernel, JoinOp, PlanCatalog,
     PlanNode, PlanNodeKind, PostFilterOp, PrecomputedKernel, ProjectOp, SeqFilterOp, SidesKernel,
@@ -14,15 +13,14 @@ use mmdb_exec::plan::{
 use mmdb_exec::{IndexAvailability, JoinMethod, Predicate, SelectPath};
 use mmdb_index::{ModifiedLinearHash, TTree};
 use mmdb_recovery::StableStore;
-use mmdb_storage::{AttrType, KeyValue, Relation, ResultDescriptor};
-use std::marker::PhantomData;
+use mmdb_storage::{AttrAdapter, AttrType, KeyValue, Relation, ResultDescriptor};
 
 /// A selection access path bound to the index that serves it.
 pub(crate) enum BoundSelect<'i, 'k> {
     /// Probe this hash index with the equality key.
-    Hash(&'i ModifiedLinearHash<SharedAdapter>, &'k KeyValue),
+    Hash(&'i ModifiedLinearHash<AttrAdapter>, &'k KeyValue),
     /// Point or range lookup in this T-Tree.
-    Tree(&'i TTree<SharedAdapter>),
+    Tree(&'i TTree<AttrAdapter>),
     /// No usable index: scan the relation.
     Scan,
 }
@@ -42,14 +40,14 @@ impl<S: StableStore> Database<S> {
         }
     }
 
-    fn find_ttree(&self, table: TableId, attr: usize) -> Option<&TTree<SharedAdapter>> {
+    fn find_ttree(&self, table: TableId, attr: usize) -> Option<&TTree<AttrAdapter>> {
         self.indexes.iter().find_map(|i| match &i.index {
             AnyIndex::TTree(t) if i.table == table && i.attr == attr => Some(t),
             _ => None,
         })
     }
 
-    fn find_hash(&self, table: TableId, attr: usize) -> Option<&ModifiedLinearHash<SharedAdapter>> {
+    fn find_hash(&self, table: TableId, attr: usize) -> Option<&ModifiedLinearHash<AttrAdapter>> {
         self.indexes.iter().find_map(|i| match &i.index {
             AnyIndex::Hash(h) if i.table == table && i.attr == attr => Some(h),
             _ => None,
@@ -131,6 +129,7 @@ impl<S: StableStore> Database<S> {
                 Box::new(TreeJoinKernel {
                     outer_rel: orel,
                     outer_attr: o_attr,
+                    inner_rel: irel,
                     inner_index: iidx,
                 })
             }
@@ -181,14 +180,14 @@ impl<S: StableStore> Database<S> {
                     BoundSelect::Hash(index, key) => Box::new(HashLookupOp {
                         id: node.id,
                         index,
+                        rel,
                         key: key.clone(),
-                        _adapter: PhantomData,
                     }),
                     BoundSelect::Tree(index) => Box::new(TreeLookupOp {
                         id: node.id,
                         index,
+                        rel,
                         pred: pred.clone(),
-                        _adapter: PhantomData,
                     }),
                     BoundSelect::Scan => Box::new(SeqFilterOp {
                         id: node.id,

@@ -6,7 +6,6 @@ use crate::bind::BoundSelect;
 use crate::catalog::{encode_catalog, CatalogMeta, IndexMeta, TableMeta};
 use crate::error::DbError;
 use crate::restart::{build_index_bulk, CrashedDatabase};
-use crate::shared::SharedAdapter;
 use crate::txn::{Transaction, WriteOp};
 use mmdb_exec::{
     choose_select_path, select_hash_index, select_scan_iter, select_tree_index, Predicate,
@@ -15,7 +14,7 @@ use mmdb_index::traits::{OrderedIndex, UnorderedIndex};
 use mmdb_index::{ModifiedLinearHash, TTree};
 use mmdb_lock::{LockManager, LockMode, LockTarget, TxnId};
 use mmdb_recovery::{MemDisk, PartitionKey, RecoveryManager, StableStore};
-use mmdb_storage::{OwnedValue, PartitionConfig, Relation, Schema, TempList, TupleId};
+use mmdb_storage::{AttrAdapter, OwnedValue, PartitionConfig, Relation, Schema, TempList, TupleId};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -34,23 +33,25 @@ pub enum IndexKind {
     Hash,
 }
 
+/// An engine index. Its operations compare through the guard of the
+/// relation it covers, which the caller already holds.
 pub(crate) enum AnyIndex {
-    TTree(TTree<SharedAdapter>),
-    Hash(ModifiedLinearHash<SharedAdapter>),
+    TTree(TTree<AttrAdapter>),
+    Hash(ModifiedLinearHash<AttrAdapter>),
 }
 
 impl AnyIndex {
-    fn insert(&mut self, tid: TupleId) {
+    fn insert(&mut self, rel: &Relation, tid: TupleId) {
         match self {
-            AnyIndex::TTree(t) => t.insert(tid),
-            AnyIndex::Hash(h) => h.insert(tid),
+            AnyIndex::TTree(t) => t.insert(rel, tid),
+            AnyIndex::Hash(h) => h.insert(rel, tid),
         }
     }
 
-    fn delete_entry(&mut self, tid: &TupleId) -> bool {
+    fn delete_entry(&mut self, rel: &Relation, tid: &TupleId) -> bool {
         match self {
-            AnyIndex::TTree(t) => t.delete_entry(tid),
-            AnyIndex::Hash(h) => h.delete_entry(tid),
+            AnyIndex::TTree(t) => t.delete_entry(rel, tid),
+            AnyIndex::Hash(h) => h.delete_entry(rel, tid),
         }
     }
 
@@ -61,10 +62,10 @@ impl AnyIndex {
         }
     }
 
-    fn validate(&self) -> Result<(), String> {
+    fn validate(&self, rel: &Relation) -> Result<(), String> {
         match self {
-            AnyIndex::TTree(t) => t.validate(),
-            AnyIndex::Hash(h) => h.validate(),
+            AnyIndex::TTree(t) => t.validate(rel),
+            AnyIndex::Hash(h) => h.validate(rel),
         }
     }
 }
@@ -177,7 +178,7 @@ impl<S: StableStore> Database<S> {
         // Bulk-build over the existing population: one key snapshot under
         // a single read guard, then run-sort + bottom-up construction
         // (T-Tree) or a pre-sized fill (hash) — the same path restart uses.
-        let (index, _entries) = build_index_bulk(&self.table(t).rel, attr_idx, kind, param);
+        let (index, _entries) = build_index_bulk(&self.table(t).rel.read(), attr_idx, kind, param);
         self.indexes.push(IndexDef {
             name: name.to_string(),
             table: t,
@@ -259,8 +260,11 @@ impl<S: StableStore> Database<S> {
     /// Check every index invariant (tests / debugging).
     pub fn validate_indexes(&self) -> Result<(), String> {
         for i in &self.indexes {
-            i.index.validate().map_err(|e| format!("{}: {e}", i.name))?;
-            let expect = self.table(i.table).rel.read().len();
+            let rel = self.table(i.table).rel.read();
+            i.index
+                .validate(&rel)
+                .map_err(|e| format!("{}: {e}", i.name))?;
+            let expect = rel.len();
             if i.index.len() != expect {
                 return Err(format!(
                     "{}: holds {} entries, relation has {expect}",
@@ -445,9 +449,7 @@ impl<S: StableStore> Database<S> {
                         LockTarget::new(table as u32, tid.partition),
                         LockMode::Exclusive,
                     )?;
-                    for idx in self.indexes.iter_mut().filter(|i| i.table == table) {
-                        idx.index.insert(tid);
-                    }
+                    self.maintain_indexes(table, None, |ix, rel| ix.insert(rel, tid));
                     inserted.push(tid);
                     touched.insert(table);
                 }
@@ -465,24 +467,14 @@ impl<S: StableStore> Database<S> {
                     )?;
                     // Remove stale index entries while the old value is
                     // still readable.
-                    for idx in self
-                        .indexes
-                        .iter_mut()
-                        .filter(|i| i.table == table && i.attr == attr)
-                    {
-                        idx.index.delete_entry(&tid);
-                    }
+                    self.maintain_indexes(table, Some(attr), |ix, rel| {
+                        ix.delete_entry(rel, &tid);
+                    });
                     self.table(table)
                         .rel
                         .write()
                         .update_field(tid, attr, &value)?;
-                    for idx in self
-                        .indexes
-                        .iter_mut()
-                        .filter(|i| i.table == table && i.attr == attr)
-                    {
-                        idx.index.insert(tid);
-                    }
+                    self.maintain_indexes(table, Some(attr), |ix, rel| ix.insert(rel, tid));
                     touched.insert(table);
                 }
                 WriteOp::Delete { table, tid } => {
@@ -492,9 +484,9 @@ impl<S: StableStore> Database<S> {
                         LockTarget::new(table as u32, phys.partition),
                         LockMode::Exclusive,
                     )?;
-                    for idx in self.indexes.iter_mut().filter(|i| i.table == table) {
-                        idx.index.delete_entry(&tid);
-                    }
+                    self.maintain_indexes(table, None, |ix, rel| {
+                        ix.delete_entry(rel, &tid);
+                    });
                     self.table(table).rel.write().delete(tid)?;
                     touched.insert(table);
                 }
@@ -514,6 +506,26 @@ impl<S: StableStore> Database<S> {
             rel.clear_dirty();
         }
         Ok(inserted)
+    }
+
+    /// Run `f` on every index of `table` (only those on `attr`, if given)
+    /// under one read guard of the relation, the context each index
+    /// operation compares through. The guard is released on return, so
+    /// the storage mutation that follows takes the write guard alone.
+    fn maintain_indexes(
+        &mut self,
+        table: TableId,
+        attr: Option<usize>,
+        f: impl Fn(&mut AnyIndex, &Relation),
+    ) {
+        let rel = self.tables[table].rel.read();
+        for idx in self
+            .indexes
+            .iter_mut()
+            .filter(|i| i.table == table && attr.is_none_or(|a| a == i.attr))
+        {
+            f(&mut idx.index, &rel);
+        }
     }
 
     /// Abort: discard the buffered writes — "the log entry is removed and
@@ -568,18 +580,16 @@ impl<S: StableStore> Database<S> {
     /// lookup, then sequential scan.
     pub fn select(&self, table: &str, attr: &str, pred: &Predicate) -> Result<TempList, DbError> {
         let t = self.table_id(table)?;
-        let attr_idx = self.table(t).rel.read().schema().index_of(attr)?;
+        let rel = self.table(t).rel.read();
+        let attr_idx = rel.schema().index_of(attr)?;
         let path = choose_select_path(
             self.availability(t, attr_idx),
             matches!(pred, Predicate::Eq(_)),
         );
         match self.bind_select(t, attr_idx, path, pred)? {
-            BoundSelect::Hash(idx, key) => Ok(select_hash_index(idx, key)),
-            BoundSelect::Tree(idx) => Ok(select_tree_index(idx, pred)),
-            BoundSelect::Scan => {
-                let rel = self.table(t).rel.read();
-                Ok(select_scan_iter(&rel, attr_idx, rel.iter_tids(), pred)?)
-            }
+            BoundSelect::Hash(idx, key) => Ok(select_hash_index(idx, &rel, key)),
+            BoundSelect::Tree(idx) => Ok(select_tree_index(idx, &rel, pred)),
+            BoundSelect::Scan => Ok(select_scan_iter(&rel, attr_idx, rel.iter_tids(), pred)?),
         }
     }
 
@@ -621,17 +631,15 @@ impl<S: StableStore> Database<S> {
         use mmdb_check::DeepCheck;
         use mmdb_storage::AttrType;
         let mut report = mmdb_check::Report::new();
-        for def in &self.indexes {
-            match &def.index {
-                AnyIndex::TTree(t) => report.merge(t.deep_check()),
-                AnyIndex::Hash(h) => report.merge(h.deep_check()),
-            }
-        }
         for (t, table) in self.tables.iter().enumerate() {
             let rel = table.rel.read();
             report.merge(mmdb_check::storage_checks::check_relation(&rel));
             let live: HashSet<TupleId> = rel.iter_tids().collect();
             for def in self.indexes.iter().filter(|d| d.table == t) {
+                report.merge(match &def.index {
+                    AnyIndex::TTree(x) => x.deep_check(&rel),
+                    AnyIndex::Hash(x) => x.deep_check(&rel),
+                });
                 let entries: Vec<TupleId> = match &def.index {
                     AnyIndex::TTree(x) => {
                         x.raw_nodes().into_iter().flat_map(|n| n.entries).collect()

@@ -43,7 +43,6 @@ pub mod engine;
 pub mod error;
 pub mod query;
 mod restart;
-pub mod shared;
 pub mod txn;
 
 pub use checkpoint::{CheckpointReport, Checkpointer};
@@ -52,5 +51,4 @@ pub use engine::{GroupCommitStats, Session, Txn, TxnEngine, TxnError};
 pub use error::DbError;
 pub use query::{QueryBuilder, QueryOutput};
 pub use restart::{CrashedDatabase, IndexRebuildStat, RecoveryReport, RecoveryTimings};
-pub use shared::SharedAdapter;
 pub use txn::Transaction;

@@ -5,14 +5,14 @@
 use crate::catalog::{decode_catalog, CatalogMeta};
 use crate::db::{AnyIndex, Database, IndexDef, IndexKind, Table, CATALOG_SLOTS};
 use crate::error::DbError;
-use crate::shared::{live_field, SharedAdapter};
 use mmdb_exec::{run_tasks, ExecConfig};
+use mmdb_index::adapter::{Adapter, HashAdapter};
 use mmdb_index::sort::run_sort;
 use mmdb_index::stats::Counters;
 use mmdb_index::{ModifiedLinearHash, TTree, TTreeConfig};
 use mmdb_lock::LockManager;
 use mmdb_recovery::{PartitionKey, RecoveryManager, RestartPhase, StableStore};
-use mmdb_storage::{value_hash, value_order_tag, Partition, Relation, TupleId};
+use mmdb_storage::{AttrAdapter, Partition, Relation, TupleId};
 use parking_lot::RwLock;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,57 +23,50 @@ use std::time::{Duration, Instant};
 const REBUILD_RUN_LEN: usize = 16_384;
 
 /// Build one index over the current population of `rel` through the bulk
-/// paths (DESIGN.md §16): snapshot `(key tag, tid)` pairs under a
-/// **single** read guard with a monomorphic loop — the tuple-at-a-time
-/// alternative re-locks the relation and re-dispatches through
-/// [`AnyIndex`] for every tuple — then either run-sort + bottom-up
-/// T-Tree construction or a pre-sized hash fill. Returns the index and
-/// its entry count.
+/// paths (DESIGN.md §16): snapshot `(key tag, tid)` pairs with a
+/// monomorphic loop over the caller's read guard — the tuple-at-a-time
+/// alternative re-dispatches through [`AnyIndex`] for every tuple — then
+/// either run-sort + bottom-up T-Tree construction or a pre-sized hash
+/// fill. Returns the index and its entry count.
 pub(crate) fn build_index_bulk(
-    rel: &Arc<RwLock<Relation>>,
+    rel: &Relation,
     attr: usize,
     kind: IndexKind,
     param: u32,
 ) -> (AnyIndex, usize) {
-    let adapter = SharedAdapter::new(Arc::clone(rel), attr);
+    let adapter = AttrAdapter::new(attr);
     match kind {
         IndexKind::TTree => {
-            let tagged = {
-                let r = rel.read();
-                let mut v: Vec<(u64, TupleId)> = r
-                    .iter_tids()
-                    .map(|tid| (value_order_tag(&live_field(&r, tid, attr)), tid))
-                    .collect();
-                // Tag-first comparison: unequal tags decide without
-                // touching the tuple (the §2.2 pointer-chase); ties fall
-                // back to the full value order. Equal keys drain in tid
-                // (insertion) order across runs.
-                let counters = Counters::default();
-                run_sort(&mut v, REBUILD_RUN_LEN, &counters, &mut |a, b| {
-                    a.0.cmp(&b.0).then_with(|| {
-                        live_field(&r, a.1, attr).total_cmp(&live_field(&r, b.1, attr))
-                    })
-                });
-                v
-            };
+            let mut tagged: Vec<(u64, TupleId)> = rel
+                .iter_tids()
+                .map(|tid| (adapter.entry_tag(rel, &tid), tid))
+                .collect();
+            // Tag-first comparison: unequal tags decide without touching
+            // the tuple (the §2.2 pointer-chase); ties fall back to the
+            // full value order. Equal keys drain in tid (insertion) order
+            // across runs.
+            let counters = Counters::default();
+            run_sort(&mut tagged, REBUILD_RUN_LEN, &counters, &mut |a, b| {
+                a.0.cmp(&b.0)
+                    .then_with(|| adapter.cmp_entries(rel, &a.1, &b.1))
+            });
             let n = tagged.len();
             let tree = TTree::build_from_sorted(
                 adapter,
+                rel,
                 TTreeConfig::with_node_size(param as usize),
                 tagged,
             );
             (AnyIndex::TTree(tree), n)
         }
         IndexKind::Hash => {
-            let hashed: Vec<(u64, TupleId)> = {
-                let r = rel.read();
-                r.iter_tids()
-                    .map(|tid| (value_hash(&live_field(&r, tid, attr)), tid))
-                    .collect()
-            };
+            let hashed: Vec<(u64, TupleId)> = rel
+                .iter_tids()
+                .map(|tid| (adapter.hash_entry(rel, &tid), tid))
+                .collect();
             let n = hashed.len();
             let mut h = ModifiedLinearHash::new(adapter, param as usize);
-            h.bulk_fill_hashed(hashed);
+            h.bulk_fill_hashed(rel, hashed);
             (AnyIndex::Hash(h), n)
         }
     }
@@ -251,7 +244,7 @@ impl<S: StableStore + Sync> CrashedDatabase<S> {
                 let im = &meta.indexes[i];
                 let start = Instant::now();
                 let (index, entries) =
-                    build_index_bulk(&rels[i], im.attr as usize, im.kind, im.param);
+                    build_index_bulk(&rels[i].read(), im.attr as usize, im.kind, im.param);
                 (index, entries, start.elapsed())
             });
         let mut index_stats = Vec::with_capacity(built.len());

@@ -15,18 +15,19 @@
 
 use super::{hash::probe_key, JoinOutput, JoinSide};
 use crate::error::ExecError;
-use crate::TupleAdapter;
 use mmdb_index::traits::OrderedIndex;
 use mmdb_index::TTree;
-use mmdb_storage::TempList;
+use mmdb_storage::{AttrAdapter, Relation, TempList};
 
 /// Join by probing an **existing** T-Tree index on the inner relation once
 /// per outer tuple. The index's own counters (accumulated during the
 /// probes) are returned; since the index pre-exists, no build cost
-/// appears — mirroring the paper's accounting.
-pub fn tree_join<A: TupleAdapter>(
+/// appears — mirroring the paper's accounting. `inner_rel` is the
+/// relation the index covers, borrowed for all probes.
+pub fn tree_join(
     outer: JoinSide<'_>,
-    inner_index: &TTree<A>,
+    inner_rel: &Relation,
+    inner_index: &TTree<AttrAdapter>,
 ) -> Result<JoinOutput, ExecError> {
     let before = inner_index.stats();
     let mut out = TempList::new(2);
@@ -35,7 +36,7 @@ pub fn tree_join<A: TupleAdapter>(
         let ov = outer.value(ot)?;
         if let Some(key) = probe_key(&ov) {
             matches.clear();
-            inner_index.search_all(&key, &mut matches);
+            inner_index.search_all(inner_rel, &key, &mut matches);
             for &it in &matches {
                 out.push_pair(ot, it)?;
             }
@@ -53,16 +54,14 @@ mod tests {
     use super::*;
     use mmdb_index::TTreeConfig;
 
-    use mmdb_storage::AttrAdapter;
-
-    fn build_index<'a>(
-        rel: &'a mmdb_storage::Relation,
+    fn build_index(
+        rel: &Relation,
         attr: usize,
         tids: &[mmdb_storage::TupleId],
-    ) -> TTree<AttrAdapter<'a>> {
-        let mut t = TTree::new(AttrAdapter::new(rel, attr), TTreeConfig::with_node_size(16));
+    ) -> TTree<AttrAdapter> {
+        let mut t = TTree::new(AttrAdapter::new(attr), TTreeConfig::with_node_size(16));
         for tid in tids {
-            t.insert(*tid);
+            t.insert(rel, *tid);
         }
         t
     }
@@ -74,7 +73,7 @@ mod tests {
         let (orel, otids) = rel_with_values("o", &ov);
         let (irel, itids) = rel_with_values("i", &iv);
         let idx = build_index(&irel, 1, &itids);
-        let out = tree_join(JoinSide::new(&orel, 1, &otids), &idx).unwrap();
+        let out = tree_join(JoinSide::new(&orel, 1, &otids), &irel, &idx).unwrap();
         assert_eq!(
             normalize(&out.pairs, &orel, &irel),
             expected_pairs(&ov, &iv)
@@ -87,7 +86,7 @@ mod tests {
         let (orel, _) = rel_with_values("o", &[]);
         let idx = build_index(&irel, 1, &itids);
         let empty: Vec<mmdb_storage::TupleId> = vec![];
-        let out = tree_join(JoinSide::new(&orel, 1, &empty), &idx).unwrap();
+        let out = tree_join(JoinSide::new(&orel, 1, &empty), &irel, &idx).unwrap();
         assert!(out.is_empty());
     }
 
@@ -101,7 +100,7 @@ mod tests {
             let (orel, otids) = rel_with_values("o", &ov);
             let (irel, itids) = rel_with_values("i", &iv);
             let idx = build_index(&irel, 1, &itids);
-            let out = tree_join(JoinSide::new(&orel, 1, &otids), &idx).unwrap();
+            let out = tree_join(JoinSide::new(&orel, 1, &otids), &irel, &idx).unwrap();
             out.stats.comparisons as f64 / 200.0
         };
         let small = per_probe(500);
@@ -119,7 +118,7 @@ mod tests {
         let (orel, otids) = rel_with_values("o", &ov);
         let (irel, itids) = rel_with_values("i", &iv);
         let idx = build_index(&irel, 1, &itids);
-        let out = tree_join(JoinSide::new(&orel, 1, &otids), &idx).unwrap();
+        let out = tree_join(JoinSide::new(&orel, 1, &otids), &irel, &idx).unwrap();
         assert_eq!(out.len(), 3 + 2 + 1);
         assert_eq!(
             normalize(&out.pairs, &orel, &irel),

@@ -12,22 +12,21 @@
 
 use super::{hash::probe_key, merge_join_cursors, JoinOutput, JoinSide};
 use crate::error::ExecError;
-use crate::TupleAdapter;
 use mmdb_index::traits::OrderedIndex;
 use mmdb_index::TTree;
-use mmdb_storage::{KeyValue, Relation, TempList};
+use mmdb_storage::{AttrAdapter, KeyValue, Relation, TempList};
 use std::cmp::Ordering;
 
 /// Join by merging two **existing** T-Tree indices in key order. No build
 /// cost is charged (the paper's accounting); the returned stats cover only
 /// the merge comparisons.
-pub fn tree_merge_join<A: TupleAdapter, B: TupleAdapter>(
+pub fn tree_merge_join(
     outer_rel: &Relation,
     outer_attr: usize,
-    outer_index: &TTree<A>,
+    outer_index: &TTree<AttrAdapter>,
     inner_rel: &Relation,
     inner_attr: usize,
-    inner_index: &TTree<B>,
+    inner_index: &TTree<AttrAdapter>,
 ) -> Result<JoinOutput, ExecError> {
     let counters = mmdb_index::stats::Counters::default();
     let pairs = merge_join_cursors(
@@ -61,10 +60,10 @@ pub enum IneqOp {
 /// the data, so the Tree Join should be used for such (<, ≤, >, ≥)
 /// joins"*). For each outer tuple, emits `(outer, inner)` for every inner
 /// tuple whose join value stands in `op` relation to the outer value.
-pub fn tree_ineq_join<A: TupleAdapter>(
+pub fn tree_ineq_join(
     outer: JoinSide<'_>,
     inner: JoinSide<'_>,
-    inner_index: &TTree<A>,
+    inner_index: &TTree<AttrAdapter>,
     op: IneqOp,
 ) -> Result<JoinOutput, ExecError> {
     let counters = mmdb_index::stats::Counters::default();
@@ -77,7 +76,7 @@ pub fn tree_ineq_join<A: TupleAdapter>(
             IneqOp::Greater | IneqOp::GreaterEq => {
                 // Start at the lower bound; for strict '>', skip the equal
                 // run first.
-                for it in inner_index.iter_from(&key) {
+                for it in inner_index.iter_from(inner.rel, &key) {
                     if op == IneqOp::Greater {
                         counters.comparisons(1);
                         if cmp_inner(&inner, it, &key)? == Ordering::Equal {
@@ -127,12 +126,12 @@ mod tests {
     use super::*;
     use mmdb_index::traits::OrderedIndex;
     use mmdb_index::TTreeConfig;
-    use mmdb_storage::{AttrAdapter, TupleId};
+    use mmdb_storage::TupleId;
 
-    fn build_index<'a>(rel: &'a Relation, attr: usize, tids: &[TupleId]) -> TTree<AttrAdapter<'a>> {
-        let mut t = TTree::new(AttrAdapter::new(rel, attr), TTreeConfig::with_node_size(16));
+    fn build_index(rel: &Relation, attr: usize, tids: &[TupleId]) -> TTree<AttrAdapter> {
+        let mut t = TTree::new(AttrAdapter::new(attr), TTreeConfig::with_node_size(16));
         for tid in tids {
-            t.insert(*tid);
+            t.insert(rel, *tid);
         }
         t
     }

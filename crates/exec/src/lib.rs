@@ -36,19 +36,6 @@ pub mod plan;
 pub mod project;
 pub mod select;
 
-use mmdb_index::adapter::{Adapter, HashAdapter};
-use mmdb_storage::{KeyValue, TupleId};
-
-/// Any adapter that indexes tuple pointers by a [`KeyValue`]-comparable
-/// attribute — the shape every MM-DBMS index adapter has (§2.2). Blanket
-/// implemented; used as a bound by the index-typed operators.
-pub trait TupleAdapter: Adapter<Entry = TupleId, Key = KeyValue> {}
-impl<T: Adapter<Entry = TupleId, Key = KeyValue>> TupleAdapter for T {}
-
-/// [`TupleAdapter`] that can also hash its keys (hash-index operators).
-pub trait HashTupleAdapter: HashAdapter<Entry = TupleId, Key = KeyValue> {}
-impl<T: HashAdapter<Entry = TupleId, Key = KeyValue>> HashTupleAdapter for T {}
-
 pub use error::ExecError;
 pub use join::{
     hash_join, nested_loops_join, precomputed_join, sort_merge_join, theta_nested_loops_join,

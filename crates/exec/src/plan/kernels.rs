@@ -12,9 +12,8 @@ use crate::join::{
     JoinOutput, JoinSide,
 };
 use crate::plan::cost::JoinMethod;
-use crate::TupleAdapter;
 use mmdb_index::TTree;
-use mmdb_storage::{Relation, TupleId};
+use mmdb_storage::{AttrAdapter, Relation, TupleId};
 
 /// A bound equijoin ready to run.
 ///
@@ -61,22 +60,22 @@ impl JoinKernel for PrecomputedKernel<'_> {
 
 /// §3.3.2 tree merge: walk both T-Trees in order. Only valid when both
 /// inputs are full relations, so the tid arguments are ignored.
-pub struct TreeMergeKernel<'a, A: TupleAdapter, B: TupleAdapter> {
+pub struct TreeMergeKernel<'a> {
     /// Outer relation.
     pub outer_rel: &'a Relation,
     /// Outer join attribute index.
     pub outer_attr: usize,
     /// T-Tree on the outer join attribute.
-    pub outer_index: &'a TTree<A>,
+    pub outer_index: &'a TTree<AttrAdapter>,
     /// Inner relation.
     pub inner_rel: &'a Relation,
     /// Inner join attribute index.
     pub inner_attr: usize,
     /// T-Tree on the inner join attribute.
-    pub inner_index: &'a TTree<B>,
+    pub inner_index: &'a TTree<AttrAdapter>,
 }
 
-impl<A: TupleAdapter, B: TupleAdapter> JoinKernel for TreeMergeKernel<'_, A, B> {
+impl JoinKernel for TreeMergeKernel<'_> {
     fn method(&self) -> JoinMethod {
         JoinMethod::TreeMerge
     }
@@ -98,16 +97,18 @@ impl<A: TupleAdapter, B: TupleAdapter> JoinKernel for TreeMergeKernel<'_, A, B> 
 }
 
 /// §3.3.2 tree join: probe the inner T-Tree per outer tuple.
-pub struct TreeJoinKernel<'a, A: TupleAdapter> {
+pub struct TreeJoinKernel<'a> {
     /// Outer relation.
     pub outer_rel: &'a Relation,
     /// Outer join attribute index.
     pub outer_attr: usize,
+    /// Inner relation (the context the inner T-Tree compares through).
+    pub inner_rel: &'a Relation,
     /// T-Tree on the inner join attribute (covers the full relation).
-    pub inner_index: &'a TTree<A>,
+    pub inner_index: &'a TTree<AttrAdapter>,
 }
 
-impl<A: TupleAdapter> JoinKernel for TreeJoinKernel<'_, A> {
+impl JoinKernel for TreeJoinKernel<'_> {
     fn method(&self) -> JoinMethod {
         JoinMethod::TreeJoin
     }
@@ -119,6 +120,7 @@ impl<A: TupleAdapter> JoinKernel for TreeJoinKernel<'_, A> {
     ) -> Result<JoinOutput, ExecError> {
         tree_join(
             JoinSide::new(self.outer_rel, self.outer_attr, outer_tids),
+            self.inner_rel,
             self.inner_index,
         )
     }

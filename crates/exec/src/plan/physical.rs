@@ -13,12 +13,10 @@ use crate::plan::kernels::JoinKernel;
 use crate::plan::planner::NodeId;
 use crate::project::project_hash;
 use crate::select::{select_hash_index, select_scan_iter, select_tree_index, Predicate};
-use crate::{HashTupleAdapter, TupleAdapter};
 use mmdb_index::stats::Snapshot;
 use mmdb_index::traits::{OrderedIndex, UnorderedIndex};
-use mmdb_storage::{KeyValue, Relation, ResultDescriptor, TempList, TupleId};
+use mmdb_storage::{AttrAdapter, KeyValue, Relation, ResultDescriptor, TempList, TupleId};
 use std::collections::HashMap;
-use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 /// Runtime actuals for one operator, indexed by plan-node id.
@@ -133,22 +131,22 @@ impl Operator for SeqFilterOp<'_> {
 }
 
 /// T-Tree lookup selection (point or range).
-pub struct TreeLookupOp<'a, A: TupleAdapter, O: OrderedIndex<A>> {
+pub struct TreeLookupOp<'a> {
     /// Plan-node id.
     pub id: NodeId,
     /// The order-preserving index probed.
-    pub index: &'a O,
+    pub index: &'a dyn OrderedIndex<AttrAdapter>,
+    /// The relation the index covers.
+    pub rel: &'a Relation,
     /// The predicate.
     pub pred: Predicate,
-    /// Adapter marker.
-    pub _adapter: PhantomData<A>,
 }
 
-impl<A: TupleAdapter, O: OrderedIndex<A>> Operator for TreeLookupOp<'_, A, O> {
+impl Operator for TreeLookupOp<'_> {
     fn execute(&mut self, ctx: &mut ExecContext) -> Result<TempList, ExecError> {
         let before = self.index.stats();
         let t = Instant::now();
-        let out = select_tree_index(self.index, &self.pred);
+        let out = select_tree_index(self.index, self.rel, &self.pred);
         let stats = self.index.stats().since(&before);
         ctx.record(self.id, 0, out.len(), stats, t.elapsed());
         Ok(out)
@@ -156,22 +154,22 @@ impl<A: TupleAdapter, O: OrderedIndex<A>> Operator for TreeLookupOp<'_, A, O> {
 }
 
 /// Hash lookup selection (exact match only — §4's fastest path).
-pub struct HashLookupOp<'a, A: HashTupleAdapter, U: UnorderedIndex<A>> {
+pub struct HashLookupOp<'a> {
     /// Plan-node id.
     pub id: NodeId,
     /// The hash index probed.
-    pub index: &'a U,
+    pub index: &'a dyn UnorderedIndex<AttrAdapter>,
+    /// The relation the index covers.
+    pub rel: &'a Relation,
     /// The probed key.
     pub key: KeyValue,
-    /// Adapter marker.
-    pub _adapter: PhantomData<A>,
 }
 
-impl<A: HashTupleAdapter, U: UnorderedIndex<A>> Operator for HashLookupOp<'_, A, U> {
+impl Operator for HashLookupOp<'_> {
     fn execute(&mut self, ctx: &mut ExecContext) -> Result<TempList, ExecError> {
         let before = self.index.stats();
         let t = Instant::now();
-        let out = select_hash_index(self.index, &self.key);
+        let out = select_hash_index(self.index, self.rel, &self.key);
         let stats = self.index.stats().since(&before);
         ctx.record(self.id, 0, out.len(), stats, t.elapsed());
         Ok(out)
@@ -390,28 +388,27 @@ mod tests {
     #[test]
     fn index_lookup_operators_record_index_stats() {
         use mmdb_index::{ChainedBucketHash, TTree, TTreeConfig};
-        use mmdb_storage::AttrAdapter;
         let (rel, tids) = rel_with_values("r", &[4, 8, 15, 16, 23, 42]);
-        let mut ttree = TTree::new(AttrAdapter::new(&rel, 1), TTreeConfig::with_node_size(4));
-        let mut hash = ChainedBucketHash::with_capacity(AttrAdapter::new(&rel, 1), 16);
+        let mut ttree = TTree::new(AttrAdapter::new(1), TTreeConfig::with_node_size(4));
+        let mut hash = ChainedBucketHash::with_capacity(AttrAdapter::new(1), 16);
         for t in &tids {
-            ttree.insert(*t);
-            hash.insert(*t);
+            ttree.insert(&rel, *t);
+            hash.insert(&rel, *t);
         }
         let mut ctx = ExecContext::new(2);
         let mut tree_op = TreeLookupOp {
             id: 0,
             index: &ttree,
+            rel: &rel,
             pred: Predicate::greater(KeyValue::Int(15)),
-            _adapter: PhantomData,
         };
         let out = tree_op.execute(&mut ctx).unwrap();
         assert_eq!(out.len(), 3, "16, 23, 42");
         let mut hash_op = HashLookupOp {
             id: 1,
             index: &hash,
+            rel: &rel,
             key: KeyValue::Int(23),
-            _adapter: PhantomData,
         };
         let out = hash_op.execute(&mut ctx).unwrap();
         assert_eq!(out.len(), 1);

@@ -9,9 +9,8 @@
 //! copies of tuples (§2.3).
 
 use crate::error::ExecError;
-use crate::{HashTupleAdapter, TupleAdapter};
 use mmdb_index::traits::{OrderedIndex, UnorderedIndex};
-use mmdb_storage::{KeyValue, Relation, TempList, TupleId};
+use mmdb_storage::{AttrAdapter, KeyValue, Relation, TempList, TupleId};
 use std::ops::Bound;
 
 /// A single-attribute selection predicate.
@@ -188,28 +187,29 @@ pub fn select_scan_iter(
 }
 
 /// Exact-match selection through a hash index over a relation attribute
-/// (the fastest path; hash indices cannot serve range predicates).
-pub fn select_hash_index<A, U>(index: &U, key: &KeyValue) -> TempList
+/// (the fastest path; hash indices cannot serve range predicates). `rel`
+/// is the relation the index covers, borrowed for the whole probe.
+pub fn select_hash_index<U>(index: &U, rel: &Relation, key: &KeyValue) -> TempList
 where
-    A: HashTupleAdapter,
-    U: UnorderedIndex<A>,
+    U: UnorderedIndex<AttrAdapter> + ?Sized,
 {
     let mut out = Vec::new();
-    index.search_all(key, &mut out);
+    index.search_all(rel, key, &mut out);
     TempList::from_tids(out)
 }
 
 /// Exact-match or range selection through an order-preserving index over
-/// a relation attribute.
-pub fn select_tree_index<A, O>(index: &O, pred: &Predicate) -> TempList
+/// a relation attribute (`rel`, as for [`select_hash_index`]).
+pub fn select_tree_index<O>(index: &O, rel: &Relation, pred: &Predicate) -> TempList
 where
-    A: TupleAdapter,
-    O: OrderedIndex<A>,
+    O: OrderedIndex<AttrAdapter> + ?Sized,
 {
     let mut out = Vec::new();
     match pred {
-        Predicate::Eq(k) => index.search_all(k, &mut out),
-        Predicate::Range { lo, hi } => index.range(as_ref_bound(lo), as_ref_bound(hi), &mut out),
+        Predicate::Eq(k) => index.search_all(rel, k, &mut out),
+        Predicate::Range { lo, hi } => {
+            index.range(rel, as_ref_bound(lo), as_ref_bound(hi), &mut out);
+        }
     }
     TempList::from_tids(out)
 }
@@ -249,27 +249,27 @@ mod tests {
     #[test]
     fn hash_selection_exact_match() {
         let (r, tids) = ages_relation();
-        let mut idx = ChainedBucketHash::with_capacity(AttrAdapter::new(&r, 1), 16);
+        let mut idx = ChainedBucketHash::with_capacity(AttrAdapter::new(1), 16);
         for t in &tids {
-            idx.insert(*t);
+            idx.insert(&r, *t);
         }
-        let hits = select_hash_index(&idx, &KeyValue::Int(47));
+        let hits = select_hash_index(&idx, &r, &KeyValue::Int(47));
         assert_eq!(hits.len(), 2, "Jane and Twin");
-        let none = select_hash_index(&idx, &KeyValue::Int(99));
+        let none = select_hash_index(&idx, &r, &KeyValue::Int(99));
         assert!(none.is_empty());
     }
 
     #[test]
     fn tree_selection_point_and_range() {
         let (r, tids) = ages_relation();
-        let mut idx = TTree::new(AttrAdapter::new(&r, 1), TTreeConfig::with_node_size(4));
+        let mut idx = TTree::new(AttrAdapter::new(1), TTreeConfig::with_node_size(4));
         for t in &tids {
-            idx.insert(*t);
+            idx.insert(&r, *t);
         }
-        let hits = select_tree_index(&idx, &Predicate::Eq(KeyValue::Int(54)));
+        let hits = select_tree_index(&idx, &r, &Predicate::Eq(KeyValue::Int(54)));
         assert_eq!(hits.len(), 1);
         // Query 1 of the paper: employees over age 65.
-        let over65 = select_tree_index(&idx, &Predicate::greater(KeyValue::Int(65)));
+        let over65 = select_tree_index(&idx, &r, &Predicate::greater(KeyValue::Int(65)));
         assert_eq!(over65.len(), 2);
         let mut names: Vec<String> = over65
             .column(0)
@@ -284,6 +284,7 @@ mod tests {
         // Between.
         let mid = select_tree_index(
             &idx,
+            &r,
             &Predicate::between(KeyValue::Int(24), KeyValue::Int(47)),
         );
         assert_eq!(mid.len(), 4, "24, 27, 47, 47");
@@ -294,11 +295,11 @@ mod tests {
         let (r, tids) = ages_relation();
         let pred = Predicate::between(KeyValue::Int(25), KeyValue::Int(60));
         let scanned = select_scan(&r, 1, &tids, &pred).unwrap();
-        let mut idx = TTree::new(AttrAdapter::new(&r, 1), TTreeConfig::with_node_size(4));
+        let mut idx = TTree::new(AttrAdapter::new(1), TTreeConfig::with_node_size(4));
         for t in &tids {
-            idx.insert(*t);
+            idx.insert(&r, *t);
         }
-        let treed = select_tree_index(&idx, &pred);
+        let treed = select_tree_index(&idx, &r, &pred);
         let mut a = scanned.column(0);
         let mut b = treed.column(0);
         a.sort_unstable();

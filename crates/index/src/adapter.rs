@@ -7,10 +7,13 @@
 //!
 //! Index structures in this crate therefore never constrain their entry
 //! type with `Ord`/`Hash`. They store opaque `Copy` entries and delegate
-//! all key semantics to an [`Adapter`]: in the MM-DBMS the adapter holds a
-//! reference to tuple storage and dereferences a `TupleId` to the indexed
-//! attribute; in tests and micro-benchmarks [`NaturalAdapter`] compares
-//! integers directly.
+//! all key semantics to an [`Adapter`]. The adapter is split in two: the
+//! structure keeps the static part (for a relation adapter, which
+//! attribute), and every operation is handed the [`Adapter::Ctx`] it
+//! dereferences entries through. In the MM-DBMS that context is the
+//! relation guard the caller already holds, so a descent takes no lock of
+//! its own; in tests and micro-benchmarks [`NaturalAdapter`] compares
+//! integers directly and its context is `()`.
 
 use std::cmp::Ordering;
 use std::marker::PhantomData;
@@ -25,12 +28,16 @@ pub trait Adapter {
     type Entry: Copy + PartialEq;
     /// The probe key type used for searches and range bounds.
     type Key: ?Sized;
+    /// What an entry is dereferenced through for one operation: a borrow
+    /// of tuple storage for tuple-pointer adapters, `()` for adapters that
+    /// hold everything they need. Probe keys never need it.
+    type Ctx<'c>: Copy;
 
     /// Total order over two stored entries (dereference both, compare keys).
-    fn cmp_entries(&self, a: &Self::Entry, b: &Self::Entry) -> Ordering;
+    fn cmp_entries(&self, cx: Self::Ctx<'_>, a: &Self::Entry, b: &Self::Entry) -> Ordering;
 
     /// Compare a stored entry's key against a probe key.
-    fn cmp_entry_key(&self, e: &Self::Entry, key: &Self::Key) -> Ordering;
+    fn cmp_entry_key(&self, cx: Self::Ctx<'_>, e: &Self::Entry, key: &Self::Key) -> Ordering;
 
     /// A monotone 64-bit summary of an entry's key: whenever
     /// `cmp_entries(a, b)` is `Less`, `entry_tag(a) <= entry_tag(b)`, and
@@ -42,7 +49,7 @@ pub trait Adapter {
     /// tags decide nothing and fall back to the full comparison, so the
     /// conservative default of `0` is always correct.
     #[inline]
-    fn entry_tag(&self, _e: &Self::Entry) -> u64 {
+    fn entry_tag(&self, _cx: Self::Ctx<'_>, _e: &Self::Entry) -> u64 {
         0
     }
 
@@ -58,7 +65,7 @@ pub trait Adapter {
 /// Additional semantics required by hash-based indices.
 pub trait HashAdapter: Adapter {
     /// Hash a stored entry's key.
-    fn hash_entry(&self, e: &Self::Entry) -> u64;
+    fn hash_entry(&self, cx: Self::Ctx<'_>, e: &Self::Entry) -> u64;
 
     /// Hash a probe key (must agree with [`HashAdapter::hash_entry`]).
     fn hash_key(&self, key: &Self::Key) -> u64;
@@ -81,14 +88,15 @@ impl<T> NaturalAdapter<T> {
 impl<T: Copy + Ord> Adapter for NaturalAdapter<T> {
     type Entry = T;
     type Key = T;
+    type Ctx<'c> = ();
 
     #[inline]
-    fn cmp_entries(&self, a: &T, b: &T) -> Ordering {
+    fn cmp_entries(&self, (): (), a: &T, b: &T) -> Ordering {
         a.cmp(b)
     }
 
     #[inline]
-    fn cmp_entry_key(&self, e: &T, key: &T) -> Ordering {
+    fn cmp_entry_key(&self, (): (), e: &T, key: &T) -> Ordering {
         e.cmp(key)
     }
 }
@@ -112,7 +120,7 @@ macro_rules! natural_hash_adapter {
     ($($t:ty),*) => {$(
         impl HashAdapter for NaturalAdapter<$t> {
             #[inline]
-            fn hash_entry(&self, e: &$t) -> u64 {
+            fn hash_entry(&self, (): (), e: &$t) -> u64 {
                 mix64(*e as u64)
             }
             #[inline]
@@ -132,16 +140,16 @@ mod tests {
     #[test]
     fn natural_adapter_orders_like_ord() {
         let a = NaturalAdapter::<u64>::new();
-        assert_eq!(a.cmp_entries(&1, &2), Ordering::Less);
-        assert_eq!(a.cmp_entries(&2, &2), Ordering::Equal);
-        assert_eq!(a.cmp_entry_key(&3, &2), Ordering::Greater);
+        assert_eq!(a.cmp_entries((), &1, &2), Ordering::Less);
+        assert_eq!(a.cmp_entries((), &2, &2), Ordering::Equal);
+        assert_eq!(a.cmp_entry_key((), &3, &2), Ordering::Greater);
     }
 
     #[test]
     fn natural_adapter_hash_is_consistent() {
         let a = NaturalAdapter::<u64>::new();
         for k in [0u64, 1, 42, u64::MAX] {
-            assert_eq!(a.hash_entry(&k), a.hash_key(&k));
+            assert_eq!(a.hash_entry((), &k), a.hash_key(&k));
         }
     }
 

@@ -199,13 +199,13 @@ impl<A: Adapter> AvlTree<A> {
     }
 
     /// First node (in order) whose key is ≥ `key`, or NIL.
-    fn lower_bound(&self, key: &A::Key) -> u32 {
+    fn lower_bound(&self, cx: A::Ctx<'_>, key: &A::Key) -> u32 {
         let mut cur = self.root;
         let mut candidate = NIL;
         while cur != NIL {
             self.stats.node_visits(1);
             self.stats.comparisons(1);
-            if self.adapter.cmp_entry_key(&self.node(cur).entry, key) == Ordering::Less {
+            if self.adapter.cmp_entry_key(cx, &self.node(cur).entry, key) == Ordering::Less {
                 cur = self.node(cur).right;
             } else {
                 candidate = cur;
@@ -216,13 +216,13 @@ impl<A: Adapter> AvlTree<A> {
     }
 
     /// First node (in order) whose *entry* compares ≥ `entry`, or NIL.
-    fn lower_bound_entry(&self, entry: &A::Entry) -> u32 {
+    fn lower_bound_entry(&self, cx: A::Ctx<'_>, entry: &A::Entry) -> u32 {
         let mut cur = self.root;
         let mut candidate = NIL;
         while cur != NIL {
             self.stats.node_visits(1);
             self.stats.comparisons(1);
-            if self.adapter.cmp_entries(&self.node(cur).entry, entry) == Ordering::Less {
+            if self.adapter.cmp_entries(cx, &self.node(cur).entry, entry) == Ordering::Less {
                 cur = self.node(cur).right;
             } else {
                 candidate = cur;
@@ -232,7 +232,7 @@ impl<A: Adapter> AvlTree<A> {
         candidate
     }
 
-    fn insert_inner(&mut self, entry: A::Entry) {
+    fn insert_inner(&mut self, cx: A::Ctx<'_>, entry: A::Entry) {
         if self.root == NIL {
             self.root = self.alloc(entry, NIL);
             self.len = 1;
@@ -242,7 +242,8 @@ impl<A: Adapter> AvlTree<A> {
         loop {
             self.stats.node_visits(1);
             self.stats.comparisons(1);
-            let go_left = self.adapter.cmp_entries(&entry, &self.node(cur).entry) == Ordering::Less;
+            let go_left =
+                self.adapter.cmp_entries(cx, &entry, &self.node(cur).entry) == Ordering::Less;
             let next = if go_left {
                 self.node(cur).left
             } else {
@@ -304,32 +305,32 @@ impl<A: Adapter> AvlTree<A> {
 }
 
 impl<A: Adapter> OrderedIndex<A> for AvlTree<A> {
-    fn insert(&mut self, entry: A::Entry) {
-        self.insert_inner(entry);
+    fn insert(&mut self, cx: A::Ctx<'_>, entry: A::Entry) {
+        self.insert_inner(cx, entry);
     }
 
-    fn insert_unique(&mut self, entry: A::Entry) -> Result<(), IndexError> {
+    fn insert_unique(&mut self, cx: A::Ctx<'_>, entry: A::Entry) -> Result<(), IndexError> {
         let mut cur = self.root;
         while cur != NIL {
             self.stats.node_visits(1);
             self.stats.comparisons(1);
-            match self.adapter.cmp_entries(&entry, &self.node(cur).entry) {
+            match self.adapter.cmp_entries(cx, &entry, &self.node(cur).entry) {
                 Ordering::Less => cur = self.node(cur).left,
                 Ordering::Greater => cur = self.node(cur).right,
                 Ordering::Equal => return Err(IndexError::DuplicateKey),
             }
         }
-        self.insert_inner(entry);
+        self.insert_inner(cx, entry);
         Ok(())
     }
 
-    fn delete(&mut self, key: &A::Key) -> Option<A::Entry> {
-        let id = self.lower_bound(key);
+    fn delete(&mut self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry> {
+        let id = self.lower_bound(cx, key);
         if id == NIL {
             return None;
         }
         self.stats.comparisons(1);
-        if self.adapter.cmp_entry_key(&self.node(id).entry, key) != Ordering::Equal {
+        if self.adapter.cmp_entry_key(cx, &self.node(id).entry, key) != Ordering::Equal {
             return None;
         }
         let entry = self.node(id).entry;
@@ -337,11 +338,11 @@ impl<A: Adapter> OrderedIndex<A> for AvlTree<A> {
         Some(entry)
     }
 
-    fn delete_entry(&mut self, entry: &A::Entry) -> bool {
-        let mut cur = self.lower_bound_entry(entry);
+    fn delete_entry(&mut self, cx: A::Ctx<'_>, entry: &A::Entry) -> bool {
+        let mut cur = self.lower_bound_entry(cx, entry);
         while cur != NIL {
             self.stats.comparisons(1);
-            if self.adapter.cmp_entries(&self.node(cur).entry, entry) != Ordering::Equal {
+            if self.adapter.cmp_entries(cx, &self.node(cur).entry, entry) != Ordering::Equal {
                 return false;
             }
             if self.node(cur).entry == *entry {
@@ -353,12 +354,12 @@ impl<A: Adapter> OrderedIndex<A> for AvlTree<A> {
         false
     }
 
-    fn search(&self, key: &A::Key) -> Option<A::Entry> {
+    fn search(&self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry> {
         let mut cur = self.root;
         while cur != NIL {
             self.stats.node_visits(1);
             self.stats.comparisons(1);
-            match self.adapter.cmp_entry_key(&self.node(cur).entry, key) {
+            match self.adapter.cmp_entry_key(cx, &self.node(cur).entry, key) {
                 Ordering::Less => cur = self.node(cur).right,
                 Ordering::Greater => cur = self.node(cur).left,
                 Ordering::Equal => return Some(self.node(cur).entry),
@@ -367,11 +368,11 @@ impl<A: Adapter> OrderedIndex<A> for AvlTree<A> {
         None
     }
 
-    fn search_all(&self, key: &A::Key, out: &mut Vec<A::Entry>) {
-        let start = self.lower_bound(key);
+    fn search_all(&self, cx: A::Ctx<'_>, key: &A::Key, out: &mut Vec<A::Entry>) {
+        let start = self.lower_bound(cx, key);
         self.visit_from(start, &mut |e| {
             self.stats.comparisons(1);
-            if self.adapter.cmp_entry_key(e, key) == Ordering::Equal {
+            if self.adapter.cmp_entry_key(cx, e, key) == Ordering::Equal {
                 out.push(*e);
                 true
             } else {
@@ -380,7 +381,13 @@ impl<A: Adapter> OrderedIndex<A> for AvlTree<A> {
         });
     }
 
-    fn range(&self, lo: Bound<&A::Key>, hi: Bound<&A::Key>, out: &mut Vec<A::Entry>) {
+    fn range(
+        &self,
+        cx: A::Ctx<'_>,
+        lo: Bound<&A::Key>,
+        hi: Bound<&A::Key>,
+        out: &mut Vec<A::Entry>,
+    ) {
         let start = match lo {
             Bound::Unbounded => {
                 if self.root == NIL {
@@ -389,12 +396,13 @@ impl<A: Adapter> OrderedIndex<A> for AvlTree<A> {
                     self.min_node(self.root)
                 }
             }
-            Bound::Included(k) => self.lower_bound(k),
+            Bound::Included(k) => self.lower_bound(cx, k),
             Bound::Excluded(k) => {
-                let mut id = self.lower_bound(k);
+                let mut id = self.lower_bound(cx, k);
                 while id != NIL {
                     self.stats.comparisons(1);
-                    if self.adapter.cmp_entry_key(&self.node(id).entry, k) == Ordering::Greater {
+                    if self.adapter.cmp_entry_key(cx, &self.node(id).entry, k) == Ordering::Greater
+                    {
                         break;
                     }
                     id = self.successor(id);
@@ -407,7 +415,7 @@ impl<A: Adapter> OrderedIndex<A> for AvlTree<A> {
                 Bound::Unbounded => Ordering::Less,
                 Bound::Included(k) | Bound::Excluded(k) => {
                     self.stats.comparisons(1);
-                    self.adapter.cmp_entry_key(e, k)
+                    self.adapter.cmp_entry_key(cx, e, k)
                 }
             };
             if bound_ok_hi(ord, &hi) {
@@ -450,7 +458,7 @@ impl<A: Adapter> OrderedIndex<A> for AvlTree<A> {
         self.stats.reset();
     }
 
-    fn validate(&self) -> Result<(), String> {
+    fn validate(&self, cx: A::Ctx<'_>) -> Result<(), String> {
         if self.root == NIL {
             if self.len != 0 {
                 return Err(format!("empty tree but len = {}", self.len));
@@ -490,7 +498,7 @@ impl<A: Adapter> OrderedIndex<A> for AvlTree<A> {
             } else {
                 let e = self.node(id).entry;
                 if let Some(prev) = last {
-                    if self.adapter.cmp_entries(&prev, &e) == Ordering::Greater {
+                    if self.adapter.cmp_entries(cx, &prev, &e) == Ordering::Greater {
                         return Err(format!("node {id}: BST order violated"));
                     }
                 }
@@ -566,19 +574,19 @@ mod tests {
     fn empty_tree() {
         let mut t = nat();
         assert_eq!(t.len(), 0);
-        assert_eq!(t.search(&1), None);
-        assert_eq!(t.delete(&1), None);
-        assert!(!t.delete_entry(&1));
-        t.validate().unwrap();
+        assert_eq!(t.search((), &1), None);
+        assert_eq!(t.delete((), &1), None);
+        assert!(!t.delete_entry((), &1));
+        t.validate(()).unwrap();
     }
 
     #[test]
     fn sequential_insert_stays_balanced() {
         let mut t = nat();
         for k in 0..1000u64 {
-            t.insert(k);
+            t.insert((), k);
         }
-        t.validate().unwrap();
+        t.validate(()).unwrap();
         assert_eq!(t.len(), 1000);
         // Height of an AVL with 1000 nodes is at most 1.44 log2(1001) ≈ 14.
         assert!(
@@ -587,7 +595,7 @@ mod tests {
             t.node(t.root).height
         );
         for k in 0..1000u64 {
-            assert_eq!(t.search(&k), Some(k), "key {k}");
+            assert_eq!(t.search((), &k), Some(k), "key {k}");
         }
     }
 
@@ -595,9 +603,9 @@ mod tests {
     fn reverse_insert_stays_balanced() {
         let mut t = nat();
         for k in (0..1000u64).rev() {
-            t.insert(k);
+            t.insert((), k);
         }
-        t.validate().unwrap();
+        t.validate(()).unwrap();
         assert!(t.node(t.root).height <= 15);
     }
 
@@ -605,15 +613,15 @@ mod tests {
     fn delete_every_other() {
         let mut t = nat();
         for k in 0..500u64 {
-            t.insert(k);
+            t.insert((), k);
         }
         for k in (0..500u64).step_by(2) {
-            assert_eq!(t.delete(&k), Some(k));
+            assert_eq!(t.delete((), &k), Some(k));
         }
-        t.validate().unwrap();
+        t.validate(()).unwrap();
         assert_eq!(t.len(), 250);
         for k in 0..500u64 {
-            assert_eq!(t.search(&k).is_some(), k % 2 == 1);
+            assert_eq!(t.search((), &k).is_some(), k % 2 == 1);
         }
     }
 
@@ -621,26 +629,26 @@ mod tests {
     fn delete_until_empty_then_reuse() {
         let mut t = nat();
         for k in 0..100u64 {
-            t.insert(k);
+            t.insert((), k);
         }
         for k in 0..100u64 {
-            assert_eq!(t.delete(&k), Some(k));
+            assert_eq!(t.delete((), &k), Some(k));
         }
         assert!(t.is_empty());
-        t.validate().unwrap();
+        t.validate(()).unwrap();
         // Arena slots must be reused.
         for k in 0..100u64 {
-            t.insert(k);
+            t.insert((), k);
         }
         assert!(t.nodes.len() <= 100);
-        t.validate().unwrap();
+        t.validate(()).unwrap();
     }
 
     #[test]
     fn scan_is_ordered() {
         let mut t = nat();
         for e in testkit::shuffled_unique_entries(512, 11) {
-            t.insert(e);
+            t.insert((), e);
         }
         let mut out = Vec::new();
         t.scan(&mut |e| out.push(*e));
@@ -654,17 +662,17 @@ mod tests {
     fn range_queries() {
         let mut t = nat();
         for k in 0..100u64 {
-            t.insert(k * 2);
+            t.insert((), k * 2);
         }
         let mut out = Vec::new();
-        t.range(Bound::Included(&10), Bound::Included(&20), &mut out);
+        t.range((), Bound::Included(&10), Bound::Included(&20), &mut out);
         assert_eq!(out, vec![10, 12, 14, 16, 18, 20]);
         out.clear();
-        t.range(Bound::Excluded(&10), Bound::Excluded(&20), &mut out);
+        t.range((), Bound::Excluded(&10), Bound::Excluded(&20), &mut out);
         assert_eq!(out, vec![12, 14, 16, 18]);
         out.clear();
         // Bounds between stored keys.
-        t.range(Bound::Included(&11), Bound::Included(&15), &mut out);
+        t.range((), Bound::Included(&11), Bound::Included(&15), &mut out);
         assert_eq!(out, vec![12, 14]);
     }
 
@@ -672,34 +680,34 @@ mod tests {
     fn duplicates_and_delete_entry() {
         let mut t = AvlTree::new(DupAdapter);
         for low in 0..10u64 {
-            t.insert((7 << 16) | low);
+            t.insert((), (7 << 16) | low);
         }
-        t.insert(3 << 16);
+        t.insert((), 3 << 16);
         let mut out = Vec::new();
-        t.search_all(&7, &mut out);
+        t.search_all((), &7, &mut out);
         assert_eq!(out.len(), 10);
-        assert!(t.delete_entry(&((7 << 16) | 4)));
-        assert!(!t.delete_entry(&((7 << 16) | 4)));
+        assert!(t.delete_entry((), &((7 << 16) | 4)));
+        assert!(!t.delete_entry((), &((7 << 16) | 4)));
         out.clear();
-        t.search_all(&7, &mut out);
+        t.search_all((), &7, &mut out);
         assert_eq!(out.len(), 9);
-        t.validate().unwrap();
+        t.validate(()).unwrap();
     }
 
     #[test]
     fn insert_unique_vs_duplicates() {
         let mut t = nat();
-        t.insert_unique(5).unwrap();
-        assert_eq!(t.insert_unique(5), Err(IndexError::DuplicateKey));
-        t.insert(5); // plain insert allows it
+        t.insert_unique((), 5).unwrap();
+        assert_eq!(t.insert_unique((), 5), Err(IndexError::DuplicateKey));
+        t.insert((), 5); // plain insert allows it
         assert_eq!(t.len(), 2);
-        t.validate().unwrap();
+        t.validate(()).unwrap();
     }
 
     #[test]
     fn differential_vs_model() {
         let mut t = AvlTree::new(DupAdapter);
-        testkit::ordered_differential(DupAdapter, &mut t, 0xA71, 6000, 300);
+        testkit::ordered_differential(&mut t, 0xA71, 6000, 300);
     }
 
     #[cfg(feature = "stats")]
@@ -707,11 +715,11 @@ mod tests {
     fn search_cost_is_logarithmic() {
         let mut t = nat();
         for e in testkit::shuffled_unique_entries(30_000, 5) {
-            t.insert(e >> 16); // unique keys 0..30000
+            t.insert((), e >> 16); // unique keys 0..30000
         }
         t.reset_stats();
         for k in (0..30_000u64).step_by(100) {
-            t.search(&k);
+            t.search((), &k);
         }
         let per_search = t.stats().comparisons as f64 / 300.0;
         // log2(30000) ≈ 14.9; AVL worst case 1.44×.
@@ -730,7 +738,7 @@ mod tests {
         let mut t = AvlTree::new(DupAdapter);
         let n = 10_000usize;
         for e in testkit::shuffled_unique_entries(n, 5) {
-            t.insert(e);
+            t.insert((), e);
         }
         let payload = n * std::mem::size_of::<u64>();
         let factor = t.storage_bytes() as f64 / payload as f64;

@@ -88,14 +88,14 @@ impl<A: Adapter> BTree<A> {
     }
 
     /// First position in `node`'s items whose entry key is ≥ `key`.
-    fn lower_bound_in(&self, id: u32, key: &A::Key) -> usize {
+    fn lower_bound_in(&self, cx: A::Ctx<'_>, id: u32, key: &A::Key) -> usize {
         let items = &self.node(id).items;
         let mut lo = 0usize;
         let mut hi = items.len();
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             self.stats.comparisons(1);
-            if self.adapter.cmp_entry_key(&items[mid], key) == Ordering::Less {
+            if self.adapter.cmp_entry_key(cx, &items[mid], key) == Ordering::Less {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -105,14 +105,14 @@ impl<A: Adapter> BTree<A> {
     }
 
     /// First position in `node`'s items comparing > `entry` (by key).
-    fn upper_bound_entry_in(&self, id: u32, entry: &A::Entry) -> usize {
+    fn upper_bound_entry_in(&self, cx: A::Ctx<'_>, id: u32, entry: &A::Entry) -> usize {
         let items = &self.node(id).items;
         let mut lo = 0usize;
         let mut hi = items.len();
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             self.stats.comparisons(1);
-            if self.adapter.cmp_entries(&items[mid], entry) == Ordering::Greater {
+            if self.adapter.cmp_entries(cx, &items[mid], entry) == Ordering::Greater {
                 hi = mid;
             } else {
                 lo = mid + 1;
@@ -122,14 +122,14 @@ impl<A: Adapter> BTree<A> {
     }
 
     /// First position in `node`'s items comparing ≥ `entry` (by key).
-    fn lower_bound_entry_in(&self, id: u32, entry: &A::Entry) -> usize {
+    fn lower_bound_entry_in(&self, cx: A::Ctx<'_>, id: u32, entry: &A::Entry) -> usize {
         let items = &self.node(id).items;
         let mut lo = 0usize;
         let mut hi = items.len();
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             self.stats.comparisons(1);
-            if self.adapter.cmp_entries(&items[mid], entry) == Ordering::Less {
+            if self.adapter.cmp_entries(cx, &items[mid], entry) == Ordering::Less {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -156,16 +156,16 @@ impl<A: Adapter> BTree<A> {
         (median, right)
     }
 
-    fn insert_rec(&mut self, id: u32, entry: A::Entry) -> Option<(A::Entry, u32)> {
+    fn insert_rec(&mut self, cx: A::Ctx<'_>, id: u32, entry: A::Entry) -> Option<(A::Entry, u32)> {
         self.stats.node_visits(1);
-        let pos = self.upper_bound_entry_in(id, &entry);
+        let pos = self.upper_bound_entry_in(cx, id, &entry);
         if self.node(id).is_leaf() {
             let n = self.node_mut(id);
             n.items.insert(pos, entry);
             self.stats.data_moves(1);
         } else {
             let child = self.node(id).children[pos];
-            if let Some((median, right)) = self.insert_rec(child, entry) {
+            if let Some((median, right)) = self.insert_rec(cx, child, entry) {
                 let n = self.node_mut(id);
                 n.items.insert(pos, median);
                 n.children.insert(pos + 1, right);
@@ -179,10 +179,10 @@ impl<A: Adapter> BTree<A> {
         }
     }
 
-    fn insert_inner(&mut self, entry: A::Entry) {
+    fn insert_inner(&mut self, cx: A::Ctx<'_>, entry: A::Entry) {
         if self.root == NIL {
             self.root = self.alloc(vec![entry], Vec::new());
-        } else if let Some((median, right)) = self.insert_rec(self.root, entry) {
+        } else if let Some((median, right)) = self.insert_rec(cx, self.root, entry) {
             let old_root = self.root;
             self.root = self.alloc(vec![median], vec![old_root, right]);
             self.stats.restructures(1);
@@ -303,10 +303,10 @@ impl<A: Adapter> BTree<A> {
 
     /// Delete the specific `entry` (searching the full equal-key range)
     /// from the subtree at `id`.
-    fn delete_entry_rec(&mut self, id: u32, entry: &A::Entry) -> bool {
+    fn delete_entry_rec(&mut self, cx: A::Ctx<'_>, id: u32, entry: &A::Entry) -> bool {
         self.stats.node_visits(1);
-        let lo = self.lower_bound_entry_in(id, entry);
-        let hi = self.upper_bound_entry_in(id, entry);
+        let lo = self.lower_bound_entry_in(cx, id, entry);
+        let hi = self.upper_bound_entry_in(cx, id, entry);
         for pos in lo..hi {
             self.stats.comparisons(1);
             if self.node(id).items[pos] == *entry {
@@ -320,7 +320,7 @@ impl<A: Adapter> BTree<A> {
         // Equal keys may hide in any child subtree bounded by the range.
         for ci in lo..=hi {
             let child = self.node(id).children[ci];
-            if self.delete_entry_rec(child, entry) {
+            if self.delete_entry_rec(cx, child, entry) {
                 self.fix_child(id, ci);
                 return true;
             }
@@ -329,12 +329,14 @@ impl<A: Adapter> BTree<A> {
     }
 
     /// Delete any one entry with key `key` from the subtree at `id`.
-    fn delete_key_rec(&mut self, id: u32, key: &A::Key) -> Option<A::Entry> {
+    fn delete_key_rec(&mut self, cx: A::Ctx<'_>, id: u32, key: &A::Key) -> Option<A::Entry> {
         self.stats.node_visits(1);
-        let pos = self.lower_bound_in(id, key);
+        let pos = self.lower_bound_in(cx, id, key);
         let in_node = pos < self.node(id).items.len() && {
             self.stats.comparisons(1);
-            self.adapter.cmp_entry_key(&self.node(id).items[pos], key) == Ordering::Equal
+            self.adapter
+                .cmp_entry_key(cx, &self.node(id).items[pos], key)
+                == Ordering::Equal
         };
         if in_node {
             return Some(self.remove_at(id, pos));
@@ -343,7 +345,7 @@ impl<A: Adapter> BTree<A> {
             return None;
         }
         let child = self.node(id).children[pos];
-        let got = self.delete_key_rec(child, key);
+        let got = self.delete_key_rec(cx, child, key);
         if got.is_some() {
             self.fix_child(id, pos);
         }
@@ -370,6 +372,7 @@ impl<A: Adapter> BTree<A> {
     /// cannot contain entries ≥ the bound.
     fn visit_bounded(
         &self,
+        cx: A::Ctx<'_>,
         id: u32,
         lo: &Bound<&A::Key>,
         visit: &mut dyn FnMut(&A::Entry) -> bool,
@@ -384,7 +387,7 @@ impl<A: Adapter> BTree<A> {
                 while l < h {
                     let m = l + (h - l) / 2;
                     self.stats.comparisons(1);
-                    if self.adapter.cmp_entry_key(&n.items[m], k) == Ordering::Less {
+                    if self.adapter.cmp_entry_key(cx, &n.items[m], k) == Ordering::Less {
                         l = m + 1;
                     } else {
                         h = m;
@@ -398,7 +401,7 @@ impl<A: Adapter> BTree<A> {
                 while l < h {
                     let m = l + (h - l) / 2;
                     self.stats.comparisons(1);
-                    if self.adapter.cmp_entry_key(&n.items[m], k) == Ordering::Greater {
+                    if self.adapter.cmp_entry_key(cx, &n.items[m], k) == Ordering::Greater {
                         h = m;
                     } else {
                         l = m + 1;
@@ -408,7 +411,7 @@ impl<A: Adapter> BTree<A> {
             }
         };
         for i in start..n.items.len() {
-            if !n.is_leaf() && !self.visit_bounded(n.children[i], lo, visit) {
+            if !n.is_leaf() && !self.visit_bounded(cx, n.children[i], lo, visit) {
                 return false;
             }
             // Items before `start` are below the bound; from `start` on we
@@ -417,7 +420,7 @@ impl<A: Adapter> BTree<A> {
                 Bound::Unbounded => Ordering::Greater,
                 Bound::Included(k) | Bound::Excluded(k) => {
                     self.stats.comparisons(1);
-                    self.adapter.cmp_entry_key(&n.items[i], k)
+                    self.adapter.cmp_entry_key(cx, &n.items[i], k)
                 }
             };
             if bound_ok_lo(ord, lo) && !visit(&n.items[i]) {
@@ -425,7 +428,7 @@ impl<A: Adapter> BTree<A> {
             }
         }
         if !n.is_leaf() {
-            return self.visit_bounded(n.children[n.children.len() - 1], lo, visit);
+            return self.visit_bounded(cx, n.children[n.children.len() - 1], lo, visit);
         }
         true
     }
@@ -444,10 +447,10 @@ impl<A: Adapter> BTree<A> {
 
     fn validate_rec(
         &self,
+        cx: A::Ctx<'_>,
         id: u32,
         depth: usize,
         leaf_depth: usize,
-        is_root: bool,
         count: &mut usize,
         last: &mut Option<A::Entry>,
     ) -> Result<(), String> {
@@ -458,7 +461,7 @@ impl<A: Adapter> BTree<A> {
         if n.items.len() > self.max_items {
             return Err(format!("node {id}: overfull ({})", n.items.len()));
         }
-        if !is_root && n.items.len() < self.min_items {
+        if id != self.root && n.items.len() < self.min_items {
             return Err(format!(
                 "node {id}: underfull ({} < {})",
                 n.items.len(),
@@ -473,10 +476,10 @@ impl<A: Adapter> BTree<A> {
         }
         for (i, item) in n.items.iter().enumerate() {
             if !n.is_leaf() {
-                self.validate_rec(n.children[i], depth + 1, leaf_depth, false, count, last)?;
+                self.validate_rec(cx, n.children[i], depth + 1, leaf_depth, count, last)?;
             }
             if let Some(prev) = *last {
-                if self.adapter.cmp_entries(&prev, item) == Ordering::Greater {
+                if self.adapter.cmp_entries(cx, &prev, item) == Ordering::Greater {
                     return Err(format!("node {id}: order violated at item {i}"));
                 }
             }
@@ -485,10 +488,10 @@ impl<A: Adapter> BTree<A> {
         }
         if !n.is_leaf() {
             self.validate_rec(
+                cx,
                 n.children[n.children.len() - 1],
                 depth + 1,
                 leaf_depth,
-                false,
                 count,
                 last,
             )?;
@@ -498,20 +501,24 @@ impl<A: Adapter> BTree<A> {
 }
 
 impl<A: Adapter> OrderedIndex<A> for BTree<A> {
-    fn insert(&mut self, entry: A::Entry) {
-        self.insert_inner(entry);
+    fn insert(&mut self, cx: A::Ctx<'_>, entry: A::Entry) {
+        self.insert_inner(cx, entry);
     }
 
-    fn insert_unique(&mut self, entry: A::Entry) -> Result<(), IndexError> {
+    fn insert_unique(&mut self, cx: A::Ctx<'_>, entry: A::Entry) -> Result<(), IndexError> {
         // A single descent can prove uniqueness: any equal item would be
         // found on the search path.
         let mut id = self.root;
         while id != NIL {
             self.stats.node_visits(1);
-            let pos = self.lower_bound_entry_in(id, &entry);
+            let pos = self.lower_bound_entry_in(cx, id, &entry);
             if pos < self.node(id).items.len() {
                 self.stats.comparisons(1);
-                if self.adapter.cmp_entries(&self.node(id).items[pos], &entry) == Ordering::Equal {
+                if self
+                    .adapter
+                    .cmp_entries(cx, &self.node(id).items[pos], &entry)
+                    == Ordering::Equal
+                {
                     return Err(IndexError::DuplicateKey);
                 }
             }
@@ -520,15 +527,15 @@ impl<A: Adapter> OrderedIndex<A> for BTree<A> {
             }
             id = self.node(id).children[pos];
         }
-        self.insert_inner(entry);
+        self.insert_inner(cx, entry);
         Ok(())
     }
 
-    fn delete(&mut self, key: &A::Key) -> Option<A::Entry> {
+    fn delete(&mut self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry> {
         if self.root == NIL {
             return None;
         }
-        let got = self.delete_key_rec(self.root, key);
+        let got = self.delete_key_rec(cx, self.root, key);
         if got.is_some() {
             self.len -= 1;
             self.shrink_root();
@@ -536,11 +543,11 @@ impl<A: Adapter> OrderedIndex<A> for BTree<A> {
         got
     }
 
-    fn delete_entry(&mut self, entry: &A::Entry) -> bool {
+    fn delete_entry(&mut self, cx: A::Ctx<'_>, entry: &A::Entry) -> bool {
         if self.root == NIL {
             return false;
         }
-        let ok = self.delete_entry_rec(self.root, entry);
+        let ok = self.delete_entry_rec(cx, self.root, entry);
         if ok {
             self.len -= 1;
             self.shrink_root();
@@ -548,14 +555,18 @@ impl<A: Adapter> OrderedIndex<A> for BTree<A> {
         ok
     }
 
-    fn search(&self, key: &A::Key) -> Option<A::Entry> {
+    fn search(&self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry> {
         let mut id = self.root;
         while id != NIL {
             self.stats.node_visits(1);
-            let pos = self.lower_bound_in(id, key);
+            let pos = self.lower_bound_in(cx, id, key);
             if pos < self.node(id).items.len() {
                 self.stats.comparisons(1);
-                if self.adapter.cmp_entry_key(&self.node(id).items[pos], key) == Ordering::Equal {
+                if self
+                    .adapter
+                    .cmp_entry_key(cx, &self.node(id).items[pos], key)
+                    == Ordering::Equal
+                {
                     return Some(self.node(id).items[pos]);
                 }
             }
@@ -567,14 +578,14 @@ impl<A: Adapter> OrderedIndex<A> for BTree<A> {
         None
     }
 
-    fn search_all(&self, key: &A::Key, out: &mut Vec<A::Entry>) {
+    fn search_all(&self, cx: A::Ctx<'_>, key: &A::Key, out: &mut Vec<A::Entry>) {
         if self.root == NIL {
             return;
         }
         let lo = Bound::Included(key);
-        self.visit_bounded(self.root, &lo, &mut |e| {
+        self.visit_bounded(cx, self.root, &lo, &mut |e| {
             self.stats.comparisons(1);
-            if self.adapter.cmp_entry_key(e, key) == Ordering::Equal {
+            if self.adapter.cmp_entry_key(cx, e, key) == Ordering::Equal {
                 out.push(*e);
                 true
             } else {
@@ -583,16 +594,22 @@ impl<A: Adapter> OrderedIndex<A> for BTree<A> {
         });
     }
 
-    fn range(&self, lo: Bound<&A::Key>, hi: Bound<&A::Key>, out: &mut Vec<A::Entry>) {
+    fn range(
+        &self,
+        cx: A::Ctx<'_>,
+        lo: Bound<&A::Key>,
+        hi: Bound<&A::Key>,
+        out: &mut Vec<A::Entry>,
+    ) {
         if self.root == NIL {
             return;
         }
-        self.visit_bounded(self.root, &lo, &mut |e| {
+        self.visit_bounded(cx, self.root, &lo, &mut |e| {
             let ord = match hi {
                 Bound::Unbounded => Ordering::Less,
                 Bound::Included(k) | Bound::Excluded(k) => {
                     self.stats.comparisons(1);
-                    self.adapter.cmp_entry_key(e, k)
+                    self.adapter.cmp_entry_key(cx, e, k)
                 }
             };
             if bound_ok_hi(ord, &hi) {
@@ -637,7 +654,7 @@ impl<A: Adapter> OrderedIndex<A> for BTree<A> {
         self.stats.reset();
     }
 
-    fn validate(&self) -> Result<(), String> {
+    fn validate(&self, cx: A::Ctx<'_>) -> Result<(), String> {
         if self.root == NIL {
             if self.len != 0 {
                 return Err(format!("empty tree but len = {}", self.len));
@@ -647,7 +664,7 @@ impl<A: Adapter> OrderedIndex<A> for BTree<A> {
         let leaf_depth = self.depth_of(self.root);
         let mut count = 0usize;
         let mut last = None;
-        self.validate_rec(self.root, 0, leaf_depth, true, &mut count, &mut last)?;
+        self.validate_rec(cx, self.root, 0, leaf_depth, &mut count, &mut last)?;
         if count != self.len {
             return Err(format!("len {} but traversal found {count}", self.len));
         }
@@ -720,9 +737,9 @@ mod tests {
     fn empty_tree() {
         let mut t = nat(8);
         assert!(t.is_empty());
-        assert_eq!(t.search(&1), None);
-        assert_eq!(t.delete(&1), None);
-        t.validate().unwrap();
+        assert_eq!(t.search((), &1), None);
+        assert_eq!(t.delete((), &1), None);
+        t.validate(()).unwrap();
     }
 
     #[test]
@@ -730,12 +747,12 @@ mod tests {
         for node_size in [2, 3, 4, 7, 16, 64] {
             let mut t = nat(node_size);
             for k in 0..2000u64 {
-                t.insert(k);
+                t.insert((), k);
             }
-            t.validate()
+            t.validate(())
                 .unwrap_or_else(|e| panic!("ns {node_size}: {e}"));
             for k in 0..2000u64 {
-                assert_eq!(t.search(&k), Some(k));
+                assert_eq!(t.search((), &k), Some(k));
             }
         }
     }
@@ -746,13 +763,13 @@ mod tests {
             let mut t = nat(node_size);
             let entries = testkit::shuffled_unique_entries(1500, 77);
             for e in &entries {
-                t.insert(e >> 16);
+                t.insert((), e >> 16);
             }
-            t.validate().unwrap();
+            t.validate(()).unwrap();
             for e in entries.iter().take(750) {
-                assert_eq!(t.delete(&(e >> 16)), Some(e >> 16), "ns {node_size}");
+                assert_eq!(t.delete((), &(e >> 16)), Some(e >> 16), "ns {node_size}");
             }
-            t.validate()
+            t.validate(())
                 .unwrap_or_else(|e| panic!("ns {node_size}: {e}"));
             assert_eq!(t.len(), 750);
         }
@@ -762,20 +779,20 @@ mod tests {
     fn delete_to_empty_and_reuse() {
         let mut t = nat(4);
         for k in 0..300u64 {
-            t.insert(k);
+            t.insert((), k);
         }
         for k in (0..300u64).rev() {
-            assert_eq!(t.delete(&k), Some(k));
+            assert_eq!(t.delete((), &k), Some(k));
             if k % 37 == 0 {
-                t.validate().unwrap();
+                t.validate(()).unwrap();
             }
         }
         assert!(t.is_empty());
         assert_eq!(t.root, NIL);
         for k in 0..50u64 {
-            t.insert(k);
+            t.insert((), k);
         }
-        t.validate().unwrap();
+        t.validate(()).unwrap();
     }
 
     #[test]
@@ -783,7 +800,7 @@ mod tests {
         let mut t = nat(9);
         let entries = testkit::shuffled_unique_entries(777, 5);
         for e in &entries {
-            t.insert(*e);
+            t.insert((), *e);
         }
         let mut out = Vec::new();
         t.scan(&mut |e| out.push(*e));
@@ -796,13 +813,13 @@ mod tests {
     fn range_queries() {
         let mut t = nat(5);
         for k in (0..200u64).step_by(2) {
-            t.insert(k);
+            t.insert((), k);
         }
         let mut out = Vec::new();
-        t.range(Bound::Included(&50), Bound::Excluded(&60), &mut out);
+        t.range((), Bound::Included(&50), Bound::Excluded(&60), &mut out);
         assert_eq!(out, vec![50, 52, 54, 56, 58]);
         out.clear();
-        t.range(Bound::Excluded(&51), Bound::Included(&55), &mut out);
+        t.range((), Bound::Excluded(&51), Bound::Included(&55), &mut out);
         assert_eq!(out, vec![52, 54]);
     }
 
@@ -811,21 +828,21 @@ mod tests {
         let mut t = BTree::new(DupAdapter, 4);
         // 50 entries sharing one key forces duplicates to span many nodes.
         for low in 0..50u64 {
-            t.insert((9 << 16) | low);
+            t.insert((), (9 << 16) | low);
         }
-        t.insert(1 << 16);
-        t.insert(20 << 16);
-        t.validate().unwrap();
+        t.insert((), 1 << 16);
+        t.insert((), 20 << 16);
+        t.validate(()).unwrap();
         let mut out = Vec::new();
-        t.search_all(&9, &mut out);
+        t.search_all((), &9, &mut out);
         assert_eq!(out.len(), 50);
         // Delete specific entries buried in the duplicate run.
         for low in [0u64, 25, 49, 13] {
-            assert!(t.delete_entry(&((9 << 16) | low)), "low {low}");
-            t.validate().unwrap();
+            assert!(t.delete_entry((), &((9 << 16) | low)), "low {low}");
+            t.validate(()).unwrap();
         }
         out.clear();
-        t.search_all(&9, &mut out);
+        t.search_all((), &9, &mut out);
         assert_eq!(out.len(), 46);
     }
 
@@ -833,10 +850,14 @@ mod tests {
     fn insert_unique_detects_duplicates_everywhere() {
         let mut t = nat(3);
         for k in 0..100u64 {
-            t.insert_unique(k).unwrap();
+            t.insert_unique((), k).unwrap();
         }
         for k in 0..100u64 {
-            assert_eq!(t.insert_unique(k), Err(IndexError::DuplicateKey), "key {k}");
+            assert_eq!(
+                t.insert_unique((), k),
+                Err(IndexError::DuplicateKey),
+                "key {k}"
+            );
         }
         assert_eq!(t.len(), 100);
     }
@@ -845,7 +866,7 @@ mod tests {
     fn differential_vs_model() {
         for node_size in [2, 6, 20] {
             let mut t = BTree::new(DupAdapter, node_size);
-            testkit::ordered_differential(DupAdapter, &mut t, 0xB7EE + node_size as u64, 5000, 250);
+            testkit::ordered_differential(&mut t, 0xB7EE + node_size as u64, 5000, 250);
         }
     }
 
@@ -854,12 +875,12 @@ mod tests {
     fn search_does_one_binary_search_per_level() {
         let mut t = nat(20);
         for e in testkit::shuffled_unique_entries(30_000, 9) {
-            t.insert(e >> 16);
+            t.insert((), e >> 16);
         }
         t.reset_stats();
         let searches = 300u64;
         for k in (0..30_000u64).step_by(100) {
-            assert!(t.search(&k).is_some());
+            assert!(t.search((), &k).is_some());
         }
         let s = t.stats();
         // Depth of a B-tree with 30k items, ~10-20/node: 3-4 levels.
@@ -880,7 +901,7 @@ mod tests {
         let mut t = BTree::new(DupAdapter, 30);
         let n = 10_000usize;
         for e in testkit::shuffled_unique_entries(n, 2) {
-            t.insert(e);
+            t.insert((), e);
         }
         let payload = n * std::mem::size_of::<u64>();
         let factor = t.storage_bytes() as f64 / payload as f64;

@@ -65,9 +65,9 @@ impl<A: HashAdapter> ChainedBucketHash<A> {
         (self.adapter.hash_key(key) & self.mask) as usize
     }
 
-    fn bucket_of_entry(&self, e: &A::Entry) -> usize {
+    fn bucket_of_entry(&self, cx: A::Ctx<'_>, e: &A::Entry) -> usize {
         self.stats.hash_calls(1);
-        (self.adapter.hash_entry(e) & self.mask) as usize
+        (self.adapter.hash_entry(cx, e) & self.mask) as usize
     }
 
     fn alloc(&mut self, entry: A::Entry, next: u32) -> u32 {
@@ -94,8 +94,8 @@ impl<A: HashAdapter> ChainedBucketHash<A> {
 }
 
 impl<A: HashAdapter> UnorderedIndex<A> for ChainedBucketHash<A> {
-    fn insert(&mut self, entry: A::Entry) {
-        let b = self.bucket_of_entry(&entry);
+    fn insert(&mut self, cx: A::Ctx<'_>, entry: A::Entry) {
+        let b = self.bucket_of_entry(cx, &entry);
         let head = self.table[b];
         let id = self.alloc(entry, head);
         self.table[b] = id;
@@ -103,15 +103,15 @@ impl<A: HashAdapter> UnorderedIndex<A> for ChainedBucketHash<A> {
         self.len += 1;
     }
 
-    fn insert_unique(&mut self, entry: A::Entry) -> Result<(), IndexError> {
-        let b = self.bucket_of_entry(&entry);
+    fn insert_unique(&mut self, cx: A::Ctx<'_>, entry: A::Entry) -> Result<(), IndexError> {
+        let b = self.bucket_of_entry(cx, &entry);
         let mut cur = self.table[b];
         while cur != NIL {
             self.stats.node_visits(1);
             self.stats.comparisons(1);
             if self
                 .adapter
-                .cmp_entries(&self.nodes[cur as usize].entry, &entry)
+                .cmp_entries(cx, &self.nodes[cur as usize].entry, &entry)
                 == Ordering::Equal
             {
                 return Err(IndexError::DuplicateKey);
@@ -126,7 +126,7 @@ impl<A: HashAdapter> UnorderedIndex<A> for ChainedBucketHash<A> {
         Ok(())
     }
 
-    fn delete(&mut self, key: &A::Key) -> Option<A::Entry> {
+    fn delete(&mut self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry> {
         let b = self.bucket_of_key(key);
         let mut prev = NIL;
         let mut cur = self.table[b];
@@ -135,7 +135,7 @@ impl<A: HashAdapter> UnorderedIndex<A> for ChainedBucketHash<A> {
             self.stats.comparisons(1);
             if self
                 .adapter
-                .cmp_entry_key(&self.nodes[cur as usize].entry, key)
+                .cmp_entry_key(cx, &self.nodes[cur as usize].entry, key)
                 == Ordering::Equal
             {
                 let next = self.nodes[cur as usize].next;
@@ -155,8 +155,8 @@ impl<A: HashAdapter> UnorderedIndex<A> for ChainedBucketHash<A> {
         None
     }
 
-    fn delete_entry(&mut self, entry: &A::Entry) -> bool {
-        let b = self.bucket_of_entry(entry);
+    fn delete_entry(&mut self, cx: A::Ctx<'_>, entry: &A::Entry) -> bool {
+        let b = self.bucket_of_entry(cx, entry);
         let mut prev = NIL;
         let mut cur = self.table[b];
         while cur != NIL {
@@ -179,14 +179,14 @@ impl<A: HashAdapter> UnorderedIndex<A> for ChainedBucketHash<A> {
         false
     }
 
-    fn search(&self, key: &A::Key) -> Option<A::Entry> {
+    fn search(&self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry> {
         let b = self.bucket_of_key(key);
         let mut cur = self.table[b];
         while cur != NIL {
             self.stats.node_visits(1);
             self.stats.comparisons(1);
             let n = &self.nodes[cur as usize];
-            if self.adapter.cmp_entry_key(&n.entry, key) == Ordering::Equal {
+            if self.adapter.cmp_entry_key(cx, &n.entry, key) == Ordering::Equal {
                 return Some(n.entry);
             }
             cur = n.next;
@@ -194,14 +194,14 @@ impl<A: HashAdapter> UnorderedIndex<A> for ChainedBucketHash<A> {
         None
     }
 
-    fn search_all(&self, key: &A::Key, out: &mut Vec<A::Entry>) {
+    fn search_all(&self, cx: A::Ctx<'_>, key: &A::Key, out: &mut Vec<A::Entry>) {
         let b = self.bucket_of_key(key);
         let mut cur = self.table[b];
         while cur != NIL {
             self.stats.node_visits(1);
             self.stats.comparisons(1);
             let n = &self.nodes[cur as usize];
-            if self.adapter.cmp_entry_key(&n.entry, key) == Ordering::Equal {
+            if self.adapter.cmp_entry_key(cx, &n.entry, key) == Ordering::Equal {
                 out.push(n.entry);
             }
             cur = n.next;
@@ -240,14 +240,14 @@ impl<A: HashAdapter> UnorderedIndex<A> for ChainedBucketHash<A> {
         self.stats.reset();
     }
 
-    fn validate(&self) -> Result<(), String> {
+    fn validate(&self, cx: A::Ctx<'_>) -> Result<(), String> {
         let mut count = 0usize;
         for (b, &head) in self.table.iter().enumerate() {
             let mut cur = head;
             let mut hops = 0usize;
             while cur != NIL {
                 let n = &self.nodes[cur as usize];
-                let expect = (self.adapter.hash_entry(&n.entry) & self.mask) as usize;
+                let expect = (self.adapter.hash_entry(cx, &n.entry) & self.mask) as usize;
                 if expect != b {
                     return Err(format!("entry in bucket {b} hashes to {expect}"));
                 }
@@ -301,14 +301,8 @@ impl<A: HashAdapter> ChainedBucketHash<A> {
 
     /// The bucket an entry hashes home to.
     #[must_use]
-    pub fn raw_home_bucket(&self, e: &A::Entry) -> usize {
-        self.bucket_of_entry(e)
-    }
-
-    /// The adapter, for key comparisons during checking.
-    #[must_use]
-    pub fn raw_adapter(&self) -> &A {
-        &self.adapter
+    pub fn raw_home_bucket(&self, cx: A::Ctx<'_>, e: &A::Entry) -> usize {
+        self.bucket_of_entry(cx, e)
     }
 
     /// Corruption hook (negative tests only): swap two bucket heads, so
@@ -331,28 +325,28 @@ mod tests {
     #[test]
     fn empty() {
         let mut h = nat(16);
-        assert_eq!(h.search(&1), None);
-        assert_eq!(h.delete(&1), None);
+        assert_eq!(h.search((), &1), None);
+        assert_eq!(h.delete((), &1), None);
         assert!(h.is_empty());
-        h.validate().unwrap();
+        h.validate(()).unwrap();
     }
 
     #[test]
     fn insert_search_delete() {
         let mut h = nat(64);
         for k in 0..100u64 {
-            h.insert(k);
+            h.insert((), k);
         }
-        h.validate().unwrap();
+        h.validate(()).unwrap();
         for k in 0..100u64 {
-            assert_eq!(h.search(&k), Some(k));
+            assert_eq!(h.search((), &k), Some(k));
         }
-        assert_eq!(h.search(&100), None);
+        assert_eq!(h.search((), &100), None);
         for k in (0..100u64).step_by(2) {
-            assert_eq!(h.delete(&k), Some(k));
+            assert_eq!(h.delete((), &k), Some(k));
         }
         assert_eq!(h.len(), 50);
-        h.validate().unwrap();
+        h.validate(()).unwrap();
     }
 
     #[test]
@@ -361,11 +355,11 @@ mod tests {
         // stay correct.
         let mut h = nat(16);
         for k in 0..1000u64 {
-            h.insert(k);
+            h.insert((), k);
         }
-        h.validate().unwrap();
+        h.validate(()).unwrap();
         for k in (0..1000u64).step_by(13) {
-            assert_eq!(h.search(&k), Some(k));
+            assert_eq!(h.search((), &k), Some(k));
         }
         assert!(h.average_chain_length() > 10.0);
     }
@@ -374,35 +368,35 @@ mod tests {
     fn duplicates() {
         let mut h = ChainedBucketHash::with_capacity(DupAdapter, 32);
         for low in 0..8u64 {
-            h.insert((3 << 16) | low);
+            h.insert((), (3 << 16) | low);
         }
         let mut out = Vec::new();
-        h.search_all(&3, &mut out);
+        h.search_all((), &3, &mut out);
         assert_eq!(out.len(), 8);
-        assert!(h.delete_entry(&((3 << 16) | 5)));
-        assert!(!h.delete_entry(&((3 << 16) | 5)));
+        assert!(h.delete_entry((), &((3 << 16) | 5)));
+        assert!(!h.delete_entry((), &((3 << 16) | 5)));
         out.clear();
-        h.search_all(&3, &mut out);
+        h.search_all((), &3, &mut out);
         assert_eq!(out.len(), 7);
-        h.validate().unwrap();
+        h.validate(()).unwrap();
     }
 
     #[test]
     fn insert_unique_detects_duplicate_keys() {
         let mut h = ChainedBucketHash::with_capacity(DupAdapter, 32);
-        h.insert_unique((3 << 16) | 1).unwrap();
+        h.insert_unique((), (3 << 16) | 1).unwrap();
         assert_eq!(
-            h.insert_unique((3 << 16) | 2),
+            h.insert_unique((), (3 << 16) | 2),
             Err(IndexError::DuplicateKey)
         );
-        h.insert_unique(4 << 16).unwrap();
+        h.insert_unique((), 4 << 16).unwrap();
         assert_eq!(h.len(), 2);
     }
 
     #[test]
     fn differential_vs_model() {
         let mut h = ChainedBucketHash::with_capacity(DupAdapter, 256);
-        testkit::unordered_differential(DupAdapter, &mut h, 0xC8A1, 5000, 300);
+        testkit::unordered_differential(&mut h, 0xC8A1, 5000, 300);
     }
 
     #[cfg(feature = "stats")]
@@ -410,11 +404,11 @@ mod tests {
     fn search_cost_is_constant() {
         let mut h = nat(40_000);
         for e in testkit::shuffled_unique_entries(30_000, 6) {
-            h.insert(e >> 16);
+            h.insert((), e >> 16);
         }
         h.reset_stats();
         for k in (0..30_000u64).step_by(100) {
-            assert!(h.search(&k).is_some());
+            assert!(h.search((), &k).is_some());
         }
         let s = h.stats();
         let per = s.comparisons as f64 / 300.0;
@@ -430,7 +424,7 @@ mod tests {
         // Paper: storage factor ≈ 2.3 over the array baseline.
         let mut h = ChainedBucketHash::with_capacity(DupAdapter, 30_000);
         for e in testkit::shuffled_unique_entries(30_000, 1) {
-            h.insert(e);
+            h.insert((), e);
         }
         let payload = 30_000 * std::mem::size_of::<u64>();
         let factor = h.storage_bytes() as f64 / payload as f64;
@@ -441,7 +435,7 @@ mod tests {
     fn scan_visits_everything() {
         let mut h = nat(128);
         for k in 0..500u64 {
-            h.insert(k);
+            h.insert((), k);
         }
         let mut seen = Vec::new();
         h.scan(&mut |e| seen.push(*e));

@@ -105,7 +105,7 @@ impl<A: HashAdapter> ExtendibleHash<A> {
     /// directory slots addressing `b` through that bit are repointed
     /// (stride walk — the slots of a depth-`d` bucket with pattern `p` are
     /// exactly `p, p + 2^d, p + 2·2^d, …`).
-    fn split_bucket(&mut self, b: u32) {
+    fn split_bucket(&mut self, cx: A::Ctx<'_>, b: u32) {
         self.stats.restructures(1);
         let old_depth = self.buckets[b as usize].local_depth;
         let pattern = self.buckets[b as usize].pattern;
@@ -117,7 +117,7 @@ impl<A: HashAdapter> ExtendibleHash<A> {
         for e in old_items {
             self.stats.hash_calls(1);
             self.stats.data_moves(1);
-            if self.adapter.hash_entry(&e) & bit != 0 {
+            if self.adapter.hash_entry(cx, &e) & bit != 0 {
                 go.push(e);
             } else {
                 stay.push(e);
@@ -144,14 +144,14 @@ impl<A: HashAdapter> ExtendibleHash<A> {
 
     /// Can splitting ever separate this entry from the bucket's current
     /// contents? Not if every resident hash equals the incoming hash.
-    fn splittable(&self, b: u32, hash: u64) -> bool {
+    fn splittable(&self, cx: A::Ctx<'_>, b: u32, hash: u64) -> bool {
         self.buckets[b as usize]
             .items
             .iter()
-            .any(|e| self.adapter.hash_entry(e) != hash)
+            .any(|e| self.adapter.hash_entry(cx, e) != hash)
     }
 
-    fn insert_hashed(&mut self, entry: A::Entry, hash: u64) {
+    fn insert_hashed(&mut self, cx: A::Ctx<'_>, entry: A::Entry, hash: u64) {
         loop {
             let b = self.bucket_for_hash(hash);
             if self.buckets[b as usize].items.len() < self.bucket_capacity {
@@ -160,7 +160,7 @@ impl<A: HashAdapter> ExtendibleHash<A> {
                 self.len += 1;
                 return;
             }
-            if !self.splittable(b, hash) {
+            if !self.splittable(cx, b, hash) {
                 // All residents share the incoming hash (duplicate keys):
                 // splitting can never help; overflow the bucket.
                 self.buckets[b as usize].items.push(entry);
@@ -170,7 +170,7 @@ impl<A: HashAdapter> ExtendibleHash<A> {
             }
             let local = self.buckets[b as usize].local_depth;
             if local < self.global_depth {
-                self.split_bucket(b);
+                self.split_bucket(cx, b);
             } else if self.global_depth < MAX_GLOBAL_DEPTH {
                 self.double_directory();
             } else {
@@ -184,27 +184,27 @@ impl<A: HashAdapter> ExtendibleHash<A> {
 }
 
 impl<A: HashAdapter> UnorderedIndex<A> for ExtendibleHash<A> {
-    fn insert(&mut self, entry: A::Entry) {
+    fn insert(&mut self, cx: A::Ctx<'_>, entry: A::Entry) {
         self.stats.hash_calls(1);
-        let hash = self.adapter.hash_entry(&entry);
-        self.insert_hashed(entry, hash);
+        let hash = self.adapter.hash_entry(cx, &entry);
+        self.insert_hashed(cx, entry, hash);
     }
 
-    fn insert_unique(&mut self, entry: A::Entry) -> Result<(), IndexError> {
+    fn insert_unique(&mut self, cx: A::Ctx<'_>, entry: A::Entry) -> Result<(), IndexError> {
         self.stats.hash_calls(1);
-        let hash = self.adapter.hash_entry(&entry);
+        let hash = self.adapter.hash_entry(cx, &entry);
         let b = self.bucket_for_hash(hash);
         for e in &self.buckets[b as usize].items {
             self.stats.comparisons(1);
-            if self.adapter.cmp_entries(e, &entry) == Ordering::Equal {
+            if self.adapter.cmp_entries(cx, e, &entry) == Ordering::Equal {
                 return Err(IndexError::DuplicateKey);
             }
         }
-        self.insert_hashed(entry, hash);
+        self.insert_hashed(cx, entry, hash);
         Ok(())
     }
 
-    fn delete(&mut self, key: &A::Key) -> Option<A::Entry> {
+    fn delete(&mut self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry> {
         self.stats.hash_calls(1);
         let hash = self.adapter.hash_key(key);
         let b = self.bucket_for_hash(hash);
@@ -212,7 +212,7 @@ impl<A: HashAdapter> UnorderedIndex<A> for ExtendibleHash<A> {
         let bucket = &mut self.buckets[b as usize];
         for i in 0..bucket.items.len() {
             self.stats.comparisons(1);
-            if self.adapter.cmp_entry_key(&bucket.items[i], key) == Ordering::Equal {
+            if self.adapter.cmp_entry_key(cx, &bucket.items[i], key) == Ordering::Equal {
                 let e = bucket.items.swap_remove(i);
                 self.stats.data_moves(1);
                 self.len -= 1;
@@ -222,9 +222,9 @@ impl<A: HashAdapter> UnorderedIndex<A> for ExtendibleHash<A> {
         None
     }
 
-    fn delete_entry(&mut self, entry: &A::Entry) -> bool {
+    fn delete_entry(&mut self, cx: A::Ctx<'_>, entry: &A::Entry) -> bool {
         self.stats.hash_calls(1);
-        let hash = self.adapter.hash_entry(entry);
+        let hash = self.adapter.hash_entry(cx, entry);
         let b = self.bucket_for_hash(hash);
         self.stats.node_visits(1);
         let bucket = &mut self.buckets[b as usize];
@@ -240,28 +240,28 @@ impl<A: HashAdapter> UnorderedIndex<A> for ExtendibleHash<A> {
         false
     }
 
-    fn search(&self, key: &A::Key) -> Option<A::Entry> {
+    fn search(&self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry> {
         self.stats.hash_calls(1);
         let hash = self.adapter.hash_key(key);
         let b = self.bucket_for_hash(hash);
         self.stats.node_visits(1);
         for e in &self.buckets[b as usize].items {
             self.stats.comparisons(1);
-            if self.adapter.cmp_entry_key(e, key) == Ordering::Equal {
+            if self.adapter.cmp_entry_key(cx, e, key) == Ordering::Equal {
                 return Some(*e);
             }
         }
         None
     }
 
-    fn search_all(&self, key: &A::Key, out: &mut Vec<A::Entry>) {
+    fn search_all(&self, cx: A::Ctx<'_>, key: &A::Key, out: &mut Vec<A::Entry>) {
         self.stats.hash_calls(1);
         let hash = self.adapter.hash_key(key);
         let b = self.bucket_for_hash(hash);
         self.stats.node_visits(1);
         for e in &self.buckets[b as usize].items {
             self.stats.comparisons(1);
-            if self.adapter.cmp_entry_key(e, key) == Ordering::Equal {
+            if self.adapter.cmp_entry_key(cx, e, key) == Ordering::Equal {
                 out.push(*e);
             }
         }
@@ -299,7 +299,7 @@ impl<A: HashAdapter> UnorderedIndex<A> for ExtendibleHash<A> {
         self.stats.reset();
     }
 
-    fn validate(&self) -> Result<(), String> {
+    fn validate(&self, cx: A::Ctx<'_>) -> Result<(), String> {
         if self.directory.len() != 1usize << self.global_depth {
             return Err("directory size != 2^global_depth".into());
         }
@@ -327,7 +327,7 @@ impl<A: HashAdapter> UnorderedIndex<A> for ExtendibleHash<A> {
                 slot += stride;
             }
             for e in &b.items {
-                if self.adapter.hash_entry(e) & mask != b.pattern {
+                if self.adapter.hash_entry(cx, e) & mask != b.pattern {
                     return Err(format!("bucket {id}: entry hashed elsewhere"));
                 }
             }
@@ -372,14 +372,8 @@ impl<A: HashAdapter> ExtendibleHash<A> {
 
     /// The hash of an entry (directory addressing uses its low bits).
     #[must_use]
-    pub fn raw_hash_of(&self, e: &A::Entry) -> u64 {
-        self.adapter.hash_entry(e)
-    }
-
-    /// The adapter, for key comparisons during checking.
-    #[must_use]
-    pub fn raw_adapter(&self) -> &A {
-        &self.adapter
+    pub fn raw_hash_of(&self, cx: A::Ctx<'_>, e: &A::Entry) -> u64 {
+        self.adapter.hash_entry(cx, e)
     }
 }
 
@@ -396,21 +390,21 @@ mod tests {
     #[test]
     fn empty() {
         let mut h = nat(4);
-        assert_eq!(h.search(&9), None);
-        assert_eq!(h.delete(&9), None);
-        h.validate().unwrap();
+        assert_eq!(h.search((), &9), None);
+        assert_eq!(h.delete((), &9), None);
+        h.validate(()).unwrap();
     }
 
     #[test]
     fn grows_directory_under_load() {
         let mut h = nat(4);
         for k in 0..1000u64 {
-            h.insert(k);
+            h.insert((), k);
         }
-        h.validate().unwrap();
+        h.validate(()).unwrap();
         assert!(h.global_depth() >= 6, "depth {}", h.global_depth());
         for k in 0..1000u64 {
-            assert_eq!(h.search(&k), Some(k));
+            assert_eq!(h.search((), &k), Some(k));
         }
     }
 
@@ -420,11 +414,11 @@ mod tests {
         let mut small = nat(2);
         let mut large = nat(32);
         for e in testkit::shuffled_unique_entries(4000, 17) {
-            small.insert(e);
-            large.insert(e);
+            small.insert((), e);
+            large.insert((), e);
         }
-        small.validate().unwrap();
-        large.validate().unwrap();
+        small.validate(()).unwrap();
+        large.validate(()).unwrap();
         assert!(
             small.directory_size() > large.directory_size() * 4,
             "small {} vs large {}",
@@ -437,14 +431,14 @@ mod tests {
     fn delete_and_research() {
         let mut h = nat(8);
         for k in 0..500u64 {
-            h.insert(k);
+            h.insert((), k);
         }
         for k in (0..500u64).step_by(3) {
-            assert_eq!(h.delete(&k), Some(k));
+            assert_eq!(h.delete((), &k), Some(k));
         }
-        h.validate().unwrap();
+        h.validate(()).unwrap();
         for k in 0..500u64 {
-            assert_eq!(h.search(&k).is_some(), k % 3 != 0);
+            assert_eq!(h.search((), &k).is_some(), k % 3 != 0);
         }
     }
 
@@ -454,11 +448,11 @@ mod tests {
         // 500 entries with the same key — unsplittable; the directory must
         // NOT blow up chasing them.
         for low in 0..500u64 {
-            h.insert((1 << 16) | low);
+            h.insert((), (1 << 16) | low);
         }
-        h.validate().unwrap();
+        h.validate(()).unwrap();
         let mut out = Vec::new();
-        h.search_all(&1, &mut out);
+        h.search_all((), &1, &mut out);
         assert_eq!(out.len(), 500);
         assert!(
             h.directory_size() <= 8,
@@ -470,9 +464,9 @@ mod tests {
     #[test]
     fn insert_unique() {
         let mut h = ExtendibleHash::new(DupAdapter, 4);
-        h.insert_unique((7 << 16) | 1).unwrap();
+        h.insert_unique((), (7 << 16) | 1).unwrap();
         assert_eq!(
-            h.insert_unique((7 << 16) | 9),
+            h.insert_unique((), (7 << 16) | 9),
             Err(IndexError::DuplicateKey)
         );
     }
@@ -481,7 +475,7 @@ mod tests {
     fn differential_vs_model() {
         for cap in [1usize, 2, 8, 32] {
             let mut h = ExtendibleHash::new(DupAdapter, cap);
-            testkit::unordered_differential(DupAdapter, &mut h, 0xE87 + cap as u64, 5000, 300);
+            testkit::unordered_differential(&mut h, 0xE87 + cap as u64, 5000, 300);
         }
     }
 
@@ -490,11 +484,11 @@ mod tests {
     fn search_cost_constant() {
         let mut h = nat(16);
         for e in testkit::shuffled_unique_entries(30_000, 2) {
-            h.insert(e >> 16);
+            h.insert((), e >> 16);
         }
         h.reset_stats();
         for k in (0..30_000u64).step_by(100) {
-            assert!(h.search(&k).is_some());
+            assert!(h.search((), &k).is_some());
         }
         let per = h.stats().comparisons as f64 / 300.0;
         assert!(per < 16.0, "per-search comparisons {per} (≤ bucket size)");
@@ -504,7 +498,7 @@ mod tests {
     fn scan_complete() {
         let mut h = nat(4);
         for k in 0..300u64 {
-            h.insert(k);
+            h.insert((), k);
         }
         let mut seen = Vec::new();
         h.scan(&mut |e| seen.push(*e));

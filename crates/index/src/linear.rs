@@ -145,7 +145,7 @@ impl<A: HashAdapter> LinearHash<A> {
         self.len as f64 / (self.total_pages * self.bucket_capacity) as f64
     }
 
-    fn split_one(&mut self) {
+    fn split_one(&mut self, cx: A::Ctx<'_>) {
         self.stats.restructures(1);
         let new_index = self.buckets.len();
         debug_assert_eq!(new_index, self.base() + self.split);
@@ -159,7 +159,7 @@ impl<A: HashAdapter> LinearHash<A> {
         for e in old_items {
             self.stats.hash_calls(1);
             self.stats.data_moves(1);
-            if (self.adapter.hash_entry(&e) % wide) as usize == self.split {
+            if (self.adapter.hash_entry(cx, &e) % wide) as usize == self.split {
                 stay.push(e);
             } else {
                 go.push(e);
@@ -203,9 +203,9 @@ impl<A: HashAdapter> LinearHash<A> {
         self.repage(survivor_before, survivor_after);
     }
 
-    fn maybe_grow(&mut self) {
+    fn maybe_grow(&mut self, cx: A::Ctx<'_>) {
         while self.utilization() > self.split_threshold {
-            self.split_one();
+            self.split_one(cx);
         }
     }
 
@@ -217,23 +217,23 @@ impl<A: HashAdapter> LinearHash<A> {
 }
 
 impl<A: HashAdapter> UnorderedIndex<A> for LinearHash<A> {
-    fn insert(&mut self, entry: A::Entry) {
+    fn insert(&mut self, cx: A::Ctx<'_>, entry: A::Entry) {
         self.stats.hash_calls(1);
-        let b = self.address(self.adapter.hash_entry(&entry));
+        let b = self.address(self.adapter.hash_entry(cx, &entry));
         let before = self.buckets[b].items.len();
         self.buckets[b].items.push(entry);
         self.repage(before, before + 1);
         self.stats.data_moves(1);
         self.len += 1;
-        self.maybe_grow();
+        self.maybe_grow(cx);
     }
 
-    fn insert_unique(&mut self, entry: A::Entry) -> Result<(), IndexError> {
+    fn insert_unique(&mut self, cx: A::Ctx<'_>, entry: A::Entry) -> Result<(), IndexError> {
         self.stats.hash_calls(1);
-        let b = self.address(self.adapter.hash_entry(&entry));
+        let b = self.address(self.adapter.hash_entry(cx, &entry));
         for e in &self.buckets[b].items {
             self.stats.comparisons(1);
-            if self.adapter.cmp_entries(e, &entry) == Ordering::Equal {
+            if self.adapter.cmp_entries(cx, e, &entry) == Ordering::Equal {
                 return Err(IndexError::DuplicateKey);
             }
         }
@@ -242,17 +242,21 @@ impl<A: HashAdapter> UnorderedIndex<A> for LinearHash<A> {
         self.repage(before, before + 1);
         self.stats.data_moves(1);
         self.len += 1;
-        self.maybe_grow();
+        self.maybe_grow(cx);
         Ok(())
     }
 
-    fn delete(&mut self, key: &A::Key) -> Option<A::Entry> {
+    fn delete(&mut self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry> {
         self.stats.hash_calls(1);
         let b = self.address(self.adapter.hash_key(key));
         self.stats.node_visits(1);
         for i in 0..self.buckets[b].items.len() {
             self.stats.comparisons(1);
-            if self.adapter.cmp_entry_key(&self.buckets[b].items[i], key) == Ordering::Equal {
+            if self
+                .adapter
+                .cmp_entry_key(cx, &self.buckets[b].items[i], key)
+                == Ordering::Equal
+            {
                 let before = self.buckets[b].items.len();
                 let e = self.buckets[b].items.swap_remove(i);
                 self.repage(before, before - 1);
@@ -265,9 +269,9 @@ impl<A: HashAdapter> UnorderedIndex<A> for LinearHash<A> {
         None
     }
 
-    fn delete_entry(&mut self, entry: &A::Entry) -> bool {
+    fn delete_entry(&mut self, cx: A::Ctx<'_>, entry: &A::Entry) -> bool {
         self.stats.hash_calls(1);
-        let b = self.address(self.adapter.hash_entry(entry));
+        let b = self.address(self.adapter.hash_entry(cx, entry));
         self.stats.node_visits(1);
         for i in 0..self.buckets[b].items.len() {
             self.stats.comparisons(1);
@@ -284,26 +288,26 @@ impl<A: HashAdapter> UnorderedIndex<A> for LinearHash<A> {
         false
     }
 
-    fn search(&self, key: &A::Key) -> Option<A::Entry> {
+    fn search(&self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry> {
         self.stats.hash_calls(1);
         let b = self.address(self.adapter.hash_key(key));
         self.stats.node_visits(1);
         for e in &self.buckets[b].items {
             self.stats.comparisons(1);
-            if self.adapter.cmp_entry_key(e, key) == Ordering::Equal {
+            if self.adapter.cmp_entry_key(cx, e, key) == Ordering::Equal {
                 return Some(*e);
             }
         }
         None
     }
 
-    fn search_all(&self, key: &A::Key, out: &mut Vec<A::Entry>) {
+    fn search_all(&self, cx: A::Ctx<'_>, key: &A::Key, out: &mut Vec<A::Entry>) {
         self.stats.hash_calls(1);
         let b = self.address(self.adapter.hash_key(key));
         self.stats.node_visits(1);
         for e in &self.buckets[b].items {
             self.stats.comparisons(1);
-            if self.adapter.cmp_entry_key(e, key) == Ordering::Equal {
+            if self.adapter.cmp_entry_key(cx, e, key) == Ordering::Equal {
                 out.push(*e);
             }
         }
@@ -339,7 +343,7 @@ impl<A: HashAdapter> UnorderedIndex<A> for LinearHash<A> {
         self.stats.reset();
     }
 
-    fn validate(&self) -> Result<(), String> {
+    fn validate(&self, cx: A::Ctx<'_>) -> Result<(), String> {
         if self.buckets.len() != self.base() + self.split {
             return Err(format!(
                 "bucket count {} != base {} + split {}",
@@ -351,7 +355,7 @@ impl<A: HashAdapter> UnorderedIndex<A> for LinearHash<A> {
         let mut counted = 0usize;
         for (i, b) in self.buckets.iter().enumerate() {
             for e in &b.items {
-                let a = self.address(self.adapter.hash_entry(e));
+                let a = self.address(self.adapter.hash_entry(cx, e));
                 if a != i {
                     return Err(format!("entry in bucket {i} addresses to {a}"));
                 }
@@ -403,14 +407,8 @@ impl<A: HashAdapter> LinearHash<A> {
 
     /// The bucket an entry addresses to under the current split state.
     #[must_use]
-    pub fn raw_address_of(&self, e: &A::Entry) -> usize {
-        self.address(self.adapter.hash_entry(e))
-    }
-
-    /// The adapter, for key comparisons during checking.
-    #[must_use]
-    pub fn raw_adapter(&self) -> &A {
-        &self.adapter
+    pub fn raw_address_of(&self, cx: A::Ctx<'_>, e: &A::Entry) -> usize {
+        self.address(self.adapter.hash_entry(cx, e))
     }
 }
 
@@ -427,21 +425,21 @@ mod tests {
     #[test]
     fn empty() {
         let mut h = nat(4);
-        assert_eq!(h.search(&1), None);
-        assert_eq!(h.delete(&1), None);
-        h.validate().unwrap();
+        assert_eq!(h.search((), &1), None);
+        assert_eq!(h.delete((), &1), None);
+        h.validate(()).unwrap();
     }
 
     #[test]
     fn grows_linearly_under_inserts() {
         let mut h = nat(8);
         for k in 0..5000u64 {
-            h.insert(k);
+            h.insert((), k);
         }
-        h.validate().unwrap();
+        h.validate(()).unwrap();
         assert!(h.bucket_count() > 200, "buckets {}", h.bucket_count());
         for k in (0..5000u64).step_by(7) {
-            assert_eq!(h.search(&k), Some(k));
+            assert_eq!(h.search((), &k), Some(k));
         }
         // Utilisation is maintained near the threshold.
         let u = h.utilization();
@@ -452,20 +450,20 @@ mod tests {
     fn shrinks_after_deletes() {
         let mut h = nat(8);
         for k in 0..5000u64 {
-            h.insert(k);
+            h.insert((), k);
         }
         let grown = h.bucket_count();
         for k in 0..4500u64 {
-            assert_eq!(h.delete(&k), Some(k));
+            assert_eq!(h.delete((), &k), Some(k));
         }
-        h.validate().unwrap();
+        h.validate(()).unwrap();
         assert!(
             h.bucket_count() < grown / 2,
             "should contract: {} vs {grown}",
             h.bucket_count()
         );
         for k in 4500..5000u64 {
-            assert_eq!(h.search(&k), Some(k));
+            assert_eq!(h.search((), &k), Some(k));
         }
     }
 
@@ -477,41 +475,41 @@ mod tests {
         // warm-up, no operation restructures.
         let mut h = nat(4);
         for k in 0..2000u64 {
-            h.insert(k);
+            h.insert((), k);
         }
         // Warm-up: let any boundary-adjacent splits land.
         let mut rng = testkit::TestRng::new(31);
         for i in 0..500u64 {
-            let _ = h.delete(&(i % 2000));
-            h.insert(i % 2000);
+            let _ = h.delete((), &(i % 2000));
+            h.insert((), i % 2000);
             let _ = rng.below(1 << 30);
         }
         h.reset_stats();
         for i in 0..4000u64 {
-            let _ = h.delete(&(i % 2000));
+            let _ = h.delete((), &(i % 2000));
             let k = 2000 + rng.below(1 << 30);
-            h.insert(k);
-            let _ = h.delete(&k);
-            h.insert(i % 2000);
+            h.insert((), k);
+            let _ = h.delete((), &k);
+            h.insert((), i % 2000);
         }
         let r = h.stats().restructures;
         assert_eq!(r, 0, "steady state must not reorganise, saw {r}");
-        h.validate().unwrap();
+        h.validate(()).unwrap();
         // Growth and shrink still restructure as before.
         h.reset_stats();
         for k in 10_000..14_000u64 {
-            h.insert(k);
+            h.insert((), k);
         }
         assert!(h.stats().restructures > 0, "growth must split");
         h.reset_stats();
         for k in 10_000..14_000u64 {
-            let _ = h.delete(&k);
+            let _ = h.delete((), &k);
         }
         for k in 0..1500u64 {
-            let _ = h.delete(&k);
+            let _ = h.delete((), &k);
         }
         assert!(h.stats().restructures > 0, "shrink must contract");
-        h.validate().unwrap();
+        h.validate(()).unwrap();
     }
 
     #[cfg(feature = "stats")]
@@ -522,35 +520,35 @@ mod tests {
         // near-constantly.
         let mut h = LinearHash::with_thresholds(NaturalAdapter::new(), 4, 0.80, 0.80);
         for k in 0..2000u64 {
-            h.insert(k);
+            h.insert((), k);
         }
         h.reset_stats();
         let mut rng = testkit::TestRng::new(31);
         for i in 0..4000u64 {
-            let _ = h.delete(&(i % 2000));
+            let _ = h.delete((), &(i % 2000));
             let k = 2000 + rng.below(1 << 30);
-            h.insert(k);
-            let _ = h.delete(&k);
-            h.insert(i % 2000);
+            h.insert((), k);
+            let _ = h.delete((), &k);
+            h.insert((), i % 2000);
         }
         let r = h.stats().restructures;
         assert!(r > 0, "set-point table must keep reorganising, got none");
-        h.validate().unwrap();
+        h.validate(()).unwrap();
     }
 
     #[test]
     fn duplicates() {
         let mut h = LinearHash::new(DupAdapter, 4);
         for low in 0..100u64 {
-            h.insert((2 << 16) | low);
+            h.insert((), (2 << 16) | low);
         }
-        h.validate().unwrap();
+        h.validate(()).unwrap();
         let mut out = Vec::new();
-        h.search_all(&2, &mut out);
+        h.search_all((), &2, &mut out);
         assert_eq!(out.len(), 100);
-        assert!(h.delete_entry(&((2 << 16) | 42)));
+        assert!(h.delete_entry((), &((2 << 16) | 42)));
         out.clear();
-        h.search_all(&2, &mut out);
+        h.search_all((), &2, &mut out);
         assert_eq!(out.len(), 99);
     }
 
@@ -558,7 +556,7 @@ mod tests {
     fn differential_vs_model() {
         for cap in [1usize, 4, 16] {
             let mut h = LinearHash::new(DupAdapter, cap);
-            testkit::unordered_differential(DupAdapter, &mut h, 0x71E + cap as u64, 5000, 300);
+            testkit::unordered_differential(&mut h, 0x71E + cap as u64, 5000, 300);
         }
     }
 
@@ -566,7 +564,7 @@ mod tests {
     fn scan_complete() {
         let mut h = nat(8);
         for k in 0..1000u64 {
-            h.insert(k);
+            h.insert((), k);
         }
         let mut seen = Vec::new();
         h.scan(&mut |e| seen.push(*e));
@@ -577,9 +575,9 @@ mod tests {
     #[test]
     fn insert_unique() {
         let mut h = LinearHash::new(DupAdapter, 4);
-        h.insert_unique((9 << 16) | 1).unwrap();
+        h.insert_unique((), (9 << 16) | 1).unwrap();
         assert_eq!(
-            h.insert_unique((9 << 16) | 2),
+            h.insert_unique((), (9 << 16) | 2),
             Err(IndexError::DuplicateKey)
         );
     }

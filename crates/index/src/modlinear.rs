@@ -101,7 +101,7 @@ impl<A: HashAdapter> ModifiedLinearHash<A> {
         }
     }
 
-    fn split_one(&mut self) {
+    fn split_one(&mut self, cx: A::Ctx<'_>) {
         self.stats.restructures(1);
         let new_index = self.directory.len();
         debug_assert_eq!(new_index, self.base() + self.split);
@@ -114,7 +114,7 @@ impl<A: HashAdapter> ModifiedLinearHash<A> {
             let next = self.nodes[cur as usize].next;
             self.stats.hash_calls(1);
             self.stats.data_moves(1);
-            let h = self.adapter.hash_entry(&self.nodes[cur as usize].entry);
+            let h = self.adapter.hash_entry(cx, &self.nodes[cur as usize].entry);
             if (h % wide) as usize == self.split {
                 self.nodes[cur as usize].next = stay;
                 stay = cur;
@@ -158,9 +158,9 @@ impl<A: HashAdapter> ModifiedLinearHash<A> {
         }
     }
 
-    fn maybe_grow(&mut self) {
+    fn maybe_grow(&mut self, cx: A::Ctx<'_>) {
         while self.average_chain() > self.target_chain {
-            self.split_one();
+            self.split_one(cx);
         }
     }
 
@@ -184,10 +184,10 @@ impl<A: HashAdapter> ModifiedLinearHash<A> {
     /// the normal grow/shrink schedule. Chain order differs from the
     /// incremental prepend order (the structure gives no scan-order
     /// guarantee).
-    pub fn bulk_fill_hashed(&mut self, entries: Vec<(u64, A::Entry)>) {
+    pub fn bulk_fill_hashed(&mut self, cx: A::Ctx<'_>, entries: Vec<(u64, A::Entry)>) {
         if self.len != 0 {
             for (_, e) in entries {
-                self.insert(e);
+                self.insert(cx, e);
             }
             return;
         }
@@ -211,40 +211,40 @@ impl<A: HashAdapter> ModifiedLinearHash<A> {
 
     /// [`Self::bulk_fill_hashed`] with the hashes computed here (one
     /// [`HashAdapter::hash_entry`] call per entry).
-    pub fn bulk_fill(&mut self, entries: Vec<A::Entry>) {
+    pub fn bulk_fill(&mut self, cx: A::Ctx<'_>, entries: Vec<A::Entry>) {
         let hashed: Vec<(u64, A::Entry)> = entries
             .into_iter()
             .map(|e| {
                 self.stats.hash_calls(1);
-                (self.adapter.hash_entry(&e), e)
+                (self.adapter.hash_entry(cx, &e), e)
             })
             .collect();
-        self.bulk_fill_hashed(hashed);
+        self.bulk_fill_hashed(cx, hashed);
     }
 }
 
 impl<A: HashAdapter> UnorderedIndex<A> for ModifiedLinearHash<A> {
-    fn insert(&mut self, entry: A::Entry) {
+    fn insert(&mut self, cx: A::Ctx<'_>, entry: A::Entry) {
         self.stats.hash_calls(1);
-        let b = self.address(self.adapter.hash_entry(&entry));
+        let b = self.address(self.adapter.hash_entry(cx, &entry));
         let head = self.directory[b];
         let id = self.alloc(entry, head);
         self.directory[b] = id;
         self.stats.data_moves(1);
         self.len += 1;
-        self.maybe_grow();
+        self.maybe_grow(cx);
     }
 
-    fn insert_unique(&mut self, entry: A::Entry) -> Result<(), IndexError> {
+    fn insert_unique(&mut self, cx: A::Ctx<'_>, entry: A::Entry) -> Result<(), IndexError> {
         self.stats.hash_calls(1);
-        let b = self.address(self.adapter.hash_entry(&entry));
+        let b = self.address(self.adapter.hash_entry(cx, &entry));
         let mut cur = self.directory[b];
         while cur != NIL {
             self.stats.node_visits(1);
             self.stats.comparisons(1);
             if self
                 .adapter
-                .cmp_entries(&self.nodes[cur as usize].entry, &entry)
+                .cmp_entries(cx, &self.nodes[cur as usize].entry, &entry)
                 == Ordering::Equal
             {
                 return Err(IndexError::DuplicateKey);
@@ -256,11 +256,11 @@ impl<A: HashAdapter> UnorderedIndex<A> for ModifiedLinearHash<A> {
         self.directory[b] = id;
         self.stats.data_moves(1);
         self.len += 1;
-        self.maybe_grow();
+        self.maybe_grow(cx);
         Ok(())
     }
 
-    fn delete(&mut self, key: &A::Key) -> Option<A::Entry> {
+    fn delete(&mut self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry> {
         self.stats.hash_calls(1);
         let b = self.address(self.adapter.hash_key(key));
         let mut prev = NIL;
@@ -270,7 +270,7 @@ impl<A: HashAdapter> UnorderedIndex<A> for ModifiedLinearHash<A> {
             self.stats.comparisons(1);
             if self
                 .adapter
-                .cmp_entry_key(&self.nodes[cur as usize].entry, key)
+                .cmp_entry_key(cx, &self.nodes[cur as usize].entry, key)
                 == Ordering::Equal
             {
                 let next = self.nodes[cur as usize].next;
@@ -291,9 +291,9 @@ impl<A: HashAdapter> UnorderedIndex<A> for ModifiedLinearHash<A> {
         None
     }
 
-    fn delete_entry(&mut self, entry: &A::Entry) -> bool {
+    fn delete_entry(&mut self, cx: A::Ctx<'_>, entry: &A::Entry) -> bool {
         self.stats.hash_calls(1);
-        let b = self.address(self.adapter.hash_entry(entry));
+        let b = self.address(self.adapter.hash_entry(cx, entry));
         let mut prev = NIL;
         let mut cur = self.directory[b];
         while cur != NIL {
@@ -317,7 +317,7 @@ impl<A: HashAdapter> UnorderedIndex<A> for ModifiedLinearHash<A> {
         false
     }
 
-    fn search(&self, key: &A::Key) -> Option<A::Entry> {
+    fn search(&self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry> {
         self.stats.hash_calls(1);
         let b = self.address(self.adapter.hash_key(key));
         let mut cur = self.directory[b];
@@ -327,7 +327,7 @@ impl<A: HashAdapter> UnorderedIndex<A> for ModifiedLinearHash<A> {
             self.stats.node_visits(1);
             self.stats.comparisons(1);
             let n = &self.nodes[cur as usize];
-            if self.adapter.cmp_entry_key(&n.entry, key) == Ordering::Equal {
+            if self.adapter.cmp_entry_key(cx, &n.entry, key) == Ordering::Equal {
                 return Some(n.entry);
             }
             cur = n.next;
@@ -335,7 +335,7 @@ impl<A: HashAdapter> UnorderedIndex<A> for ModifiedLinearHash<A> {
         None
     }
 
-    fn search_all(&self, key: &A::Key, out: &mut Vec<A::Entry>) {
+    fn search_all(&self, cx: A::Ctx<'_>, key: &A::Key, out: &mut Vec<A::Entry>) {
         self.stats.hash_calls(1);
         let b = self.address(self.adapter.hash_key(key));
         let mut cur = self.directory[b];
@@ -343,7 +343,7 @@ impl<A: HashAdapter> UnorderedIndex<A> for ModifiedLinearHash<A> {
             self.stats.node_visits(1);
             self.stats.comparisons(1);
             let n = &self.nodes[cur as usize];
-            if self.adapter.cmp_entry_key(&n.entry, key) == Ordering::Equal {
+            if self.adapter.cmp_entry_key(cx, &n.entry, key) == Ordering::Equal {
                 out.push(n.entry);
             }
             cur = n.next;
@@ -380,7 +380,7 @@ impl<A: HashAdapter> UnorderedIndex<A> for ModifiedLinearHash<A> {
         self.stats.reset();
     }
 
-    fn validate(&self) -> Result<(), String> {
+    fn validate(&self, cx: A::Ctx<'_>) -> Result<(), String> {
         if self.directory.len() != self.base() + self.split {
             return Err(format!(
                 "directory size {} != base {} + split {}",
@@ -395,7 +395,7 @@ impl<A: HashAdapter> UnorderedIndex<A> for ModifiedLinearHash<A> {
             let mut hops = 0usize;
             while cur != NIL {
                 let n = &self.nodes[cur as usize];
-                let a = self.address(self.adapter.hash_entry(&n.entry));
+                let a = self.address(self.adapter.hash_entry(cx, &n.entry));
                 if a != b {
                     return Err(format!("entry in bucket {b} addresses to {a}"));
                 }
@@ -462,14 +462,8 @@ impl<A: HashAdapter> ModifiedLinearHash<A> {
     /// The directory slot an entry addresses to under the current split
     /// state (the split-pointer math the checker verifies).
     #[must_use]
-    pub fn raw_address_of(&self, e: &A::Entry) -> usize {
-        self.address(self.adapter.hash_entry(e))
-    }
-
-    /// The adapter, for key comparisons during checking.
-    #[must_use]
-    pub fn raw_adapter(&self) -> &A {
-        &self.adapter
+    pub fn raw_address_of(&self, cx: A::Ctx<'_>, e: &A::Entry) -> usize {
+        self.address(self.adapter.hash_entry(cx, e))
     }
 
     /// Corruption hook (negative tests only): swap two chain heads, so
@@ -492,9 +486,9 @@ mod tests {
     #[test]
     fn empty() {
         let mut h = nat(2);
-        assert_eq!(h.search(&1), None);
-        assert_eq!(h.delete(&1), None);
-        h.validate().unwrap();
+        assert_eq!(h.search((), &1), None);
+        assert_eq!(h.delete((), &1), None);
+        h.validate(()).unwrap();
     }
 
     #[test]
@@ -502,9 +496,9 @@ mod tests {
         for target in [1usize, 2, 5, 20] {
             let mut h = nat(target);
             for k in 0..10_000u64 {
-                h.insert(k);
+                h.insert((), k);
             }
-            h.validate().unwrap();
+            h.validate(()).unwrap();
             let avg = h.average_chain();
             assert!(avg <= target as f64 + 0.01, "target {target}: avg {avg}");
             assert!(
@@ -518,16 +512,16 @@ mod tests {
     fn shrinks_after_deletes() {
         let mut h = nat(2);
         for k in 0..8000u64 {
-            h.insert(k);
+            h.insert((), k);
         }
         let grown = h.bucket_count();
         for k in 0..7500u64 {
-            assert_eq!(h.delete(&k), Some(k));
+            assert_eq!(h.delete((), &k), Some(k));
         }
-        h.validate().unwrap();
+        h.validate(()).unwrap();
         assert!(h.bucket_count() < grown / 4);
         for k in 7500..8000u64 {
-            assert_eq!(h.search(&k), Some(k));
+            assert_eq!(h.search((), &k), Some(k));
         }
     }
 
@@ -538,13 +532,13 @@ mod tests {
         // not thrash the directory.
         let mut h = nat(2);
         for k in 0..2000u64 {
-            h.insert(k);
+            h.insert((), k);
         }
         h.reset_stats();
         for i in 0..4000u64 {
             let k = i % 2000;
-            assert_eq!(h.delete(&k), Some(k));
-            h.insert(k);
+            assert_eq!(h.delete((), &k), Some(k));
+            h.insert((), k);
         }
         let r = h.stats().restructures;
         assert!(r <= 8, "expected near-zero reorganisation, got {r}");
@@ -554,15 +548,15 @@ mod tests {
     fn duplicates() {
         let mut h = ModifiedLinearHash::new(DupAdapter, 2);
         for low in 0..64u64 {
-            h.insert((8 << 16) | low);
+            h.insert((), (8 << 16) | low);
         }
-        h.validate().unwrap();
+        h.validate(()).unwrap();
         let mut out = Vec::new();
-        h.search_all(&8, &mut out);
+        h.search_all((), &8, &mut out);
         assert_eq!(out.len(), 64);
-        assert!(h.delete_entry(&((8 << 16) | 33)));
+        assert!(h.delete_entry((), &((8 << 16) | 33)));
         out.clear();
-        h.search_all(&8, &mut out);
+        h.search_all((), &8, &mut out);
         assert_eq!(out.len(), 63);
     }
 
@@ -570,7 +564,7 @@ mod tests {
     fn differential_vs_model() {
         for target in [1usize, 3, 10] {
             let mut h = ModifiedLinearHash::new(DupAdapter, target);
-            testkit::unordered_differential(DupAdapter, &mut h, 0x30D + target as u64, 5000, 300);
+            testkit::unordered_differential(&mut h, 0x30D + target as u64, 5000, 300);
         }
     }
 
@@ -582,11 +576,11 @@ mod tests {
         let per_search = |target: usize| -> f64 {
             let mut h = nat(target);
             for e in testkit::shuffled_unique_entries(30_000, 3) {
-                h.insert(e >> 16);
+                h.insert((), e >> 16);
             }
             h.reset_stats();
             for k in (0..30_000u64).step_by(100) {
-                assert!(h.search(&k).is_some());
+                assert!(h.search((), &k).is_some());
             }
             h.stats().node_visits as f64 / 300.0
         };
@@ -601,9 +595,9 @@ mod tests {
     #[test]
     fn insert_unique() {
         let mut h = ModifiedLinearHash::new(DupAdapter, 2);
-        h.insert_unique((5 << 16) | 1).unwrap();
+        h.insert_unique((), (5 << 16) | 1).unwrap();
         assert_eq!(
-            h.insert_unique((5 << 16) | 7),
+            h.insert_unique((), (5 << 16) | 7),
             Err(IndexError::DuplicateKey)
         );
     }
@@ -612,7 +606,7 @@ mod tests {
     fn scan_complete() {
         let mut h = nat(3);
         for k in 0..700u64 {
-            h.insert(k);
+            h.insert((), k);
         }
         let mut seen = Vec::new();
         h.scan(&mut |e| seen.push(*e));
@@ -622,14 +616,14 @@ mod tests {
 
     fn bulk_vs_incremental(entries: &[u64], target: usize) {
         let mut bulk = nat(target);
-        bulk.bulk_fill(entries.to_vec());
-        bulk.validate()
+        bulk.bulk_fill((), entries.to_vec());
+        bulk.validate(())
             .unwrap_or_else(|e| panic!("target {target}: {e}"));
         let mut incr = nat(target);
         for &e in entries {
-            incr.insert(e);
+            incr.insert((), e);
         }
-        incr.validate().unwrap();
+        incr.validate(()).unwrap();
         // Same contents, same directory geometry as incremental growth.
         assert_eq!(bulk.len(), incr.len(), "target {target}");
         assert_eq!(
@@ -660,7 +654,7 @@ mod tests {
     #[test]
     fn bulk_fill_causes_one_restructure() {
         let mut h = nat(2);
-        h.bulk_fill((0..10_000u64).collect());
+        h.bulk_fill((), (0..10_000u64).collect());
         let snap = UnorderedIndex::stats(&h);
         assert_eq!(
             snap.restructures, 1,
@@ -673,10 +667,10 @@ mod tests {
     fn bulk_fill_on_nonempty_falls_back_to_inserts() {
         let mut h = nat(2);
         for k in 0..100u64 {
-            h.insert(k);
+            h.insert((), k);
         }
-        h.bulk_fill((100..300u64).collect());
-        h.validate().unwrap();
+        h.bulk_fill((), (100..300u64).collect());
+        h.validate(()).unwrap();
         assert_eq!(h.len(), 300);
         let mut seen = Vec::new();
         h.scan(&mut |e| seen.push(*e));
@@ -687,16 +681,16 @@ mod tests {
     #[test]
     fn bulk_fill_then_mutate() {
         let mut h = nat(2);
-        h.bulk_fill((0..1000u64).collect());
+        h.bulk_fill((), (0..1000u64).collect());
         for k in 0..1000u64 {
             if k % 2 == 0 {
-                assert!(h.delete(&k).is_some(), "delete {k}");
+                assert!(h.delete((), &k).is_some(), "delete {k}");
             }
         }
         for k in 1000..1200u64 {
-            h.insert(k);
+            h.insert((), k);
         }
-        h.validate().expect("after mutation");
+        h.validate(()).expect("after mutation");
         let mut seen = Vec::new();
         h.scan(&mut |e| seen.push(*e));
         seen.sort_unstable();

@@ -24,18 +24,19 @@ pub fn dup_key(e: u64) -> u64 {
 impl Adapter for DupAdapter {
     type Entry = u64;
     type Key = u64;
+    type Ctx<'c> = ();
 
-    fn cmp_entries(&self, a: &u64, b: &u64) -> Ordering {
+    fn cmp_entries(&self, (): (), a: &u64, b: &u64) -> Ordering {
         dup_key(*a).cmp(&dup_key(*b))
     }
 
-    fn cmp_entry_key(&self, e: &u64, key: &u64) -> Ordering {
+    fn cmp_entry_key(&self, (): (), e: &u64, key: &u64) -> Ordering {
         dup_key(*e).cmp(key)
     }
 }
 
 impl HashAdapter for DupAdapter {
-    fn hash_entry(&self, e: &u64) -> u64 {
+    fn hash_entry(&self, (): (), e: &u64) -> u64 {
         mix64(dup_key(*e))
     }
 
@@ -66,32 +67,21 @@ impl TestRng {
     }
 }
 
-/// Reference model: a Vec of entries sorted by key (via the adapter), with
+/// Reference model: a Vec of entries sorted by [`DupAdapter`] key, with
 /// multiset semantics for duplicate keys.
-pub struct Model<A: Adapter<Entry = u64, Key = u64>> {
-    adapter: A,
+#[derive(Default)]
+pub struct Model {
     entries: Vec<u64>,
 }
 
-impl<A: Adapter<Entry = u64, Key = u64>> Model<A> {
-    pub fn new(adapter: A) -> Self {
-        Model {
-            adapter,
-            entries: Vec::new(),
-        }
-    }
-
+impl Model {
     pub fn insert(&mut self, e: u64) {
-        let pos = self
-            .entries
-            .partition_point(|x| self.adapter.cmp_entries(x, &e) != Ordering::Greater);
+        let pos = self.entries.partition_point(|x| dup_key(*x) <= dup_key(e));
         self.entries.insert(pos, e);
     }
 
     pub fn contains_key(&self, k: u64) -> bool {
-        self.entries
-            .iter()
-            .any(|e| self.adapter.cmp_entry_key(e, &k) == Ordering::Equal)
+        self.entries.iter().any(|e| dup_key(*e) == k)
     }
 
     pub fn delete_entry(&mut self, e: u64) -> bool {
@@ -108,7 +98,7 @@ impl<A: Adapter<Entry = u64, Key = u64>> Model<A> {
             .entries
             .iter()
             .copied()
-            .filter(|e| self.adapter.cmp_entry_key(e, &k) == Ordering::Equal)
+            .filter(|e| dup_key(*e) == k)
             .collect();
         v.sort_unstable();
         v
@@ -119,10 +109,7 @@ impl<A: Adapter<Entry = u64, Key = u64>> Model<A> {
             .entries
             .iter()
             .copied()
-            .filter(|e| {
-                self.adapter.cmp_entry_key(e, &lo) != Ordering::Less
-                    && self.adapter.cmp_entry_key(e, &hi) != Ordering::Greater
-            })
+            .filter(|e| (lo..=hi).contains(&dup_key(*e)))
             .collect();
         v.sort_unstable();
         v
@@ -147,11 +134,10 @@ impl<A: Adapter<Entry = u64, Key = u64>> Model<A> {
     }
 }
 
-fn assert_sorted_by_key<A: Adapter<Entry = u64, Key = u64>>(adapter: &A, v: &[u64], ctx: &str) {
+fn assert_sorted_by_key(v: &[u64], ctx: &str) {
     for w in v.windows(2) {
-        assert_ne!(
-            adapter.cmp_entries(&w[0], &w[1]),
-            Ordering::Greater,
+        assert!(
+            dup_key(w[0]) <= dup_key(w[1]),
             "{ctx}: scan out of order: {} then {}",
             w[0],
             w[1]
@@ -161,31 +147,25 @@ fn assert_sorted_by_key<A: Adapter<Entry = u64, Key = u64>>(adapter: &A, v: &[u6
 
 /// Drive an ordered index and the model through `steps` randomized
 /// operations, cross-checking everything after every `check_every` steps.
-pub fn ordered_differential<A, I>(
-    adapter: A,
-    index: &mut I,
-    seed: u64,
-    steps: usize,
-    key_space: u64,
-) where
-    A: Adapter<Entry = u64, Key = u64> + Copy,
-    I: OrderedIndex<A> + ?Sized,
+pub fn ordered_differential<I>(index: &mut I, seed: u64, steps: usize, key_space: u64)
+where
+    I: OrderedIndex<DupAdapter> + ?Sized,
 {
     let mut rng = TestRng::new(seed);
-    let mut model = Model::new(adapter);
+    let mut model = Model::default();
     for step in 0..steps {
         let roll = rng.below(100);
         if roll < 40 {
             // Insert (possibly duplicate key).
             let e = (rng.below(key_space) << 16) | rng.below(1 << 16);
-            index.insert(e);
+            index.insert((), e);
             model.insert(e);
         } else if roll < 50 {
             // insert_unique
             let e = (rng.below(key_space) << 16) | rng.below(1 << 16);
-            let k = dup_key_via(adapter, e);
+            let k = dup_key(e);
             let expect_dup = model.contains_key(k);
-            match index.insert_unique(e) {
+            match index.insert_unique((), e) {
                 Ok(()) => {
                     assert!(
                         !expect_dup,
@@ -201,12 +181,12 @@ pub fn ordered_differential<A, I>(
         } else if roll < 65 {
             // Delete by key.
             let k = rng.below(key_space);
-            let got = index.delete(&k);
+            let got = index.delete((), &k);
             match got {
                 Some(e) => {
                     assert_eq!(
-                        adapter.cmp_entry_key(&e, &k),
-                        Ordering::Equal,
+                        dup_key(e),
+                        k,
                         "step {step}: delete returned wrong-key entry"
                     );
                     assert!(
@@ -222,27 +202,30 @@ pub fn ordered_differential<A, I>(
         } else if roll < 72 {
             // Delete a specific (existing) entry.
             if let Some(e) = model.pick(&mut rng) {
-                assert!(index.delete_entry(&e), "step {step}: delete_entry lost {e}");
+                assert!(
+                    index.delete_entry((), &e),
+                    "step {step}: delete_entry lost {e}"
+                );
                 model.delete_entry(e);
             }
         } else if roll < 74 {
             // Delete a non-existent entry.
             let e = u64::MAX - rng.below(1000);
-            assert_eq!(index.delete_entry(&e), model.delete_entry(e));
+            assert_eq!(index.delete_entry((), &e), model.delete_entry(e));
         } else if roll < 86 {
             // Point search.
             let k = rng.below(key_space);
-            let got = index.search(&k);
+            let got = index.search((), &k);
             match got {
                 Some(e) => {
-                    assert_eq!(adapter.cmp_entry_key(&e, &k), Ordering::Equal);
+                    assert_eq!(dup_key(e), k);
                     assert!(model.contains_key(k));
                 }
                 None => assert!(!model.contains_key(k), "step {step}: search missed key {k}"),
             }
             // search_all multiset check.
             let mut all = Vec::new();
-            index.search_all(&k, &mut all);
+            index.search_all((), &k, &mut all);
             all.sort_unstable();
             assert_eq!(all, model.search_all(k), "step {step}: search_all({k})");
         } else if roll < 94 {
@@ -251,26 +234,26 @@ pub fn ordered_differential<A, I>(
             let b = rng.below(key_space);
             let (lo, hi) = (a.min(b), a.max(b));
             let mut out = Vec::new();
-            index.range(Bound::Included(&lo), Bound::Included(&hi), &mut out);
-            assert_sorted_by_key(&adapter, &out, &format!("step {step} range"));
+            index.range((), Bound::Included(&lo), Bound::Included(&hi), &mut out);
+            assert_sorted_by_key(&out, &format!("step {step} range"));
             out.sort_unstable();
             assert_eq!(out, model.range(lo, hi), "step {step}: range [{lo},{hi}]");
         } else {
             // Full scan.
             let mut out = Vec::new();
             index.scan(&mut |e| out.push(*e));
-            assert_sorted_by_key(&adapter, &out, &format!("step {step} scan"));
+            assert_sorted_by_key(&out, &format!("step {step} scan"));
             out.sort_unstable();
             assert_eq!(out, model.all_sorted(), "step {step}: scan");
         }
         assert_eq!(index.len(), model.len(), "step {step}: len");
         if step % 64 == 0 {
-            if let Err(e) = index.validate() {
+            if let Err(e) = index.validate(()) {
                 panic!("step {step}: invariant violated: {e}");
             }
         }
     }
-    index.validate().expect("final validate");
+    index.validate(()).expect("final validate");
     let mut out = Vec::new();
     index.scan(&mut |e| out.push(*e));
     out.sort_unstable();
@@ -278,29 +261,23 @@ pub fn ordered_differential<A, I>(
 }
 
 /// Same as [`ordered_differential`] but for hash (unordered) indices.
-pub fn unordered_differential<A, I>(
-    adapter: A,
-    index: &mut I,
-    seed: u64,
-    steps: usize,
-    key_space: u64,
-) where
-    A: HashAdapter<Entry = u64, Key = u64> + Copy,
-    I: UnorderedIndex<A> + ?Sized,
+pub fn unordered_differential<I>(index: &mut I, seed: u64, steps: usize, key_space: u64)
+where
+    I: UnorderedIndex<DupAdapter> + ?Sized,
 {
     let mut rng = TestRng::new(seed);
-    let mut model = Model::new(adapter);
+    let mut model = Model::default();
     for step in 0..steps {
         let roll = rng.below(100);
         if roll < 45 {
             let e = (rng.below(key_space) << 16) | rng.below(1 << 16);
-            index.insert(e);
+            index.insert((), e);
             model.insert(e);
         } else if roll < 55 {
             let e = (rng.below(key_space) << 16) | rng.below(1 << 16);
-            let k = dup_key_via(adapter, e);
+            let k = dup_key(e);
             let expect_dup = model.contains_key(k);
-            match index.insert_unique(e) {
+            match index.insert_unique((), e) {
                 Ok(()) => {
                     assert!(!expect_dup, "step {step}: insert_unique accepted duplicate");
                     model.insert(e);
@@ -309,48 +286,47 @@ pub fn unordered_differential<A, I>(
             }
         } else if roll < 72 {
             let k = rng.below(key_space);
-            match index.delete(&k) {
+            match index.delete((), &k) {
                 Some(e) => {
-                    assert_eq!(adapter.cmp_entry_key(&e, &k), Ordering::Equal);
+                    assert_eq!(dup_key(e), k);
                     assert!(model.delete_entry(e), "step {step}: delete invented entry");
                 }
                 None => assert!(!model.contains_key(k), "step {step}: delete missed {k}"),
             }
         } else if roll < 78 {
             if let Some(e) = model.pick(&mut rng) {
-                assert!(index.delete_entry(&e), "step {step}: delete_entry lost {e}");
+                assert!(
+                    index.delete_entry((), &e),
+                    "step {step}: delete_entry lost {e}"
+                );
                 model.delete_entry(e);
             }
         } else {
             let k = rng.below(key_space);
-            match index.search(&k) {
+            match index.search((), &k) {
                 Some(e) => {
-                    assert_eq!(adapter.cmp_entry_key(&e, &k), Ordering::Equal);
+                    assert_eq!(dup_key(e), k);
                     assert!(model.contains_key(k));
                 }
                 None => assert!(!model.contains_key(k), "step {step}: search missed {k}"),
             }
             let mut all = Vec::new();
-            index.search_all(&k, &mut all);
+            index.search_all((), &k, &mut all);
             all.sort_unstable();
             assert_eq!(all, model.search_all(k), "step {step}: search_all({k})");
         }
         assert_eq!(index.len(), model.len(), "step {step}: len");
         if step % 64 == 0 {
-            if let Err(e) = index.validate() {
+            if let Err(e) = index.validate(()) {
                 panic!("step {step}: invariant violated: {e}");
             }
         }
     }
-    index.validate().expect("final validate");
+    index.validate(()).expect("final validate");
     let mut out = Vec::new();
     index.scan(&mut |e| out.push(*e));
     out.sort_unstable();
     assert_eq!(out, model.all_sorted(), "final contents");
-}
-
-fn dup_key_via<A: Adapter<Entry = u64, Key = u64>>(_a: A, e: u64) -> u64 {
-    dup_key(e)
 }
 
 /// Bulk-load helper: n entries with unique keys, shuffled deterministically.

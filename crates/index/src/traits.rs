@@ -34,32 +34,41 @@ impl std::fmt::Display for IndexError {
 impl std::error::Error for IndexError {}
 
 /// An order-preserving index over entries compared through adapter `A`.
+///
+/// Every operation that compares entries takes the adapter's context
+/// `cx` (see [`Adapter::Ctx`]); the structure itself stores none.
 pub trait OrderedIndex<A: Adapter> {
     /// Insert an entry; duplicates (by key) are permitted.
-    fn insert(&mut self, entry: A::Entry);
+    fn insert(&mut self, cx: A::Ctx<'_>, entry: A::Entry);
 
     /// Insert, failing with [`IndexError::DuplicateKey`] if an entry with
     /// an equal key is already present (the paper's experiments configured
     /// every index as a unique index).
-    fn insert_unique(&mut self, entry: A::Entry) -> Result<(), IndexError>;
+    fn insert_unique(&mut self, cx: A::Ctx<'_>, entry: A::Entry) -> Result<(), IndexError>;
 
     /// Remove and return one entry whose key equals `key`.
-    fn delete(&mut self, key: &A::Key) -> Option<A::Entry>;
+    fn delete(&mut self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry>;
 
     /// Remove the specific entry `entry` (entry identity, not just key
     /// equality — needed when duplicates index distinct tuples).
-    fn delete_entry(&mut self, entry: &A::Entry) -> bool;
+    fn delete_entry(&mut self, cx: A::Ctx<'_>, entry: &A::Entry) -> bool;
 
     /// Find one entry whose key equals `key`.
-    fn search(&self, key: &A::Key) -> Option<A::Entry>;
+    fn search(&self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry>;
 
     /// Append *every* entry whose key equals `key` to `out`, in index order.
-    fn search_all(&self, key: &A::Key, out: &mut Vec<A::Entry>);
+    fn search_all(&self, cx: A::Ctx<'_>, key: &A::Key, out: &mut Vec<A::Entry>);
 
     /// Append every entry within the bounds to `out`, in ascending key
     /// order (§3.3.5: non-equijoins "can make use of ordering of the
     /// data").
-    fn range(&self, lo: Bound<&A::Key>, hi: Bound<&A::Key>, out: &mut Vec<A::Entry>);
+    fn range(
+        &self,
+        cx: A::Ctx<'_>,
+        lo: Bound<&A::Key>,
+        hi: Bound<&A::Key>,
+        out: &mut Vec<A::Entry>,
+    );
 
     /// Visit every entry in ascending key order.
     fn scan(&self, visit: &mut dyn FnMut(&A::Entry));
@@ -84,28 +93,28 @@ pub trait OrderedIndex<A: Adapter> {
 
     /// Check every structural invariant; returns a description of the
     /// first violation. Used heavily by tests, never by operations.
-    fn validate(&self) -> Result<(), String>;
+    fn validate(&self, cx: A::Ctx<'_>) -> Result<(), String>;
 }
 
 /// A hash-based (unordered, exact-match) index.
 pub trait UnorderedIndex<A: Adapter> {
     /// Insert an entry; duplicates (by key) are permitted.
-    fn insert(&mut self, entry: A::Entry);
+    fn insert(&mut self, cx: A::Ctx<'_>, entry: A::Entry);
 
     /// Insert, failing if an entry with an equal key is already present.
-    fn insert_unique(&mut self, entry: A::Entry) -> Result<(), IndexError>;
+    fn insert_unique(&mut self, cx: A::Ctx<'_>, entry: A::Entry) -> Result<(), IndexError>;
 
     /// Remove and return one entry whose key equals `key`.
-    fn delete(&mut self, key: &A::Key) -> Option<A::Entry>;
+    fn delete(&mut self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry>;
 
     /// Remove the specific entry `entry`.
-    fn delete_entry(&mut self, entry: &A::Entry) -> bool;
+    fn delete_entry(&mut self, cx: A::Ctx<'_>, entry: &A::Entry) -> bool;
 
     /// Find one entry whose key equals `key`.
-    fn search(&self, key: &A::Key) -> Option<A::Entry>;
+    fn search(&self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry>;
 
     /// Append every entry whose key equals `key` to `out`.
-    fn search_all(&self, key: &A::Key, out: &mut Vec<A::Entry>);
+    fn search_all(&self, cx: A::Ctx<'_>, key: &A::Key, out: &mut Vec<A::Entry>);
 
     /// Visit every entry in arbitrary order.
     fn scan(&self, visit: &mut dyn FnMut(&A::Entry));
@@ -128,7 +137,7 @@ pub trait UnorderedIndex<A: Adapter> {
     fn reset_stats(&mut self);
 
     /// Check every structural invariant.
-    fn validate(&self) -> Result<(), String>;
+    fn validate(&self, cx: A::Ctx<'_>) -> Result<(), String>;
 }
 
 /// Convert user-facing bounds on `&Key` into an inclusive test helper.

@@ -154,9 +154,9 @@ impl<A: Adapter> TTree<A> {
         &mut self.nodes[id as usize]
     }
 
-    fn alloc(&mut self, first: A::Entry, parent: u32) -> u32 {
+    fn alloc(&mut self, cx: A::Ctx<'_>, first: A::Entry, parent: u32) -> u32 {
         let mut items = Vec::with_capacity(self.config.max_count);
-        let tag = self.adapter.entry_tag(&first);
+        let tag = self.adapter.entry_tag(cx, &first);
         items.push(first);
         let n = Node {
             items,
@@ -179,11 +179,13 @@ impl<A: Adapter> TTree<A> {
     /// Recompute node `id`'s cached bounding-key tags from its items.
     /// Called after every item mutation; an emptied node gets `(0, 0)`
     /// (it is either about to be unlinked or refilled).
-    fn refresh_tags(&mut self, id: u32) {
+    fn refresh_tags(&mut self, cx: A::Ctx<'_>, id: u32) {
         let (min_tag, max_tag) = {
             let items = &self.node(id).items;
             match (items.first(), items.last()) {
-                (Some(a), Some(b)) => (self.adapter.entry_tag(a), self.adapter.entry_tag(b)),
+                (Some(a), Some(b)) => {
+                    (self.adapter.entry_tag(cx, a), self.adapter.entry_tag(cx, b))
+                }
                 _ => (0, 0),
             }
         };
@@ -269,7 +271,7 @@ impl<A: Adapter> TTree<A> {
     /// subtree root, where it now *bounds* a wide key range with few
     /// elements. Refill it from its greatest-lower-bound node so internal
     /// occupancy returns to `min_count`.
-    fn refill_internal(&mut self, id: u32) {
+    fn refill_internal(&mut self, cx: A::Ctx<'_>, id: u32) {
         if !self.is_internal(id) {
             return;
         }
@@ -295,11 +297,11 @@ impl<A: Adapter> TTree<A> {
         for (i, e) in moved.into_iter().enumerate() {
             n.items.insert(i, e);
         }
-        self.refresh_tags(g);
-        self.refresh_tags(id);
+        self.refresh_tags(cx, g);
+        self.refresh_tags(cx, id);
     }
 
-    fn rebalance_node(&mut self, id: u32) -> u32 {
+    fn rebalance_node(&mut self, cx: A::Ctx<'_>, id: u32) -> u32 {
         self.update_height(id);
         let bf = self.balance(id);
         if bf > 1 {
@@ -310,7 +312,7 @@ impl<A: Adapter> TTree<A> {
             } else {
                 self.rotate_right(id)
             };
-            self.refill_internal(new_root);
+            self.refill_internal(cx, new_root);
             new_root
         } else if bf < -1 {
             let new_root = if self.balance(self.node(id).right) > 0 {
@@ -320,16 +322,16 @@ impl<A: Adapter> TTree<A> {
             } else {
                 self.rotate_left(id)
             };
-            self.refill_internal(new_root);
+            self.refill_internal(cx, new_root);
             new_root
         } else {
             id
         }
     }
 
-    fn rebalance_upward(&mut self, mut cur: u32) {
+    fn rebalance_upward(&mut self, cx: A::Ctx<'_>, mut cur: u32) {
         while cur != NIL {
-            let sub_root = self.rebalance_node(cur);
+            let sub_root = self.rebalance_node(cx, cur);
             cur = self.node(sub_root).parent;
         }
     }
@@ -377,11 +379,11 @@ impl<A: Adapter> TTree<A> {
     /// only when the tags tie; either way each decision is counted as one
     /// comparison, so the §3.3.4 cost model and the comparison-count
     /// experiments are unaffected by the cache.
-    fn probe_entry(&self, entry: &A::Entry) -> Probe {
+    fn probe_entry(&self, cx: A::Ctx<'_>, entry: &A::Entry) -> Probe {
         if self.root == NIL {
             return Probe::Empty;
         }
-        let tag = self.adapter.entry_tag(entry);
+        let tag = self.adapter.entry_tag(cx, entry);
         let mut cur = self.root;
         loop {
             self.stats.node_visits(1);
@@ -389,7 +391,7 @@ impl<A: Adapter> TTree<A> {
             self.stats.comparisons(1);
             let below = match Self::tag_cmp(tag, n.min_tag) {
                 Some(o) => o == Ordering::Less,
-                None => self.adapter.cmp_entries(entry, &n.items[0]) == Ordering::Less,
+                None => self.adapter.cmp_entries(cx, entry, &n.items[0]) == Ordering::Less,
             };
             if below {
                 if n.left == NIL {
@@ -402,7 +404,8 @@ impl<A: Adapter> TTree<A> {
             let above = match Self::tag_cmp(tag, n.max_tag) {
                 Some(o) => o == Ordering::Greater,
                 None => {
-                    self.adapter.cmp_entries(entry, &n.items[n.items.len() - 1])
+                    self.adapter
+                        .cmp_entries(cx, entry, &n.items[n.items.len() - 1])
                         == Ordering::Greater
                 }
             };
@@ -438,8 +441,8 @@ impl<A: Adapter> TTree<A> {
 
     /// Tree-order position of the first entry with key ≥ `key`:
     /// `(node, index)` or `None`.
-    fn lower_bound_key(&self, key: &A::Key) -> Option<(u32, usize)> {
-        self.lower_bound_by(|e| self.adapter.cmp_entry_key(e, key))
+    fn lower_bound_key(&self, cx: A::Ctx<'_>, key: &A::Key) -> Option<(u32, usize)> {
+        self.lower_bound_by(|e| self.adapter.cmp_entry_key(cx, e, key))
     }
 
     fn lower_bound_by(&self, cmp: impl Fn(&A::Entry) -> Ordering + Copy) -> Option<(u32, usize)> {
@@ -475,7 +478,7 @@ impl<A: Adapter> TTree<A> {
     }
 
     /// Insert `entry` into node `id` keeping the node sorted.
-    fn node_insert_sorted(&mut self, id: u32, entry: A::Entry) {
+    fn node_insert_sorted(&mut self, cx: A::Ctx<'_>, id: u32, entry: A::Entry) {
         let pos = {
             let items = &self.node(id).items;
             let mut lo = 0usize;
@@ -483,7 +486,7 @@ impl<A: Adapter> TTree<A> {
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
                 self.stats.comparisons(1);
-                if self.adapter.cmp_entries(&items[mid], &entry) == Ordering::Greater {
+                if self.adapter.cmp_entries(cx, &items[mid], &entry) == Ordering::Greater {
                     hi = mid;
                 } else {
                     lo = mid + 1;
@@ -494,13 +497,13 @@ impl<A: Adapter> TTree<A> {
         let moves = (self.node(id).items.len() - pos) as u64 + 1;
         self.stats.data_moves(moves);
         self.node_mut(id).items.insert(pos, entry);
-        self.refresh_tags(id);
+        self.refresh_tags(cx, id);
     }
 
     /// Grow a new one-element leaf under `parent` on the given side.
-    fn grow_leaf(&mut self, parent: u32, left_side: bool, entry: A::Entry) {
+    fn grow_leaf(&mut self, cx: A::Ctx<'_>, parent: u32, left_side: bool, entry: A::Entry) {
         self.stats.restructures(1);
-        let id = self.alloc(entry, parent);
+        let id = self.alloc(cx, entry, parent);
         if left_side {
             debug_assert_eq!(self.node(parent).left, NIL);
             self.node_mut(parent).left = id;
@@ -508,43 +511,43 @@ impl<A: Adapter> TTree<A> {
             debug_assert_eq!(self.node(parent).right, NIL);
             self.node_mut(parent).right = id;
         }
-        self.rebalance_upward(parent);
+        self.rebalance_upward(cx, parent);
     }
 
     /// Spill the minimum of full node `id` to its GLB position (§3.2.1
     /// insert-overflow rule), then insert `entry` into `id`.
-    fn insert_with_spill(&mut self, id: u32, entry: A::Entry) {
+    fn insert_with_spill(&mut self, cx: A::Ctx<'_>, id: u32, entry: A::Entry) {
         let min_elem = self.node_mut(id).items.remove(0);
         self.stats.data_moves(self.node(id).items.len() as u64 + 1);
-        self.node_insert_sorted(id, entry);
+        self.node_insert_sorted(cx, id, entry);
         let left = self.node(id).left;
         if left == NIL {
             // The spilled minimum becomes the first GLB: a new left leaf.
-            self.grow_leaf(id, true, min_elem);
+            self.grow_leaf(cx, id, true, min_elem);
             return;
         }
         let g = self.rightmost(left);
         if self.node(g).items.len() < self.config.max_count {
             self.node_mut(g).items.push(min_elem);
-            self.refresh_tags(g);
+            self.refresh_tags(cx, g);
             self.stats.data_moves(1);
         } else {
             // GLB node full: grow a new leaf as its right child (it is the
             // rightmost of the left subtree, so that slot is free).
-            self.grow_leaf(g, false, min_elem);
+            self.grow_leaf(cx, g, false, min_elem);
         }
     }
 
-    fn insert_inner(&mut self, entry: A::Entry) {
-        match self.probe_entry(&entry) {
+    fn insert_inner(&mut self, cx: A::Ctx<'_>, entry: A::Entry) {
+        match self.probe_entry(cx, &entry) {
             Probe::Empty => {
-                self.root = self.alloc(entry, NIL);
+                self.root = self.alloc(cx, entry, NIL);
             }
             Probe::Bounds(id) => {
                 if self.node(id).items.len() < self.config.max_count {
-                    self.node_insert_sorted(id, entry);
+                    self.node_insert_sorted(cx, id, entry);
                 } else {
-                    self.insert_with_spill(id, entry);
+                    self.insert_with_spill(cx, id, entry);
                 }
             }
             Probe::Off(id, left_side) => {
@@ -558,9 +561,9 @@ impl<A: Adapter> TTree<A> {
                         self.stats.data_moves(1);
                         self.node_mut(id).items.push(entry);
                     }
-                    self.refresh_tags(id);
+                    self.refresh_tags(cx, id);
                 } else {
-                    self.grow_leaf(id, left_side, entry);
+                    self.grow_leaf(cx, id, left_side, entry);
                 }
             }
         }
@@ -568,7 +571,7 @@ impl<A: Adapter> TTree<A> {
     }
 
     /// Unlink node `id`, which must have at most one child, then rebalance.
-    fn remove_structural(&mut self, id: u32) {
+    fn remove_structural(&mut self, cx: A::Ctx<'_>, id: u32) {
         self.stats.restructures(1);
         let n = self.node(id);
         debug_assert!(
@@ -580,19 +583,19 @@ impl<A: Adapter> TTree<A> {
         self.replace_child(parent, id, child);
         self.free.push(id);
         if parent != NIL {
-            self.rebalance_upward(parent);
+            self.rebalance_upward(cx, parent);
         } else if child != NIL {
-            self.rebalance_upward(child);
+            self.rebalance_upward(cx, child);
         }
     }
 
     /// Remove the item at `(id, pos)` and restore §3.2.1's delete
     /// invariants.
-    fn remove_at(&mut self, id: u32, pos: usize) -> A::Entry {
+    fn remove_at(&mut self, cx: A::Ctx<'_>, id: u32, pos: usize) -> A::Entry {
         let e = self.node_mut(id).items.remove(pos);
         self.stats
             .data_moves((self.node(id).items.len() - pos) as u64);
-        self.refresh_tags(id);
+        self.refresh_tags(cx, id);
         self.len -= 1;
 
         if self.is_internal(id) {
@@ -603,10 +606,10 @@ impl<A: Adapter> TTree<A> {
                     crate::pop_invariant(&mut self.node_mut(g).items, "GLB node is non-empty");
                 self.stats.data_moves(2);
                 self.node_mut(id).items.insert(0, borrowed);
-                self.refresh_tags(g);
-                self.refresh_tags(id);
+                self.refresh_tags(cx, g);
+                self.refresh_tags(cx, id);
                 if self.node(g).items.is_empty() {
-                    self.remove_structural(g);
+                    self.remove_structural(cx, g);
                 }
             }
         } else if self.node(id).items.is_empty() {
@@ -614,7 +617,7 @@ impl<A: Adapter> TTree<A> {
             // out (its single child takes its place). A leaf that merely
             // underflows is left alone ("the node … is allowed to
             // underflow").
-            self.remove_structural(id);
+            self.remove_structural(cx, id);
         }
         e
     }
@@ -646,10 +649,10 @@ impl<A: Adapter> TTree<A> {
     /// Iterator over all entries with key ≥ the probe, in order — the scan
     /// entry point used by the Tree Merge join and by §3.3.5's ordered
     /// (`<`, `≤`, `>`, `≥`) join support.
-    pub fn iter_from(&self, key: &A::Key) -> TTreeIter<'_, A> {
+    pub fn iter_from(&self, cx: A::Ctx<'_>, key: &A::Key) -> TTreeIter<'_, A> {
         TTreeIter {
             tree: self,
-            pos: self.lower_bound_key(key),
+            pos: self.lower_bound_key(cx, key),
         }
     }
 
@@ -696,6 +699,7 @@ impl<A: Adapter> TTree<A> {
 
     fn validate_rec(
         &self,
+        cx: A::Ctx<'_>,
         id: u32,
         count: &mut usize,
         last: &mut Option<A::Entry>,
@@ -711,13 +715,13 @@ impl<A: Adapter> TTree<A> {
             return Err(format!("node {id}: overfull"));
         }
         for w in n.items.windows(2) {
-            if self.adapter.cmp_entries(&w[0], &w[1]) == Ordering::Greater {
+            if self.adapter.cmp_entries(cx, &w[0], &w[1]) == Ordering::Greater {
                 return Err(format!("node {id}: items out of order"));
             }
         }
         // The descent key cache must re-derive from the bounding items.
-        let want_min = self.adapter.entry_tag(&n.items[0]);
-        let want_max = self.adapter.entry_tag(&n.items[n.items.len() - 1]);
+        let want_min = self.adapter.entry_tag(cx, &n.items[0]);
+        let want_max = self.adapter.entry_tag(cx, &n.items[n.items.len() - 1]);
         if n.min_tag != want_min || n.max_tag != want_max {
             return Err(format!(
                 "node {id}: stale key tags ({:#x},{:#x}) != ({want_min:#x},{want_max:#x})",
@@ -729,10 +733,10 @@ impl<A: Adapter> TTree<A> {
                 return Err(format!("node {c}: bad parent link"));
             }
         }
-        let hl = self.validate_rec(n.left, count, last)?;
+        let hl = self.validate_rec(cx, n.left, count, last)?;
         for item in &n.items {
             if let Some(prev) = *last {
-                if self.adapter.cmp_entries(&prev, item) == Ordering::Greater {
+                if self.adapter.cmp_entries(cx, &prev, item) == Ordering::Greater {
                     return Err(format!("node {id}: global order violated"));
                 }
             }
@@ -740,7 +744,7 @@ impl<A: Adapter> TTree<A> {
             *count += 1;
         }
         let before_right = *last;
-        let hr = self.validate_rec(n.right, count, last)?;
+        let hr = self.validate_rec(cx, n.right, count, last)?;
         let _ = before_right;
         if (hl - hr).abs() > 1 {
             return Err(format!("node {id}: unbalanced ({hl} vs {hr})"));
@@ -774,30 +778,31 @@ impl<A: Adapter> TTree<A> {
     #[must_use]
     pub fn build_from_sorted(
         adapter: A,
+        cx: A::Ctx<'_>,
         config: TTreeConfig,
         tagged: Vec<(u64, A::Entry)>,
     ) -> Self {
         let fill = config.min_count();
-        Self::build_with_fill(adapter, config, tagged, fill)
+        Self::build_with_fill(adapter, cx, config, tagged, fill)
     }
 
     fn build_with_fill(
         adapter: A,
+        cx: A::Ctx<'_>,
         config: TTreeConfig,
         tagged: Vec<(u64, A::Entry)>,
         fill: usize,
     ) -> Self {
-        #[cfg(debug_assertions)]
-        for w in tagged.windows(2) {
-            debug_assert!(
-                adapter.cmp_entries(&w[0].1, &w[1].1) != Ordering::Greater,
-                "bulk build input not sorted"
-            );
-        }
-        #[cfg(debug_assertions)]
-        for (t, e) in &tagged {
-            debug_assert_eq!(*t, adapter.entry_tag(e), "bulk build tag mismatch");
-        }
+        debug_assert!(
+            tagged
+                .windows(2)
+                .all(|w| adapter.cmp_entries(cx, &w[0].1, &w[1].1) != Ordering::Greater),
+            "bulk build input not sorted"
+        );
+        debug_assert!(
+            tagged.iter().all(|(t, e)| *t == adapter.entry_tag(cx, e)),
+            "bulk build tag mismatch"
+        );
         let n = tagged.len();
         let mut tree = TTree::new(adapter, config);
         if n == 0 {
@@ -837,11 +842,12 @@ impl<A: Adapter> TTree<A> {
     #[must_use]
     pub fn raw_build_with_fill(
         adapter: A,
+        cx: A::Ctx<'_>,
         config: TTreeConfig,
         tagged: Vec<(u64, A::Entry)>,
         fill: usize,
     ) -> Self {
-        Self::build_with_fill(adapter, config, tagged, fill)
+        Self::build_with_fill(adapter, cx, config, tagged, fill)
     }
 }
 
@@ -905,43 +911,51 @@ impl<'a, A: Adapter> Iterator for TTreeIter<'a, A> {
 }
 
 impl<A: Adapter> OrderedIndex<A> for TTree<A> {
-    fn insert(&mut self, entry: A::Entry) {
-        self.insert_inner(entry);
+    fn insert(&mut self, cx: A::Ctx<'_>, entry: A::Entry) {
+        self.insert_inner(cx, entry);
     }
 
-    fn insert_unique(&mut self, entry: A::Entry) -> Result<(), IndexError> {
-        if let Probe::Bounds(id) = self.probe_entry(&entry) {
-            let pos = self.node_lower_bound_by(id, |e| self.adapter.cmp_entries(e, &entry));
+    fn insert_unique(&mut self, cx: A::Ctx<'_>, entry: A::Entry) -> Result<(), IndexError> {
+        if let Probe::Bounds(id) = self.probe_entry(cx, &entry) {
+            let pos = self.node_lower_bound_by(id, |e| self.adapter.cmp_entries(cx, e, &entry));
             if pos < self.node(id).items.len() {
                 self.stats.comparisons(1);
-                if self.adapter.cmp_entries(&self.node(id).items[pos], &entry) == Ordering::Equal {
+                if self
+                    .adapter
+                    .cmp_entries(cx, &self.node(id).items[pos], &entry)
+                    == Ordering::Equal
+                {
                     return Err(IndexError::DuplicateKey);
                 }
             }
         }
-        self.insert_inner(entry);
+        self.insert_inner(cx, entry);
         Ok(())
     }
 
-    fn delete(&mut self, key: &A::Key) -> Option<A::Entry> {
-        let (node, pos) = self.lower_bound_key(key)?;
+    fn delete(&mut self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry> {
+        let (node, pos) = self.lower_bound_key(cx, key)?;
         self.stats.comparisons(1);
-        if self.adapter.cmp_entry_key(&self.node(node).items[pos], key) != Ordering::Equal {
+        if self
+            .adapter
+            .cmp_entry_key(cx, &self.node(node).items[pos], key)
+            != Ordering::Equal
+        {
             return None;
         }
-        Some(self.remove_at(node, pos))
+        Some(self.remove_at(cx, node, pos))
     }
 
-    fn delete_entry(&mut self, entry: &A::Entry) -> bool {
-        let mut cur = self.lower_bound_by(|e| self.adapter.cmp_entries(e, entry));
+    fn delete_entry(&mut self, cx: A::Ctx<'_>, entry: &A::Entry) -> bool {
+        let mut cur = self.lower_bound_by(|e| self.adapter.cmp_entries(cx, e, entry));
         while let Some((node, pos)) = cur {
             let e = self.node(node).items[pos];
             self.stats.comparisons(1);
-            if self.adapter.cmp_entries(&e, entry) != Ordering::Equal {
+            if self.adapter.cmp_entries(cx, &e, entry) != Ordering::Equal {
                 return false;
             }
             if e == *entry {
-                self.remove_at(node, pos);
+                self.remove_at(cx, node, pos);
                 return true;
             }
             cur = self.advance(node, pos);
@@ -949,7 +963,7 @@ impl<A: Adapter> OrderedIndex<A> for TTree<A> {
         false
     }
 
-    fn search(&self, key: &A::Key) -> Option<A::Entry> {
+    fn search(&self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry> {
         // The paper's search: descend on min/max (via the cached key
         // tags when they decide), binary search the bounding node.
         let tag = self.adapter.key_tag(key);
@@ -960,7 +974,7 @@ impl<A: Adapter> OrderedIndex<A> for TTree<A> {
             self.stats.comparisons(1);
             let min_above = match Self::tag_cmp(n.min_tag, tag) {
                 Some(o) => o == Ordering::Greater,
-                None => self.adapter.cmp_entry_key(&n.items[0], key) == Ordering::Greater,
+                None => self.adapter.cmp_entry_key(cx, &n.items[0], key) == Ordering::Greater,
             };
             if min_above {
                 cur = n.left;
@@ -970,17 +984,19 @@ impl<A: Adapter> OrderedIndex<A> for TTree<A> {
             let max_below = match Self::tag_cmp(n.max_tag, tag) {
                 Some(o) => o == Ordering::Less,
                 None => {
-                    self.adapter.cmp_entry_key(&n.items[n.items.len() - 1], key) == Ordering::Less
+                    self.adapter
+                        .cmp_entry_key(cx, &n.items[n.items.len() - 1], key)
+                        == Ordering::Less
                 }
             };
             if max_below {
                 cur = n.right;
                 continue;
             }
-            let pos = self.node_lower_bound_by(cur, |e| self.adapter.cmp_entry_key(e, key));
+            let pos = self.node_lower_bound_by(cur, |e| self.adapter.cmp_entry_key(cx, e, key));
             if pos < n.items.len() {
                 self.stats.comparisons(1);
-                if self.adapter.cmp_entry_key(&n.items[pos], key) == Ordering::Equal {
+                if self.adapter.cmp_entry_key(cx, &n.items[pos], key) == Ordering::Equal {
                     return Some(n.items[pos]);
                 }
             }
@@ -989,16 +1005,16 @@ impl<A: Adapter> OrderedIndex<A> for TTree<A> {
         None
     }
 
-    fn search_all(&self, key: &A::Key, out: &mut Vec<A::Entry>) {
+    fn search_all(&self, cx: A::Ctx<'_>, key: &A::Key, out: &mut Vec<A::Entry>) {
         // §3.3.4 Test 6 describes exactly this: "the search stops at any
         // tuple with that value, and the tree is then scanned … (since the
         // list of tuples for a given value is logically contiguous in the
         // tree)".
-        let mut cur = self.lower_bound_key(key);
+        let mut cur = self.lower_bound_key(cx, key);
         while let Some((node, pos)) = cur {
             let e = self.node(node).items[pos];
             self.stats.comparisons(1);
-            if self.adapter.cmp_entry_key(&e, key) != Ordering::Equal {
+            if self.adapter.cmp_entry_key(cx, &e, key) != Ordering::Equal {
                 return;
             }
             out.push(e);
@@ -1006,7 +1022,13 @@ impl<A: Adapter> OrderedIndex<A> for TTree<A> {
         }
     }
 
-    fn range(&self, lo: Bound<&A::Key>, hi: Bound<&A::Key>, out: &mut Vec<A::Entry>) {
+    fn range(
+        &self,
+        cx: A::Ctx<'_>,
+        lo: Bound<&A::Key>,
+        hi: Bound<&A::Key>,
+        out: &mut Vec<A::Entry>,
+    ) {
         let mut cur = match lo {
             Bound::Unbounded => {
                 if self.root == NIL {
@@ -1015,12 +1037,14 @@ impl<A: Adapter> OrderedIndex<A> for TTree<A> {
                     Some((self.leftmost(self.root), 0))
                 }
             }
-            Bound::Included(k) => self.lower_bound_key(k),
+            Bound::Included(k) => self.lower_bound_key(cx, k),
             Bound::Excluded(k) => {
-                let mut c = self.lower_bound_key(k);
+                let mut c = self.lower_bound_key(cx, k);
                 while let Some((node, pos)) = c {
                     self.stats.comparisons(1);
-                    if self.adapter.cmp_entry_key(&self.node(node).items[pos], k)
+                    if self
+                        .adapter
+                        .cmp_entry_key(cx, &self.node(node).items[pos], k)
                         == Ordering::Greater
                     {
                         break;
@@ -1036,7 +1060,7 @@ impl<A: Adapter> OrderedIndex<A> for TTree<A> {
                 Bound::Unbounded => Ordering::Less,
                 Bound::Included(k) | Bound::Excluded(k) => {
                     self.stats.comparisons(1);
-                    self.adapter.cmp_entry_key(&e, k)
+                    self.adapter.cmp_entry_key(cx, &e, k)
                 }
             };
             if !bound_ok_hi(ord, &hi) {
@@ -1075,7 +1099,7 @@ impl<A: Adapter> OrderedIndex<A> for TTree<A> {
         self.stats.reset();
     }
 
-    fn validate(&self) -> Result<(), String> {
+    fn validate(&self, cx: A::Ctx<'_>) -> Result<(), String> {
         if self.root == NIL {
             if self.len != 0 {
                 return Err(format!("empty tree but len = {}", self.len));
@@ -1087,7 +1111,7 @@ impl<A: Adapter> OrderedIndex<A> for TTree<A> {
         }
         let mut count = 0usize;
         let mut last = None;
-        self.validate_rec(self.root, &mut count, &mut last)?;
+        self.validate_rec(cx, self.root, &mut count, &mut last)?;
         if count != self.len {
             return Err(format!("len {} but traversal found {count}", self.len));
         }
@@ -1165,22 +1189,22 @@ mod tests {
     fn empty_tree() {
         let mut t = nat(8);
         assert!(t.is_empty());
-        assert_eq!(t.search(&3), None);
-        assert_eq!(t.delete(&3), None);
+        assert_eq!(t.search((), &3), None);
+        assert_eq!(t.delete((), &3), None);
         assert_eq!(t.iter().count(), 0);
-        t.validate().unwrap();
+        t.validate(()).unwrap();
     }
 
     #[test]
     fn single_node_fills_before_growing() {
         let mut t = nat(10);
         for k in 0..10u64 {
-            t.insert(k);
+            t.insert((), k);
         }
         assert_eq!(t.nodes.len(), 1, "should still be a single node");
-        t.insert(10);
+        t.insert((), 10);
         assert!(t.nodes.len() > 1, "overflow must grow the tree");
-        t.validate().unwrap();
+        t.validate(()).unwrap();
     }
 
     #[test]
@@ -1188,13 +1212,13 @@ mod tests {
         for ns in [1, 2, 4, 16, 60] {
             let mut t = nat(ns);
             for k in 0..3000u64 {
-                t.insert(k);
+                t.insert((), k);
             }
-            t.validate().unwrap_or_else(|e| panic!("ns {ns}: {e}"));
+            t.validate(()).unwrap_or_else(|e| panic!("ns {ns}: {e}"));
             for k in (0..3000u64).step_by(17) {
-                assert_eq!(t.search(&k), Some(k));
+                assert_eq!(t.search((), &k), Some(k));
             }
-            assert_eq!(t.search(&3000), None);
+            assert_eq!(t.search((), &3000), None);
         }
     }
 
@@ -1202,15 +1226,15 @@ mod tests {
     fn reverse_and_alternating_inserts() {
         let mut t = nat(6);
         for k in (0..1000u64).rev() {
-            t.insert(k);
+            t.insert((), k);
         }
-        t.validate().unwrap();
+        t.validate(()).unwrap();
         let mut t2 = nat(6);
         for i in 0..1000u64 {
             let k = if i % 2 == 0 { i } else { 2000 - i };
-            t2.insert(k);
+            t2.insert((), k);
         }
-        t2.validate().unwrap();
+        t2.validate(()).unwrap();
     }
 
     #[test]
@@ -1218,10 +1242,10 @@ mod tests {
         let mut t = nat(4);
         // Fill: [10, 20, 30, 40]; then split pressure via bounded inserts.
         for k in [10u64, 20, 30, 40] {
-            t.insert(k);
+            t.insert((), k);
         }
-        t.insert(25); // bounds: spills 10 to a new left leaf
-        t.validate().unwrap();
+        t.insert((), 25); // bounds: spills 10 to a new left leaf
+        t.validate(()).unwrap();
         let all: Vec<u64> = t.iter().collect();
         assert_eq!(all, vec![10, 20, 25, 30, 40]);
         // The minimum must have moved to a left leaf.
@@ -1235,13 +1259,13 @@ mod tests {
     fn delete_underflow_borrows_glb() {
         let mut t = nat(4);
         for k in 0..40u64 {
-            t.insert(k);
+            t.insert((), k);
         }
-        t.validate().unwrap();
+        t.validate(()).unwrap();
         // Delete from internal nodes until structure must reshape.
         for k in 0..30u64 {
-            assert_eq!(t.delete(&k), Some(k), "k={k}");
-            t.validate()
+            assert_eq!(t.delete((), &k), Some(k), "k={k}");
+            t.validate(())
                 .unwrap_or_else(|e| panic!("after delete {k}: {e}"));
         }
         assert_eq!(t.len(), 10);
@@ -1254,13 +1278,13 @@ mod tests {
         let mut t = nat(3);
         for round in 0..3 {
             for k in 0..200u64 {
-                t.insert(k);
+                t.insert((), k);
             }
             for k in 0..200u64 {
-                assert_eq!(t.delete(&k), Some(k), "round {round} k {k}");
+                assert_eq!(t.delete((), &k), Some(k), "round {round} k {k}");
             }
             assert!(t.is_empty());
-            t.validate().unwrap();
+            t.validate(()).unwrap();
         }
         assert!(t.nodes.len() < 200, "arena should be reused");
     }
@@ -1270,7 +1294,7 @@ mod tests {
         let mut t = nat(12);
         let entries = testkit::shuffled_unique_entries(2048, 21);
         for e in &entries {
-            t.insert(*e);
+            t.insert((), *e);
         }
         let got: Vec<u64> = t.iter().collect();
         let mut expect = entries.clone();
@@ -1282,11 +1306,11 @@ mod tests {
     fn iter_from_starts_at_lower_bound() {
         let mut t = nat(5);
         for k in (0..100u64).step_by(10) {
-            t.insert(k);
+            t.insert((), k);
         }
-        let got: Vec<u64> = t.iter_from(&35).collect();
+        let got: Vec<u64> = t.iter_from((), &35).collect();
         assert_eq!(got, vec![40, 50, 60, 70, 80, 90]);
-        let got: Vec<u64> = t.iter_from(&40).collect();
+        let got: Vec<u64> = t.iter_from((), &40).collect();
         assert_eq!(got[0], 40);
     }
 
@@ -1294,41 +1318,41 @@ mod tests {
     fn duplicates_contiguous_scan() {
         let mut t = TTree::new(DupAdapter, TTreeConfig::with_node_size(4));
         for low in 0..30u64 {
-            t.insert((5 << 16) | low);
+            t.insert((), (5 << 16) | low);
         }
         for k in [1u64, 9] {
-            t.insert(k << 16);
+            t.insert((), k << 16);
         }
-        t.validate().unwrap();
+        t.validate(()).unwrap();
         let mut out = Vec::new();
-        t.search_all(&5, &mut out);
+        t.search_all((), &5, &mut out);
         assert_eq!(out.len(), 30, "all duplicates found via contiguous scan");
         // delete_entry must find a specific duplicate anywhere in the run.
-        assert!(t.delete_entry(&((5 << 16) | 17)));
-        assert!(!t.delete_entry(&((5 << 16) | 17)));
+        assert!(t.delete_entry((), &((5 << 16) | 17)));
+        assert!(!t.delete_entry((), &((5 << 16) | 17)));
         out.clear();
-        t.search_all(&5, &mut out);
+        t.search_all((), &5, &mut out);
         assert_eq!(out.len(), 29);
-        t.validate().unwrap();
+        t.validate(()).unwrap();
     }
 
     #[test]
     fn range_queries() {
         let mut t = nat(7);
         for k in 0..500u64 {
-            t.insert(k);
+            t.insert((), k);
         }
         let mut out = Vec::new();
-        t.range(Bound::Included(&100), Bound::Excluded(&110), &mut out);
+        t.range((), Bound::Included(&100), Bound::Excluded(&110), &mut out);
         assert_eq!(out, (100..110).collect::<Vec<u64>>());
         out.clear();
-        t.range(Bound::Excluded(&100), Bound::Included(&103), &mut out);
+        t.range((), Bound::Excluded(&100), Bound::Included(&103), &mut out);
         assert_eq!(out, vec![101, 102, 103]);
         out.clear();
-        t.range(Bound::Unbounded, Bound::Excluded(&5), &mut out);
+        t.range((), Bound::Unbounded, Bound::Excluded(&5), &mut out);
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
         out.clear();
-        t.range(Bound::Included(&495), Bound::Unbounded, &mut out);
+        t.range((), Bound::Included(&495), Bound::Unbounded, &mut out);
         assert_eq!(out, vec![495, 496, 497, 498, 499]);
     }
 
@@ -1336,10 +1360,10 @@ mod tests {
     fn insert_unique_rejects() {
         let mut t = nat(8);
         for k in 0..100u64 {
-            t.insert_unique(k).unwrap();
+            t.insert_unique((), k).unwrap();
         }
         for k in 0..100u64 {
-            assert_eq!(t.insert_unique(k), Err(IndexError::DuplicateKey));
+            assert_eq!(t.insert_unique((), k), Err(IndexError::DuplicateKey));
         }
         assert_eq!(t.len(), 100);
     }
@@ -1348,7 +1372,7 @@ mod tests {
     fn differential_vs_model_various_node_sizes() {
         for ns in [1usize, 2, 5, 16] {
             let mut t = TTree::new(DupAdapter, TTreeConfig::with_node_size(ns));
-            testkit::ordered_differential(DupAdapter, &mut t, 0x77EE + ns as u64, 5000, 250);
+            testkit::ordered_differential(&mut t, 0x77EE + ns as u64, 5000, 250);
         }
     }
 
@@ -1361,7 +1385,7 @@ mod tests {
                 slack: 0,
             },
         );
-        testkit::ordered_differential(DupAdapter, &mut t, 0x5ACC, 4000, 200);
+        testkit::ordered_differential(&mut t, 0x5ACC, 4000, 200);
     }
 
     #[cfg(feature = "stats")]
@@ -1376,11 +1400,11 @@ mod tests {
             .collect();
         let mut t = nat(30);
         for e in &entries {
-            t.insert(*e);
+            t.insert((), *e);
         }
         t.reset_stats();
         for k in (0..n as u64).step_by(100) {
-            assert!(t.search(&k).is_some());
+            assert!(t.search((), &k).is_some());
         }
         let per = t.stats().comparisons as f64 / 300.0;
         // Depth ≈ log2(30000/30) ≈ 10, ×2 compares + ~log2(30)≈5 final.
@@ -1402,15 +1426,15 @@ mod tests {
             );
             let mut rng = testkit::TestRng::new(99);
             for _ in 0..4000 {
-                t.insert(rng.below(10_000));
+                t.insert((), rng.below(10_000));
             }
             // Mixed phase.
             for _ in 0..8000 {
                 let k = rng.below(10_000);
                 if rng.below(2) == 0 {
-                    t.insert(k);
+                    t.insert((), k);
                 } else {
-                    t.delete(&k);
+                    t.delete((), &k);
                 }
             }
             t.stats().rotations
@@ -1428,14 +1452,14 @@ mod tests {
         let mut t = nat(20);
         let mut rng = testkit::TestRng::new(123);
         for _ in 0..20_000 {
-            t.insert(rng.below(1 << 40));
+            t.insert((), rng.below(1 << 40));
         }
         for _ in 0..10_000 {
             let k = rng.below(1 << 40);
-            let _ = t.delete(&k);
-            t.insert(rng.below(1 << 40));
+            let _ = t.delete((), &k);
+            t.insert((), rng.below(1 << 40));
         }
-        t.validate().unwrap();
+        t.validate(()).unwrap();
         let fill = t.internal_fill();
         assert!(fill > 0.7, "internal fill should stay high, got {fill}");
     }
@@ -1448,7 +1472,7 @@ mod tests {
         let mut t = TTree::new(DupAdapter, TTreeConfig::with_node_size(30));
         let n = 10_000usize;
         for e in testkit::shuffled_unique_entries(n, 8) {
-            t.insert(e);
+            t.insert((), e);
         }
         let payload = n * std::mem::size_of::<u64>();
         let factor = t.storage_bytes() as f64 / payload as f64;
@@ -1466,7 +1490,7 @@ mod cursor_tests {
     fn cursor_walks_and_rewinds() {
         let mut t = TTree::new(NaturalAdapter::<u64>::new(), TTreeConfig::with_node_size(3));
         for k in 0..50u64 {
-            t.insert(k);
+            t.insert((), k);
         }
         let mut c = t.cursor();
         for k in 0..10u64 {
@@ -1510,16 +1534,17 @@ mod cursor_tests {
     impl Adapter for TagDupAdapter {
         type Entry = u64;
         type Key = u64;
+        type Ctx<'c> = ();
 
-        fn cmp_entries(&self, a: &u64, b: &u64) -> std::cmp::Ordering {
+        fn cmp_entries(&self, (): (), a: &u64, b: &u64) -> std::cmp::Ordering {
             testkit::dup_key(*a).cmp(&testkit::dup_key(*b))
         }
 
-        fn cmp_entry_key(&self, e: &u64, key: &u64) -> std::cmp::Ordering {
+        fn cmp_entry_key(&self, (): (), e: &u64, key: &u64) -> std::cmp::Ordering {
             testkit::dup_key(*e).cmp(key)
         }
 
-        fn entry_tag(&self, e: &u64) -> u64 {
+        fn entry_tag(&self, (): (), e: &u64) -> u64 {
             testkit::dup_key(*e)
         }
 
@@ -1531,19 +1556,20 @@ mod cursor_tests {
     fn bulk_vs_incremental(entries: &[u64], node_size: usize) {
         let tagged: Vec<(u64, u64)> = entries
             .iter()
-            .map(|&e| (TagDupAdapter.entry_tag(&e), e))
+            .map(|&e| (TagDupAdapter.entry_tag((), &e), e))
             .collect();
         let bulk = TTree::build_from_sorted(
             TagDupAdapter,
+            (),
             TTreeConfig::with_node_size(node_size),
             tagged,
         );
-        bulk.validate()
+        bulk.validate(())
             .unwrap_or_else(|e| panic!("node_size {node_size}: {e}"));
         assert_eq!(bulk.len(), entries.len());
         let mut incr = TTree::new(TagDupAdapter, TTreeConfig::with_node_size(node_size));
         for &e in entries {
-            incr.insert(e);
+            incr.insert((), e);
         }
         // Bulk scan preserves the sorted input exactly (including the
         // order of equal keys, which incremental GLB spills scramble);
@@ -1583,20 +1609,21 @@ mod cursor_tests {
         let entries: Vec<u64> = (0..500u64).map(|k| k << 16).collect();
         let tagged: Vec<(u64, u64)> = entries
             .iter()
-            .map(|&e| (TagDupAdapter.entry_tag(&e), e))
+            .map(|&e| (TagDupAdapter.entry_tag((), &e), e))
             .collect();
-        let mut t = TTree::build_from_sorted(TagDupAdapter, TTreeConfig::with_node_size(8), tagged);
+        let mut t =
+            TTree::build_from_sorted(TagDupAdapter, (), TTreeConfig::with_node_size(8), tagged);
         // A bulk-built tree must keep working as a live index: interleave
         // inserts and deletes, then validate.
         for k in 0..500u64 {
             if k % 3 == 0 {
-                assert!(t.delete(&k).is_some(), "delete {k}");
+                assert!(t.delete((), &k).is_some(), "delete {k}");
             }
         }
         for k in 500..700u64 {
-            t.insert(k << 16);
+            t.insert((), k << 16);
         }
-        t.validate().expect("after mutation");
+        t.validate(()).expect("after mutation");
         let got: Vec<u64> = t.iter().map(testkit::dup_key).collect();
         let want: Vec<u64> = (0..500u64).filter(|k| k % 3 != 0).chain(500..700).collect();
         assert_eq!(got, want);
@@ -1608,10 +1635,10 @@ mod cursor_tests {
         let entries: Vec<u64> = (0..10_000u64).map(|k| k << 16).collect();
         let tagged: Vec<(u64, u64)> = entries
             .iter()
-            .map(|&e| (TagDupAdapter.entry_tag(&e), e))
+            .map(|&e| (TagDupAdapter.entry_tag((), &e), e))
             .collect();
-        let t = TTree::build_from_sorted(TagDupAdapter, config, tagged);
-        t.validate().expect("valid");
+        let t = TTree::build_from_sorted(TagDupAdapter, (), config, tagged);
+        t.validate(()).expect("valid");
         // Every chunk is min_count except possibly the last, so internal
         // fill is min_count / max_count exactly.
         let want = config.min_count() as f64 / config.max_count as f64;

@@ -163,71 +163,54 @@ pub fn value_hash(v: &Value<'_>) -> u64 {
     }
 }
 
-/// Adapter that dereferences [`TupleId`] entries to an attribute of one
-/// relation.
-#[derive(Clone, Copy)]
-pub struct AttrAdapter<'a> {
-    rel: &'a Relation,
+/// Adapter that dereferences [`TupleId`] entries to one attribute. It
+/// stores only the attribute position: the relation is each operation's
+/// context ([`Adapter::Ctx`]), so an index over a shared relation borrows
+/// the guard its caller already holds instead of taking one per
+/// comparison.
+#[derive(Debug, Clone, Copy)]
+pub struct AttrAdapter {
     attr: usize,
 }
 
-impl<'a> AttrAdapter<'a> {
-    /// Index `rel` on attribute `attr`.
+impl AttrAdapter {
+    /// Index attribute `attr`.
     #[must_use]
-    pub fn new(rel: &'a Relation, attr: usize) -> Self {
-        AttrAdapter { rel, attr }
-    }
-
-    /// Index `rel` on the named attribute.
-    pub fn by_name(rel: &'a Relation, name: &str) -> Result<Self, crate::StorageError> {
-        Ok(AttrAdapter {
-            rel,
-            attr: rel.schema().index_of(name)?,
-        })
-    }
-
-    /// The underlying relation.
-    #[must_use]
-    pub fn relation(&self) -> &'a Relation {
-        self.rel
-    }
-
-    /// The indexed attribute position.
-    #[must_use]
-    pub fn attr(&self) -> usize {
-        self.attr
+    pub fn new(attr: usize) -> Self {
+        AttrAdapter { attr }
     }
 
     /// Extract the indexed attribute of a tuple.
     #[must_use]
-    pub fn value_of(&self, tid: TupleId) -> Value<'a> {
+    pub fn value_of<'r>(&self, rel: &'r Relation, tid: TupleId) -> Value<'r> {
         // The Adapter trait's comparators are infallible by design (§2.2:
         // an index entry *is* a tuple pointer, so dereferencing cannot
         // fail in a consistent database). A dead entry here means the
         // index and relation have drifted apart -- exactly the invariant
         // `mmdb-check`'s reachability pass verifies -- so panicking with
         // the violated invariant is the only sound response.
-        match self.rel.field(tid, self.attr) {
+        match rel.field(tid, self.attr) {
             Ok(v) => v,
             Err(e) => panic!("index entry {tid:?} must reference a live tuple: {e}"),
         }
     }
 }
 
-impl Adapter for AttrAdapter<'_> {
+impl Adapter for AttrAdapter {
     type Entry = TupleId;
     type Key = KeyValue;
+    type Ctx<'c> = &'c Relation;
 
-    fn cmp_entries(&self, a: &TupleId, b: &TupleId) -> Ordering {
-        self.value_of(*a).total_cmp(&self.value_of(*b))
+    fn cmp_entries(&self, rel: &Relation, a: &TupleId, b: &TupleId) -> Ordering {
+        self.value_of(rel, *a).total_cmp(&self.value_of(rel, *b))
     }
 
-    fn cmp_entry_key(&self, e: &TupleId, key: &KeyValue) -> Ordering {
-        key.cmp_value(&self.value_of(*e))
+    fn cmp_entry_key(&self, rel: &Relation, e: &TupleId, key: &KeyValue) -> Ordering {
+        key.cmp_value(&self.value_of(rel, *e))
     }
 
-    fn entry_tag(&self, e: &TupleId) -> u64 {
-        value_order_tag(&self.value_of(*e))
+    fn entry_tag(&self, rel: &Relation, e: &TupleId) -> u64 {
+        value_order_tag(&self.value_of(rel, *e))
     }
 
     fn key_tag(&self, key: &KeyValue) -> u64 {
@@ -235,9 +218,9 @@ impl Adapter for AttrAdapter<'_> {
     }
 }
 
-impl HashAdapter for AttrAdapter<'_> {
-    fn hash_entry(&self, e: &TupleId) -> u64 {
-        value_hash(&self.value_of(*e))
+impl HashAdapter for AttrAdapter {
+    fn hash_entry(&self, rel: &Relation, e: &TupleId) -> u64 {
+        value_hash(&self.value_of(rel, *e))
     }
 
     fn hash_key(&self, key: &KeyValue) -> u64 {
@@ -294,16 +277,17 @@ impl<'a> TempListAdapter<'a> {
 impl Adapter for TempListAdapter<'_> {
     type Entry = u32;
     type Key = KeyValue;
+    type Ctx<'c> = ();
 
-    fn cmp_entries(&self, a: &u32, b: &u32) -> Ordering {
+    fn cmp_entries(&self, (): (), a: &u32, b: &u32) -> Ordering {
         self.value_of(*a).total_cmp(&self.value_of(*b))
     }
 
-    fn cmp_entry_key(&self, e: &u32, key: &KeyValue) -> Ordering {
+    fn cmp_entry_key(&self, (): (), e: &u32, key: &KeyValue) -> Ordering {
         key.cmp_value(&self.value_of(*e))
     }
 
-    fn entry_tag(&self, e: &u32) -> u64 {
+    fn entry_tag(&self, (): (), e: &u32) -> u64 {
         value_order_tag(&self.value_of(*e))
     }
 
@@ -313,7 +297,7 @@ impl Adapter for TempListAdapter<'_> {
 }
 
 impl HashAdapter for TempListAdapter<'_> {
-    fn hash_entry(&self, e: &u32) -> u64 {
+    fn hash_entry(&self, (): (), e: &u32) -> u64 {
         value_hash(&self.value_of(*e))
     }
 
@@ -353,29 +337,29 @@ mod tests {
     #[test]
     fn cmp_entries_orders_by_attribute() {
         let (r, tids) = people();
-        let by_age = AttrAdapter::by_name(&r, "age").unwrap();
+        let by_age = AttrAdapter::new(1);
         // Dave(24) < Suzan(27)
-        assert_eq!(by_age.cmp_entries(&tids[0], &tids[1]), Ordering::Less);
-        let by_name = AttrAdapter::by_name(&r, "name").unwrap();
+        assert_eq!(by_age.cmp_entries(&r, &tids[0], &tids[1]), Ordering::Less);
+        let by_name = AttrAdapter::new(0);
         // "Cindy" < "Dave"
-        assert_eq!(by_name.cmp_entries(&tids[4], &tids[0]), Ordering::Less);
+        assert_eq!(by_name.cmp_entries(&r, &tids[4], &tids[0]), Ordering::Less);
     }
 
     #[test]
     fn key_comparisons() {
         let (r, tids) = people();
-        let by_age = AttrAdapter::by_name(&r, "age").unwrap();
+        let by_age = AttrAdapter::new(1);
         assert_eq!(
-            by_age.cmp_entry_key(&tids[0], &KeyValue::Int(24)),
+            by_age.cmp_entry_key(&r, &tids[0], &KeyValue::Int(24)),
             Ordering::Equal
         );
         assert_eq!(
-            by_age.cmp_entry_key(&tids[0], &KeyValue::Int(30)),
+            by_age.cmp_entry_key(&r, &tids[0], &KeyValue::Int(30)),
             Ordering::Less
         );
-        let by_name = AttrAdapter::by_name(&r, "name").unwrap();
+        let by_name = AttrAdapter::new(0);
         assert_eq!(
-            by_name.cmp_entry_key(&tids[1], &KeyValue::from("Suzan")),
+            by_name.cmp_entry_key(&r, &tids[1], &KeyValue::from("Suzan")),
             Ordering::Equal
         );
     }
@@ -383,14 +367,14 @@ mod tests {
     #[test]
     fn hash_agreement_entry_vs_key() {
         let (r, tids) = people();
-        let by_name = AttrAdapter::by_name(&r, "name").unwrap();
+        let by_name = AttrAdapter::new(0);
         assert_eq!(
-            by_name.hash_entry(&tids[2]),
+            by_name.hash_entry(&r, &tids[2]),
             by_name.hash_key(&KeyValue::from("Yaman"))
         );
-        let by_age = AttrAdapter::by_name(&r, "age").unwrap();
+        let by_age = AttrAdapter::new(1);
         assert_eq!(
-            by_age.hash_entry(&tids[3]),
+            by_age.hash_entry(&r, &tids[3]),
             by_age.hash_key(&KeyValue::Int(47))
         );
     }
@@ -398,14 +382,14 @@ mod tests {
     #[test]
     fn ttree_over_relation_attribute() {
         // End-to-end §2.2: a T-Tree whose entries are tuple pointers.
-        let (r, tids) = people();
-        let adapter = AttrAdapter::by_name(&r, "age").unwrap();
+        let (mut r, tids) = people();
+        let adapter = AttrAdapter::new(1);
         let mut idx = TTree::new(adapter, TTreeConfig::with_node_size(4));
         for t in &tids {
-            idx.insert(*t);
+            idx.insert(&r, *t);
         }
-        idx.validate().unwrap();
-        let hit = idx.search(&KeyValue::Int(54)).unwrap();
+        idx.validate(&r).unwrap();
+        let hit = idx.search(&r, &KeyValue::Int(54)).unwrap();
         assert_eq!(r.field_by_name(hit, "name").unwrap(), Value::Str("Yaman"));
         // Ordered scan returns people in age order.
         let mut ages = Vec::new();
@@ -413,6 +397,14 @@ mod tests {
             ages.push(r.field_by_name(*t, "age").unwrap().as_int().unwrap());
         });
         assert_eq!(ages, vec![22, 24, 27, 47, 54]);
+        // The index holds no borrow between operations, so the relation
+        // can be mutated in between.
+        let zed = r
+            .insert(&[OwnedValue::Str("Zed".into()), OwnedValue::Int(99)])
+            .unwrap();
+        idx.insert(&r, zed);
+        idx.validate(&r).unwrap();
+        assert_eq!(idx.search(&r, &KeyValue::Int(99)), Some(zed));
     }
 
     #[test]
@@ -424,11 +416,11 @@ mod tests {
         let ad = TempListAdapter::new(&list, &r, 0, 1);
         let mut idx = TTree::new(ad, TTreeConfig::with_node_size(3));
         for row in 0..list.len() as u32 {
-            idx.insert(row);
+            idx.insert((), row);
         }
-        idx.validate().unwrap();
+        idx.validate(()).unwrap();
         // Search by age through the temp-list index.
-        let row = idx.search(&KeyValue::Int(47)).unwrap();
+        let row = idx.search((), &KeyValue::Int(47)).unwrap();
         assert_eq!(
             r.field(list.row(row as usize)[0], 0).unwrap(),
             Value::Str("Jane")
@@ -484,15 +476,16 @@ mod tests {
         // Differential: a T-Tree probed through the tag-caching adapter
         // must behave identically to one whose adapter keeps the default
         // (always-undecided) tags.
-        struct Untagged<'a>(AttrAdapter<'a>);
-        impl Adapter for Untagged<'_> {
+        struct Untagged(AttrAdapter);
+        impl Adapter for Untagged {
             type Entry = TupleId;
             type Key = KeyValue;
-            fn cmp_entries(&self, a: &TupleId, b: &TupleId) -> Ordering {
-                self.0.cmp_entries(a, b)
+            type Ctx<'c> = &'c Relation;
+            fn cmp_entries(&self, rel: &Relation, a: &TupleId, b: &TupleId) -> Ordering {
+                self.0.cmp_entries(rel, a, b)
             }
-            fn cmp_entry_key(&self, e: &TupleId, key: &KeyValue) -> Ordering {
-                self.0.cmp_entry_key(e, key)
+            fn cmp_entry_key(&self, rel: &Relation, e: &TupleId, key: &KeyValue) -> Ordering {
+                self.0.cmp_entry_key(rel, e, key)
             }
             // entry_tag/key_tag deliberately left at the default 0.
         }
@@ -511,39 +504,36 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        for attr in ["name", "v"] {
-            let mut tagged = TTree::new(
-                AttrAdapter::by_name(&r, attr).unwrap(),
-                TTreeConfig::with_node_size(6),
-            );
+        for attr in [0, 1] {
+            let mut tagged = TTree::new(AttrAdapter::new(attr), TTreeConfig::with_node_size(6));
             let mut plain = TTree::new(
-                Untagged(AttrAdapter::by_name(&r, attr).unwrap()),
+                Untagged(AttrAdapter::new(attr)),
                 TTreeConfig::with_node_size(6),
             );
             for t in &tids {
-                tagged.insert(*t);
-                plain.insert(*t);
+                tagged.insert(&r, *t);
+                plain.insert(&r, *t);
             }
-            tagged.validate().unwrap();
-            plain.validate().unwrap();
+            tagged.validate(&r).unwrap();
+            plain.validate(&r).unwrap();
             for i in 0..200i64 {
-                let key = if attr == "v" {
+                let key = if attr == 1 {
                     KeyValue::Int(i)
                 } else {
                     KeyValue::Str(format!("name-{:03}", i))
                 };
                 let mut a = Vec::new();
                 let mut b = Vec::new();
-                tagged.search_all(&key, &mut a);
-                plain.search_all(&key, &mut b);
+                tagged.search_all(&r, &key, &mut a);
+                plain.search_all(&r, &key, &mut b);
                 assert_eq!(a, b, "{attr} key {key:?}");
             }
             for t in tids.iter().step_by(3) {
-                assert!(tagged.delete_entry(t));
-                assert!(plain.delete_entry(t));
+                assert!(tagged.delete_entry(&r, t));
+                assert!(plain.delete_entry(&r, t));
             }
-            tagged.validate().unwrap();
-            plain.validate().unwrap();
+            tagged.validate(&r).unwrap();
+            plain.validate(&r).unwrap();
             assert_eq!(
                 tagged.iter().collect::<Vec<_>>(),
                 plain.iter().collect::<Vec<_>>()

@@ -4,14 +4,13 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use mmdb_core::SharedAdapter;
 use mmdb_index::traits::{OrderedIndex, UnorderedIndex};
 use mmdb_index::{
     ArrayIndex, AvlTree, BTree, ChainedBucketHash, ExtendibleHash, LinearHash, ModifiedLinearHash,
     TTree, TTreeConfig,
 };
 use mmdb_storage::{
-    AttrType, KeyValue, OwnedValue, PartitionConfig, Relation, Schema, TupleId, Value,
+    AttrAdapter, AttrType, KeyValue, OwnedValue, PartitionConfig, Relation, Schema, TupleId, Value,
 };
 use parking_lot::RwLock;
 use proptest::prelude::*;
@@ -66,11 +65,11 @@ macro_rules! drive {
             match op {
                 Op::Insert(k) => {
                     let tid = rel.write().insert(&[OwnedValue::Int(*k)]).unwrap();
-                    idx.insert(tid);
+                    idx.insert(&rel.read(), tid);
                     model.by_key.entry(*k).or_default().push(tid);
                 }
                 Op::DeleteKey(k) => {
-                    let got = idx.delete(&KeyValue::Int(*k));
+                    let got = idx.delete(&rel.read(), &KeyValue::Int(*k));
                     let entry = model.by_key.get_mut(k);
                     match (got, entry) {
                         (Some(tid), Some(pool)) => {
@@ -100,11 +99,11 @@ macro_rules! drive {
                     }
                 }
                 Op::Search(k) => {
-                    let got = idx.search(&KeyValue::Int(*k));
+                    let got = idx.search(&rel.read(), &KeyValue::Int(*k));
                     let expect = model.by_key.get(k).map_or(0, Vec::len);
                     prop_assert_eq!(got.is_some(), expect > 0, "search({})", k);
                     let mut all = Vec::new();
-                    idx.search_all(&KeyValue::Int(*k), &mut all);
+                    idx.search_all(&rel.read(), &KeyValue::Int(*k), &mut all);
                     prop_assert_eq!(all.len(), expect, "search_all({})", k);
                 }
                 Op::Range(_, _) => { /* handled in the ordered macro */ }
@@ -113,13 +112,14 @@ macro_rules! drive {
             // Check-after-op: with the verification layer on, re-derive
             // every structural invariant after every single operation.
             #[cfg(all(feature = "check", debug_assertions))]
-            mmdb_check::DeepCheck::deep_check(&*idx)
+            mmdb_check::DeepCheck::deep_check(&*idx, &rel.read())
                 .into_result()
                 .map_err(TestCaseError::fail)?;
         }
-        idx.validate().map_err(|e| TestCaseError::fail(e))?;
+        idx.validate(&rel.read())
+            .map_err(|e| TestCaseError::fail(e))?;
         #[cfg(all(feature = "check", debug_assertions))]
-        mmdb_check::DeepCheck::deep_check(&*idx)
+        mmdb_check::DeepCheck::deep_check(&*idx, &rel.read())
             .into_result()
             .map_err(TestCaseError::fail)?;
         model
@@ -146,6 +146,7 @@ macro_rules! drive_ordered {
             if let Op::Range(lo, hi) = op {
                 let mut out = Vec::new();
                 $idx.range(
+                    &$rel.read(),
                     std::ops::Bound::Included(&KeyValue::Int(*lo)),
                     std::ops::Bound::Included(&KeyValue::Int(*hi)),
                     &mut out,
@@ -161,18 +162,17 @@ macro_rules! drive_ordered {
     }};
 }
 
-/// A shared relation plus its index adapter: `SharedAdapter` performs
-/// each comparison inside a short read lock, so the test can
-/// interleave relation mutations with index operations — exactly how the
+/// A shared relation plus its index adapter. Each index operation
+/// borrows a read guard of the relation for its duration, and relation
+/// mutations take the write guard in between — exactly how
 /// `mmdb_core::Database` wires indexes to relations.
-fn fresh_rel() -> (Arc<RwLock<Relation>>, SharedAdapter) {
+fn fresh_rel() -> (Arc<RwLock<Relation>>, AttrAdapter) {
     let rel = Arc::new(RwLock::new(Relation::new(
         "t",
         Schema::of(&[("k", AttrType::Int)]),
         PartitionConfig::default(),
     )));
-    let adapter = SharedAdapter::new(Arc::clone(&rel), 0);
-    (rel, adapter)
+    (rel, AttrAdapter::new(0))
 }
 
 proptest! {

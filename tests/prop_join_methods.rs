@@ -120,23 +120,23 @@ proptest! {
         let expect = reference(&ov, &iv);
 
         let mut oidx = TTree::new(
-            AttrAdapter::new(&orel, 1),
+            AttrAdapter::new(1),
             TTreeConfig::with_node_size(node_size),
         );
-        for t in &otids { oidx.insert(*t); }
+        for t in &otids { oidx.insert(&orel, *t); }
         let mut iidx = TTree::new(
-            AttrAdapter::new(&irel, 1),
+            AttrAdapter::new(1),
             TTreeConfig::with_node_size(node_size),
         );
-        for t in &itids { iidx.insert(*t); }
-        oidx.validate().unwrap();
-        iidx.validate().unwrap();
+        for t in &itids { iidx.insert(&irel, *t); }
+        oidx.validate(&orel).unwrap();
+        iidx.validate(&irel).unwrap();
 
         let nl = nested_loops_join(outer, inner).unwrap();
         prop_assert_eq!(normalize(&nl.pairs, &orel, &irel), expect.clone());
         let hj = hash_join(outer, inner).unwrap();
         prop_assert_eq!(normalize(&hj.pairs, &orel, &irel), expect.clone());
-        let tj = tree_join(outer, &iidx).unwrap();
+        let tj = tree_join(outer, &irel, &iidx).unwrap();
         prop_assert_eq!(normalize(&tj.pairs, &orel, &irel), expect.clone());
         let sm = sort_merge_join(outer, inner).unwrap();
         prop_assert_eq!(normalize(&sm.pairs, &orel, &irel), expect.clone());
@@ -155,10 +155,10 @@ proptest! {
         let outer = JoinSide::new(&orel, 1, &otids);
         let inner = JoinSide::new(&irel, 1, &itids);
         let mut iidx = TTree::new(
-            AttrAdapter::new(&irel, 1),
+            AttrAdapter::new(1),
             TTreeConfig::with_node_size(4),
         );
-        for t in &itids { iidx.insert(*t); }
+        for t in &itids { iidx.insert(&irel, *t); }
         for (op, f) in [
             (IneqOp::Less, (|i: i64, o: i64| i < o) as fn(i64, i64) -> bool),
             (IneqOp::LessEq, |i, o| i <= o),
