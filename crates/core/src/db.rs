@@ -8,7 +8,7 @@ use crate::error::DbError;
 use crate::restart::{build_index_bulk, CrashedDatabase};
 use crate::txn::{Transaction, WriteOp};
 use mmdb_exec::{
-    choose_select_path, select_hash_index, select_scan_iter, select_tree_index, Predicate,
+    choose_select_path, select_hash_index, select_scan_all, select_tree_index, Predicate,
 };
 use mmdb_index::traits::{OrderedIndex, UnorderedIndex};
 use mmdb_index::{ModifiedLinearHash, TTree};
@@ -589,7 +589,7 @@ impl<S: StableStore> Database<S> {
         match self.bind_select(t, attr_idx, path, pred)? {
             BoundSelect::Hash(idx, key) => Ok(select_hash_index(idx, &rel, key)),
             BoundSelect::Tree(idx) => Ok(select_tree_index(idx, &rel, pred)),
-            BoundSelect::Scan => Ok(select_scan_iter(&rel, attr_idx, rel.iter_tids(), pred)?),
+            BoundSelect::Scan => Ok(select_scan_all(&rel, attr_idx, pred)?),
         }
     }
 

@@ -310,15 +310,19 @@ fn execute<S: StableStore>(
     let list = root.execute(&mut ctx)?;
     drop(root);
 
-    // Materialize (the only copy the engine ever makes).
+    // Materialize (the only copy the engine ever makes), straight into
+    // each row's owned values.
     let mut rows = Vec::with_capacity(list.len());
-    for i in 0..list.len() {
-        let vals = list.materialize_row(i, desc, rels)?;
-        rows.push(
-            vals.iter()
-                .map(mmdb_storage::Value::to_owned_value)
-                .collect(),
-        );
+    for tids in list.iter() {
+        let mut row = Vec::with_capacity(desc.width());
+        for f in desc.fields() {
+            row.push(
+                rels[f.source]
+                    .field(tids[f.source], f.attr)?
+                    .to_owned_value(),
+            );
+        }
+        rows.push(row);
     }
     let profile = PlanProfile::assemble(planned, &ctx);
     Ok(QueryOutput {

@@ -47,4 +47,4 @@ pub use plan::{
     ExecContext, LogicalPlan, PlanError, PlanProfile, PlannedQuery, Planner, PlannerOptions,
 };
 pub use project::{project_hash, project_hash_sized, project_sort, ProjectOutput};
-pub use select::{select_hash_index, select_scan, select_scan_iter, select_tree_index, Predicate};
+pub use select::{select_hash_index, select_scan, select_scan_all, select_tree_index, Predicate};

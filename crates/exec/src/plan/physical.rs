@@ -12,7 +12,7 @@ use crate::error::ExecError;
 use crate::plan::kernels::JoinKernel;
 use crate::plan::planner::NodeId;
 use crate::project::project_hash;
-use crate::select::{select_hash_index, select_scan_iter, select_tree_index, Predicate};
+use crate::select::{select_hash_index, select_scan_all, select_tree_index, Predicate};
 use mmdb_index::stats::Snapshot;
 use mmdb_index::traits::{OrderedIndex, UnorderedIndex};
 use mmdb_storage::{AttrAdapter, KeyValue, Relation, ResultDescriptor, TempList, TupleId};
@@ -119,7 +119,7 @@ impl Operator for SeqFilterOp<'_> {
     fn execute(&mut self, ctx: &mut ExecContext) -> Result<TempList, ExecError> {
         let t = Instant::now();
         let rows_in = self.rel.len();
-        let out = select_scan_iter(self.rel, self.attr, self.rel.iter_tids(), &self.pred)?;
+        let out = select_scan_all(self.rel, self.attr, &self.pred)?;
         // The scan path tests every live tuple exactly once.
         let stats = Snapshot {
             comparisons: rows_in as u64,

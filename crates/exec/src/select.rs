@@ -10,7 +10,7 @@
 
 use crate::error::ExecError;
 use mmdb_index::traits::{OrderedIndex, UnorderedIndex};
-use mmdb_storage::{AttrAdapter, KeyValue, Relation, TempList, TupleId};
+use mmdb_storage::{AttrAdapter, AttrType, KeyValue, Relation, TempList, TupleId};
 use std::ops::Bound;
 
 /// A single-attribute selection predicate.
@@ -167,10 +167,9 @@ pub fn select_scan(
     select_scan_iter(rel, attr, tids.iter().copied(), pred)
 }
 
-/// [`select_scan`] over any tuple-id iterator — lets callers scan a
-/// relation's live tuples (`Relation::iter_tids`) without first
-/// materializing the id list.
-pub fn select_scan_iter(
+/// [`select_scan`] over any tuple-id iterator: one resolve, one decoded
+/// [`Value`](mmdb_storage::Value) and one predicate test per tuple.
+fn select_scan_iter(
     rel: &Relation,
     attr: usize,
     tids: impl IntoIterator<Item = TupleId>,
@@ -184,6 +183,99 @@ pub fn select_scan_iter(
         }
     }
     Ok(TempList::from_tids(out))
+}
+
+/// Sequential-scan selection over every live tuple of `rel`, a block at a
+/// time: an `Int` or `Ptr` predicate becomes inclusive bounds on the
+/// cells' native order once, then each partition's slot array is walked
+/// and tested without resolving a tuple id or building a [`Value`]
+/// (`Str`/`PtrList` attributes, and keys of another type than the
+/// attribute's, take [`select_scan_iter`]). The output is
+/// [`select_scan_iter`]'s over `rel.iter_tids()`: physical tuple ids in
+/// partition order, then slot order.
+///
+/// [`Value`]: mmdb_storage::Value
+pub fn select_scan_all(
+    rel: &Relation,
+    attr: usize,
+    pred: &Predicate,
+) -> Result<TempList, ExecError> {
+    let ty = rel.schema().attr(attr)?.ty;
+    let Some((lo, hi)) = native_bounds(ty, pred) else {
+        return select_scan_iter(rel, attr, rel.iter_tids(), pred);
+    };
+    let mut out = Vec::with_capacity(1024);
+    if ty == AttrType::Int {
+        scan_cells(rel, attr, (lo, hi), &mut out, |c| {
+            int_order(i64::from_le_bytes(c))
+        });
+    } else {
+        scan_cells(rel, attr, (lo, hi), &mut out, |c| {
+            tid_order(TupleId::new(
+                u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
+                u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
+            ))
+        });
+    }
+    Ok(TempList::from_tids(out))
+}
+
+/// Push every live tuple whose `attr` cell, read by `order`, lies in the
+/// inclusive interval `lo..=hi`, partition by partition.
+fn scan_cells(
+    rel: &Relation,
+    attr: usize,
+    (lo, hi): (u64, u64),
+    out: &mut Vec<TupleId>,
+    order: impl Fn([u8; 8]) -> u64 + Copy,
+) {
+    for view in rel.partition_views() {
+        let p = view.index();
+        view.for_each_cell(attr, |slot, cell| {
+            let v = order(cell);
+            if lo <= v && v <= hi {
+                out.push(TupleId::new(p, slot));
+            }
+        });
+    }
+}
+
+/// `i64` order as `u64` order (flip the sign bit).
+fn int_order(i: i64) -> u64 {
+    (i as u64) ^ (1 << 63)
+}
+
+/// `TupleId` order (partition-major) as `u64` order; NULL, stored as
+/// `(MAX, MAX)`, is the largest, as in [`KeyValue::cmp_value`].
+fn tid_order(t: TupleId) -> u64 {
+    (u64::from(t.partition) << 32) | u64::from(t.slot)
+}
+
+/// The inclusive `u64` interval of cells (in [`int_order`] or
+/// [`tid_order`]) an `Int`/`Ptr` attribute's predicate accepts, or `None`
+/// when the attribute or a key has another type. An empty interval comes
+/// back with `lo > hi`.
+fn native_bounds(ty: AttrType, pred: &Predicate) -> Option<(u64, u64)> {
+    // Widened so that stepping past an excluded key cannot overflow.
+    let key = |k: &KeyValue| match (ty, k) {
+        (AttrType::Int, KeyValue::Int(i)) => Some(i128::from(int_order(*i))),
+        (AttrType::Ptr, KeyValue::Ptr(t)) => Some(i128::from(tid_order(*t))),
+        _ => None,
+    };
+    let bound = |b: &Bound<KeyValue>, open: u64, step: i128| match b {
+        Bound::Unbounded => Some(i128::from(open)),
+        Bound::Included(k) => key(k),
+        Bound::Excluded(k) => Some(key(k)? + step),
+    };
+    let (lo, hi) = match pred {
+        Predicate::Eq(k) => (key(k)?, key(k)?),
+        Predicate::Range { lo, hi } => (bound(lo, 0, 1)?, bound(hi, u64::MAX, -1)?),
+    };
+    Some(match (u64::try_from(lo), u64::try_from(hi)) {
+        (Ok(lo), Ok(hi)) => (lo, hi),
+        // Past either end of the domain: nothing matches.
+        _ => (1, 0),
+    })
 }
 
 /// Exact-match selection through a hash index over a relation attribute

@@ -30,7 +30,7 @@ pub trait Adapter {
     type Key: ?Sized;
     /// What an entry is dereferenced through for one operation: a borrow
     /// of tuple storage for tuple-pointer adapters, `()` for adapters that
-    /// hold everything they need. Probe keys never need it.
+    /// hold everything they need.
     type Ctx<'c>: Copy;
 
     /// Total order over two stored entries (dereference both, compare keys).
@@ -57,8 +57,18 @@ pub trait Adapter {
     /// with it under [`Adapter::cmp_entry_key`] (same monotonicity, and
     /// a key equal to an entry's key gets the entry's tag).
     #[inline]
-    fn key_tag(&self, _key: &Self::Key) -> u64 {
+    fn key_tag(&self, _cx: Self::Ctx<'_>, _key: &Self::Key) -> u64 {
         0
+    }
+
+    /// Whether [`Adapter::key_tag`] is exact for `key`: an entry whose tag
+    /// equals the key's compares `Equal` to it, so an equal tag decides
+    /// too. Range scans use it to pass a node up to an inclusive bound
+    /// without dereferencing its entries. The conservative default is
+    /// `false`.
+    #[inline]
+    fn key_tag_exact(&self, _cx: Self::Ctx<'_>, _key: &Self::Key) -> bool {
+        false
     }
 }
 

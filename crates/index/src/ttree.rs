@@ -966,7 +966,7 @@ impl<A: Adapter> OrderedIndex<A> for TTree<A> {
     fn search(&self, cx: A::Ctx<'_>, key: &A::Key) -> Option<A::Entry> {
         // The paper's search: descend on min/max (via the cached key
         // tags when they decide), binary search the bounding node.
-        let tag = self.adapter.key_tag(key);
+        let tag = self.adapter.key_tag(cx, key);
         let mut cur = self.root;
         while cur != NIL {
             self.stats.node_visits(1);
@@ -1054,8 +1054,32 @@ impl<A: Adapter> OrderedIndex<A> for TTree<A> {
                 c
             }
         };
+        // A node whose cached maximum tag settles the upper bound — below
+        // the bound's tag, or equal to an exact tag of an inclusive bound —
+        // is emitted whole without dereferencing an entry. Each entry still
+        // counts the one comparison the entry-at-a-time test would make.
+        let hi_tag = match hi {
+            Bound::Unbounded => None,
+            Bound::Included(k) => Some((
+                self.adapter.key_tag(cx, k),
+                self.adapter.key_tag_exact(cx, k),
+            )),
+            Bound::Excluded(k) => Some((self.adapter.key_tag(cx, k), false)),
+        };
         while let Some((node, pos)) = cur {
-            let e = self.node(node).items[pos];
+            let n = self.node(node);
+            let settled =
+                hi_tag.is_none_or(|(tag, exact)| n.max_tag < tag || (exact && n.max_tag == tag));
+            if settled {
+                let rest = &n.items[pos..];
+                if hi_tag.is_some() {
+                    self.stats.comparisons(rest.len() as u64);
+                }
+                out.extend_from_slice(rest);
+                cur = self.advance(node, n.items.len() - 1);
+                continue;
+            }
+            let e = n.items[pos];
             let ord = match hi {
                 Bound::Unbounded => Ordering::Less,
                 Bound::Included(k) | Bound::Excluded(k) => {
@@ -1548,7 +1572,7 @@ mod cursor_tests {
             testkit::dup_key(*e)
         }
 
-        fn key_tag(&self, key: &u64) -> u64 {
+        fn key_tag(&self, (): (), key: &u64) -> u64 {
             *key
         }
     }

@@ -6,6 +6,7 @@
 //! the indexed attribute. [`AttrAdapter`] is that dereference.
 
 use crate::relation::Relation;
+use crate::schema::AttrType;
 use crate::value::{TupleId, Value};
 use mmdb_index::adapter::{mix64, Adapter, HashAdapter};
 use std::cmp::Ordering;
@@ -143,6 +144,25 @@ pub fn value_order_tag(v: &Value<'_>) -> u64 {
     }
 }
 
+/// [`Adapter::key_tag`] of `key` against `rel`'s attribute `attr`. A key
+/// of the attribute's type tags as [`KeyValue::order_tag`]. A key of
+/// another type compares by type rank with every entry, all below it or
+/// all above it, so it tags as the top or the bottom of the tag order:
+/// the tag then still orders like the comparison does.
+fn key_order_tag(rel: &Relation, attr: usize, key: &KeyValue) -> u64 {
+    let rank = match rel.schema().attr(attr).map(|a| a.ty) {
+        Ok(AttrType::Int) => 0,
+        Ok(AttrType::Str) => 1,
+        Ok(AttrType::Ptr) => 2,
+        Ok(AttrType::PtrList) | Err(_) => 3,
+    };
+    match rank.cmp(&rank_key(key)) {
+        Ordering::Equal => key.order_tag(),
+        Ordering::Less => u64::MAX,
+        Ordering::Greater => 0,
+    }
+}
+
 /// Hash a field value, consistently with [`KeyValue::hash`]. Public so
 /// query operators (hash join build, hash-based duplicate elimination) can
 /// hash extracted attribute values directly.
@@ -213,8 +233,18 @@ impl Adapter for AttrAdapter {
         value_order_tag(&self.value_of(rel, *e))
     }
 
-    fn key_tag(&self, key: &KeyValue) -> u64 {
-        key.order_tag()
+    fn key_tag(&self, rel: &Relation, key: &KeyValue) -> u64 {
+        key_order_tag(rel, self.attr, key)
+    }
+
+    /// Integer and pointer tags are injective; a string tag holds only an
+    /// 8-byte prefix.
+    fn key_tag_exact(&self, rel: &Relation, key: &KeyValue) -> bool {
+        let ty = rel.schema().attr(self.attr).map(|a| a.ty);
+        matches!(
+            (ty, key),
+            (Ok(AttrType::Int), KeyValue::Int(_)) | (Ok(AttrType::Ptr), KeyValue::Ptr(_))
+        )
     }
 }
 
@@ -291,8 +321,8 @@ impl Adapter for TempListAdapter<'_> {
         value_order_tag(&self.value_of(*e))
     }
 
-    fn key_tag(&self, key: &KeyValue) -> u64 {
-        key.order_tag()
+    fn key_tag(&self, (): (), key: &KeyValue) -> u64 {
+        key_order_tag(self.rel, self.attr, key)
     }
 }
 

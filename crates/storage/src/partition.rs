@@ -18,10 +18,18 @@
 //! | ptrlist | `u32` heap offset, `u32` element count (8 bytes each)  |
 //!
 //! A tuple never moves when a variable-length field grows: the new bytes
-//! are appended to the heap and the cell is repointed (the old bytes
-//! become garbage until the partition is rewritten at checkpoint). If the
-//! heap is exhausted, the *relation* relocates the tuple to another
-//! partition and a forwarding address is left behind (footnote 1).
+//! are appended to the heap and the cell is repointed. The old bytes, and
+//! the heap bytes of a deleted or relocated tuple, become garbage: the
+//! partition counts them, [`Partition::heap_remaining`] counts them as
+//! free, and `Partition::compact` reclaims them in place when an append
+//! would otherwise not fit. Compaction slides live values down and
+//! repoints their cells; slots never move, so every [`TupleId`] stays
+//! valid. If even the compacted heap is too small, the *relation*
+//! relocates the tuple to another partition and a forwarding address is
+//! left behind (footnote 1).
+//!
+//! A partition reserves its whole budget — the slot array and the heap —
+//! when it is created or decoded, so filling it never reallocates.
 
 use crate::error::StorageError;
 use crate::schema::{AttrType, Schema};
@@ -80,25 +88,57 @@ pub struct Partition {
     heap: Vec<u8>,
     free_slots: Vec<u32>,
     live: usize,
+    /// Heap bytes no live cell points at (overwritten values, deleted and
+    /// relocated tuples); reclaimed by `Partition::compact`.
+    garbage: usize,
+}
+
+/// Size of the stack buffer a compaction pass gathers live heap values
+/// in; a pass moves at least half of it.
+const COMPACT_BATCH: usize = 512;
+
+/// One heap-resident value found by a compaction pass.
+#[derive(Clone, Copy, Default)]
+struct HeapRef {
+    offset: u32,
+    bytes: u32,
+    /// Byte position of the value's cell in the slot array.
+    cell: usize,
 }
 
 impl Partition {
-    /// Create a partition for tuples of `arity` attributes under `config`.
-    #[must_use]
-    pub fn new(arity: usize, config: PartitionConfig) -> Self {
+    /// `(slot_size, capacity, heap_budget)` of a partition for tuples of
+    /// `arity` attributes under `config`.
+    fn geometry(arity: usize, config: PartitionConfig) -> (usize, usize, usize) {
         let slot_size = 8 * arity.max(1);
         let heap_budget = config.partition_bytes * config.heap_percent / 100;
         let slot_budget = config.partition_bytes - heap_budget;
-        let capacity = (slot_budget / slot_size).max(1);
+        (slot_size, (slot_budget / slot_size).max(1), heap_budget)
+    }
+
+    /// `(insert_headroom, heap_remaining)` of a new, empty partition —
+    /// without allocating one.
+    #[must_use]
+    pub(crate) fn fresh_headroom(arity: usize, config: PartitionConfig) -> (usize, usize) {
+        let (_, capacity, heap_budget) = Partition::geometry(arity, config);
+        (capacity, heap_budget)
+    }
+
+    /// Create a partition for tuples of `arity` attributes under `config`,
+    /// with its slot array and heap reserved at their budgets.
+    #[must_use]
+    pub fn new(arity: usize, config: PartitionConfig) -> Self {
+        let (slot_size, capacity, heap_budget) = Partition::geometry(arity, config);
         Partition {
             slot_size,
             capacity,
             heap_budget,
-            slots: Vec::new(),
-            states: Vec::new(),
-            heap: Vec::new(),
+            slots: Vec::with_capacity(capacity * slot_size),
+            states: Vec::with_capacity(capacity),
+            heap: Vec::with_capacity(heap_budget),
             free_slots: Vec::new(),
             live: 0,
+            garbage: 0,
         }
     }
 
@@ -120,10 +160,18 @@ impl Partition {
         !self.free_slots.is_empty() || self.states.len() < self.capacity
     }
 
-    /// Bytes of heap still unreserved.
+    /// Bytes of heap a new value can still get: the unused tail plus the
+    /// garbage a compaction would reclaim.
     #[must_use]
     pub fn heap_remaining(&self) -> usize {
-        self.heap_budget.saturating_sub(self.heap.len())
+        self.heap_budget
+            .saturating_sub(self.heap.len() - self.garbage)
+    }
+
+    /// True when `bytes` more heap fit only after a `Partition::compact`.
+    #[must_use]
+    pub(crate) fn needs_compaction(&self, bytes: usize) -> bool {
+        self.heap.len() + bytes > self.heap_budget && bytes <= self.heap_remaining()
     }
 
     /// Number of additional tuples this partition can hold slot-wise
@@ -231,8 +279,12 @@ impl Partition {
             self.slots.resize(self.states.len() * self.slot_size, 0);
             (self.states.len() - 1) as u32
         };
+        let heap_before = self.heap.len();
         for (i, v) in values.iter().enumerate() {
             if let Err(e) = self.write_value(slot, i, v) {
+                // Values written before the failure were appended last:
+                // cutting the heap back reclaims them.
+                self.heap.truncate(heap_before);
                 self.free_slots.push(slot);
                 return Err(e);
             }
@@ -303,7 +355,29 @@ impl Partition {
                 found: value.type_name(),
             });
         }
-        self.write_value(slot, attr, value)
+        let old = self.cell_heap_bytes(slot, attr, a.ty);
+        self.write_value(slot, attr, value)?;
+        self.garbage += old;
+        Ok(())
+    }
+
+    /// Heap bytes the cell `(slot, attr)` of type `ty` points at.
+    fn cell_heap_bytes(&self, slot: u32, attr: usize, ty: AttrType) -> usize {
+        match ty {
+            AttrType::Str => self.read_cell_pair(slot, attr).1 as usize,
+            AttrType::PtrList => self.read_cell_pair(slot, attr).1 as usize * 8,
+            AttrType::Int | AttrType::Ptr => 0,
+        }
+    }
+
+    /// Heap bytes the tuple in `slot` points at.
+    fn slot_heap_bytes(&self, slot: u32, schema: &Schema) -> usize {
+        schema
+            .attrs()
+            .iter()
+            .enumerate()
+            .map(|(i, a)| self.cell_heap_bytes(slot, i, a.ty))
+            .sum()
     }
 
     /// Read all attributes of the tuple in `slot` (owned copies).
@@ -313,12 +387,13 @@ impl Partition {
             .collect()
     }
 
-    /// Free the slot (tuple deleted).
-    pub fn delete(&mut self, slot: u32) -> Result<(), StorageError> {
+    /// Free the slot (tuple deleted); its heap bytes become garbage.
+    pub fn delete(&mut self, slot: u32, schema: &Schema) -> Result<(), StorageError> {
         match self.slot_state(slot)? {
             SlotState::Occupied => {}
             _ => return Err(StorageError::SlotEmpty(TupleId::new(u32::MAX, slot))),
         }
+        self.garbage += self.slot_heap_bytes(slot, schema);
         self.states[slot as usize] = SlotState::Empty;
         self.free_slots.push(slot);
         self.live -= 1;
@@ -326,12 +401,14 @@ impl Partition {
     }
 
     /// Mark the slot as relocated to `to` (footnote 1's forwarding
-    /// address). The slot body's first cell stores the forwarding id.
-    pub fn forward(&mut self, slot: u32, to: TupleId) -> Result<(), StorageError> {
+    /// address). The slot body's first cell stores the forwarding id; the
+    /// tuple's heap bytes (copied to `to`) become garbage.
+    pub fn forward(&mut self, slot: u32, to: TupleId, schema: &Schema) -> Result<(), StorageError> {
         match self.slot_state(slot)? {
             SlotState::Occupied => {}
             _ => return Err(StorageError::SlotEmpty(TupleId::new(u32::MAX, slot))),
         }
+        self.garbage += self.slot_heap_bytes(slot, schema);
         self.write_cell(slot, 0, to.partition, to.slot);
         self.states[slot as usize] = SlotState::Forwarded;
         self.live -= 1;
@@ -365,6 +442,107 @@ impl Partition {
             .enumerate()
             .filter(|(_, s)| **s == SlotState::Occupied)
             .map(|(i, _)| i as u32)
+    }
+
+    /// Visit attribute `attr`'s 8-byte cell of every occupied slot, in
+    /// slot order, without decoding it (see the module's slot layout).
+    /// Visits nothing when `attr` is past the arity.
+    pub(crate) fn for_each_cell(&self, attr: usize, mut visit: impl FnMut(u32, [u8; 8])) {
+        let at = attr * 8;
+        if at + 8 > self.slot_size {
+            return;
+        }
+        let cells = self.slots.chunks_exact(self.slot_size);
+        for (slot, (state, body)) in self.states.iter().zip(cells).enumerate() {
+            if *state == SlotState::Occupied {
+                let c = &body[at..at + 8];
+                visit(
+                    slot as u32,
+                    [c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]],
+                );
+            }
+        }
+    }
+
+    /// Reclaim the heap's garbage in place: slide every live value down,
+    /// in offset order, to the front of the heap and repoint its cell.
+    /// Slots never move and nothing is allocated: each pass over the slot
+    /// array gathers the lowest-offset values not yet moved into a buffer
+    /// on the stack, then moves them.
+    pub(crate) fn compact(&mut self, schema: &Schema) {
+        let mut write = 0usize;
+        // Every value at an offset below `cursor` has been moved already.
+        let mut cursor = 0u32;
+        loop {
+            let mut batch = [HeapRef::default(); COMPACT_BATCH];
+            let mut n = 0usize;
+            // Values at or past `limit` wait for a later pass.
+            let mut limit = u32::MAX;
+            for slot in 0..self.states.len() {
+                if self.states[slot] != SlotState::Occupied {
+                    continue;
+                }
+                for (attr, a) in schema.attrs().iter().enumerate() {
+                    let width = match a.ty {
+                        AttrType::Str => 1,
+                        AttrType::PtrList => 8,
+                        AttrType::Int | AttrType::Ptr => continue,
+                    };
+                    let (offset, count) = self.read_cell_pair(slot as u32, attr);
+                    let bytes = count * width;
+                    let cell = slot * self.slot_size + attr * 8;
+                    if bytes == 0 {
+                        // An empty value owns no heap bytes; point it at
+                        // the front so it stays in bounds.
+                        self.slots[cell..cell + 4].copy_from_slice(&0u32.to_le_bytes());
+                        continue;
+                    }
+                    if offset < cursor || offset >= limit {
+                        continue;
+                    }
+                    batch[n] = HeapRef {
+                        offset,
+                        bytes,
+                        cell,
+                    };
+                    n += 1;
+                    if n == COMPACT_BATCH {
+                        // Keep the lower half; the rest waits.
+                        batch.sort_unstable_by_key(|r| r.offset);
+                        n = COMPACT_BATCH / 2;
+                        limit = batch[n].offset;
+                    }
+                }
+            }
+            batch[..n].sort_unstable_by_key(|r| r.offset);
+            for r in &batch[..n] {
+                let from = r.offset as usize;
+                self.heap.copy_within(from..from + r.bytes as usize, write);
+                self.slots[r.cell..r.cell + 4].copy_from_slice(&(write as u32).to_le_bytes());
+                write += r.bytes as usize;
+                cursor = r.offset + r.bytes;
+            }
+            if limit == u32::MAX {
+                break;
+            }
+        }
+        self.heap.truncate(write);
+        self.garbage = 0;
+    }
+
+    /// Recount the garbage from the live cells (after decoding an image,
+    /// which does not carry the count).
+    pub(crate) fn recount_garbage(&mut self, schema: &Schema) {
+        let mut live = 0;
+        for (attr, a) in schema.attrs().iter().enumerate() {
+            if matches!(a.ty, AttrType::Str | AttrType::PtrList) {
+                live += self
+                    .occupied_slots()
+                    .map(|slot| self.cell_heap_bytes(slot, attr, a.ty))
+                    .sum::<usize>();
+            }
+        }
+        self.garbage = self.heap.len().saturating_sub(live);
     }
 
     /// Serialize the partition to a byte image (recovery checkpointing).
@@ -425,25 +603,50 @@ impl Partition {
         }
         pos += n_states;
         let n_slots = read_u64(&mut pos)?;
-        let slots = bytes
+        let slot_bytes = bytes
             .get(pos..pos + n_slots)
-            .ok_or(StorageError::CorruptImage("truncated slot payload"))?
-            .to_vec();
+            .ok_or(StorageError::CorruptImage("truncated slot payload"))?;
         pos += n_slots;
         let n_heap = read_u64(&mut pos)?;
-        let heap = bytes
+        let heap_bytes = bytes
             .get(pos..pos + n_heap)
-            .ok_or(StorageError::CorruptImage("truncated heap payload"))?
-            .to_vec();
+            .ok_or(StorageError::CorruptImage("truncated heap payload"))?;
+        // The budgets come from the image itself: check them against what
+        // it holds before reserving them.
+        let slot_budget = capacity.checked_mul(slot_size);
+        if slot_size == 0
+            || slot_size % 8 != 0
+            || n_states > capacity
+            || Some(n_slots) != n_states.checked_mul(slot_size)
+            || n_heap > heap_budget
+            || capacity > u32::MAX as usize
+            || heap_budget > u32::MAX as usize
+            || slot_budget.is_none_or(|b| b > u32::MAX as usize)
+        {
+            return Err(StorageError::CorruptImage(
+                "inconsistent partition geometry",
+            ));
+        }
+        let too_large = |_| StorageError::CorruptImage("partition budget too large");
+        states
+            .try_reserve_exact(capacity - n_states)
+            .map_err(too_large)?;
+        let reserved = |payload: &[u8], budget: usize| -> Result<Vec<u8>, StorageError> {
+            let mut v = Vec::new();
+            v.try_reserve_exact(budget).map_err(too_large)?;
+            v.extend_from_slice(payload);
+            Ok(v)
+        };
         Ok(Partition {
             slot_size,
             capacity,
             heap_budget,
-            slots,
+            slots: reserved(slot_bytes, capacity * slot_size)?,
             states,
-            heap,
+            heap: reserved(heap_bytes, heap_budget)?,
             free_slots,
             live,
+            garbage: 0,
         })
     }
 }
@@ -519,7 +722,7 @@ mod tests {
         let a = p.insert(&row("A", 1)).unwrap();
         let _b = p.insert(&row("B", 2)).unwrap();
         assert_eq!(p.live(), 2);
-        p.delete(a).unwrap();
+        p.delete(a, &s).unwrap();
         assert_eq!(p.live(), 1);
         assert!(matches!(p.read(a, 0, &s), Err(StorageError::SlotEmpty(_))));
         let c = p.insert(&row("C", 3)).unwrap();
@@ -571,7 +774,7 @@ mod tests {
         let mut p = Partition::new(s.arity(), PartitionConfig::default());
         let slot = p.insert(&row("A", 1)).unwrap();
         let target = TupleId::new(5, 42);
-        p.forward(slot, target).unwrap();
+        p.forward(slot, target, &s).unwrap();
         assert_eq!(p.slot_state(slot).unwrap(), SlotState::Forwarded);
         assert_eq!(p.forwarding_of(slot).unwrap(), target);
         assert!(
@@ -600,8 +803,8 @@ mod tests {
         let a = p.insert(&row("Dave", 23)).unwrap();
         let b = p.insert(&row("Suzan", 12)).unwrap();
         let c = p.insert(&row("Yaman", 44)).unwrap();
-        p.delete(a).unwrap();
-        p.forward(b, TupleId::new(9, 9)).unwrap();
+        p.delete(a, &s).unwrap();
+        p.forward(b, TupleId::new(9, 9), &s).unwrap();
         let img = p.to_bytes();
         let q = Partition::try_from_bytes(&img).unwrap();
         assert_eq!(q.live(), p.live());
@@ -617,6 +820,119 @@ mod tests {
         assert_eq!(d, a);
     }
 
+    fn garbage_matches_recount(p: &Partition, s: &Schema) {
+        let mut q = Partition::try_from_bytes(&p.to_bytes()).unwrap();
+        q.recount_garbage(s);
+        assert_eq!(p.garbage, q.garbage, "incremental vs recounted garbage");
+    }
+
+    #[test]
+    fn overwrites_deletes_and_forwards_count_garbage() {
+        let s = schema();
+        let mut p = Partition::new(s.arity(), PartitionConfig::default());
+        let a = p.insert(&row("Dave", 1)).unwrap();
+        let b = p.insert(&row("Suzan", 2)).unwrap();
+        let c = p.insert(&row("Yaman", 3)).unwrap();
+        assert_eq!(p.garbage, 0);
+        p.update(a, 0, &OwnedValue::Str("David".into()), &s)
+            .unwrap();
+        assert_eq!(p.garbage, 4, "the old name");
+        p.update(a, 1, &OwnedValue::Int(9), &s).unwrap();
+        assert_eq!(p.garbage, 4, "fixed-width updates leave no garbage");
+        p.delete(b, &s).unwrap();
+        assert_eq!(p.garbage, 4 + 5 + 16, "name and two list entries");
+        p.forward(c, TupleId::new(3, 3), &s).unwrap();
+        assert_eq!(p.garbage, 4 + 5 + 16 + 5 + 16);
+        garbage_matches_recount(&p, &s);
+        let used = p.heap.len();
+        assert_eq!(p.heap_remaining(), p.heap_budget - (used - p.garbage));
+    }
+
+    #[test]
+    fn failed_insert_gives_back_its_heap_bytes() {
+        let s = Schema::of(&[("a", AttrType::Str), ("b", AttrType::Str)]);
+        let mut p = Partition::new(2, PartitionConfig::tiny());
+        let big = "y".repeat(p.heap_budget);
+        let err = p
+            .insert(&[OwnedValue::Str("x".into()), OwnedValue::Str(big)])
+            .unwrap_err();
+        assert_eq!(err, StorageError::HeapExhausted);
+        assert!(p.heap.is_empty());
+        garbage_matches_recount(&p, &s);
+    }
+
+    #[test]
+    fn compaction_keeps_slots_and_values() {
+        let s = schema();
+        let mut p = Partition::new(s.arity(), PartitionConfig::default());
+        let mut slots = Vec::new();
+        for i in 0..600 {
+            slots.push(p.insert(&row(&format!("n{i}"), i)).unwrap());
+        }
+        // Free every third tuple, overwrite every fifth name (twice, so
+        // some garbage sits between live values), add an empty name.
+        for (i, slot) in slots.iter().enumerate() {
+            if i % 3 == 0 {
+                p.delete(*slot, &s).unwrap();
+            } else if i % 5 == 0 {
+                p.update(*slot, 0, &OwnedValue::Str(String::new()), &s)
+                    .unwrap();
+                p.update(*slot, 0, &OwnedValue::Str(format!("m{i}")), &s)
+                    .unwrap();
+            } else if i % 7 == 0 {
+                p.update(*slot, 0, &OwnedValue::Str(String::new()), &s)
+                    .unwrap();
+            }
+        }
+        let before: Vec<_> = p
+            .occupied_slots()
+            .map(|slot| p.read_row(slot, &s).unwrap())
+            .collect();
+        let live = p.heap.len() - p.garbage;
+        p.compact(&s);
+        assert_eq!(p.heap.len(), live);
+        assert_eq!(p.garbage, 0);
+        let after: Vec<_> = p
+            .occupied_slots()
+            .map(|slot| p.read_row(slot, &s).unwrap())
+            .collect();
+        assert_eq!(before, after);
+        garbage_matches_recount(&p, &s);
+        // The compacted image decodes to the same rows.
+        let q = Partition::try_from_bytes(&p.to_bytes()).unwrap();
+        for slot in p.occupied_slots() {
+            assert_eq!(q.read_row(slot, &s).unwrap(), p.read_row(slot, &s).unwrap());
+        }
+    }
+
+    #[test]
+    fn partitions_reserve_their_budget() {
+        let p = Partition::new(5, PartitionConfig::default());
+        assert_eq!(p.slots.capacity(), p.capacity() * 40);
+        assert_eq!(p.heap.capacity(), p.heap_budget);
+        let q = Partition::try_from_bytes(&p.to_bytes()).unwrap();
+        assert_eq!(q.slots.capacity(), p.slots.capacity());
+        assert_eq!(q.heap.capacity(), p.heap.capacity());
+    }
+
+    #[test]
+    fn inconsistent_geometry_is_a_corrupt_image() {
+        let s = schema();
+        let mut p = Partition::new(s.arity(), PartitionConfig::default());
+        p.insert(&row("A", 1)).unwrap();
+        let img = p.to_bytes();
+        // Capacity field (bytes 8..16) below the slots in use, then far
+        // past anything addressable.
+        for cap in [0u64, u64::MAX / 2] {
+            let mut bad = img.clone();
+            bad[8..16].copy_from_slice(&cap.to_le_bytes());
+            assert!(matches!(
+                Partition::try_from_bytes(&bad),
+                Err(StorageError::CorruptImage(_))
+            ));
+        }
+    }
+
     #[test]
     fn occupied_slots_iterates_live_only() {
         let s = schema();
@@ -624,7 +940,7 @@ mod tests {
         let a = p.insert(&row("A", 1)).unwrap();
         let b = p.insert(&row("B", 2)).unwrap();
         let c = p.insert(&row("C", 3)).unwrap();
-        p.delete(b).unwrap();
+        p.delete(b, &s).unwrap();
         let live: Vec<u32> = p.occupied_slots().collect();
         assert_eq!(live, vec![a, c]);
     }

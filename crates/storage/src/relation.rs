@@ -127,8 +127,7 @@ impl Relation {
     /// once they hold the relevant locks.
     #[must_use]
     pub fn predict_inserts(&self, rows: &[Vec<OwnedValue>]) -> Vec<u32> {
-        let fresh = Partition::new(self.schema.arity(), self.config);
-        let (new_slots, new_heap) = (fresh.insert_headroom(), fresh.heap_remaining());
+        let (new_slots, new_heap) = Partition::fresh_headroom(self.schema.arity(), self.config);
         let mut sim: Vec<(usize, usize)> = self
             .partitions
             .iter()
@@ -159,10 +158,22 @@ impl Relation {
         out
     }
 
+    /// Compact partition `p`'s heap if `bytes` more fit only that way
+    /// (placement counts garbage as free heap); true if it compacted.
+    fn make_room(&mut self, p: u32, bytes: usize) -> bool {
+        let compact = self.partitions[p as usize].needs_compaction(bytes);
+        if compact {
+            self.partitions[p as usize].compact(&self.schema);
+            self.mark_dirty(p);
+        }
+        compact
+    }
+
     /// Insert a row; returns its permanent [`TupleId`].
     pub fn insert(&mut self, values: &[OwnedValue]) -> Result<TupleId, StorageError> {
         self.schema.check_row(values)?;
         let p = self.placement_for(values);
+        self.make_room(p, Partition::heap_needed(values));
         let slot = self.partitions[p as usize].insert(values)?;
         self.mark_dirty(p);
         self.len += 1;
@@ -216,7 +227,16 @@ impl Relation {
         value: &OwnedValue,
     ) -> Result<(), StorageError> {
         let t = self.resolve(tid)?;
-        let res = self.partitions[t.partition as usize].update(t.slot, attr, value, &self.schema);
+        let mut res =
+            self.partitions[t.partition as usize].update(t.slot, attr, value, &self.schema);
+        if res == Err(StorageError::HeapExhausted)
+            && self.make_room(
+                t.partition,
+                Partition::heap_needed(std::slice::from_ref(value)),
+            )
+        {
+            res = self.partitions[t.partition as usize].update(t.slot, attr, value, &self.schema);
+        }
         match res {
             Ok(()) => {
                 self.mark_dirty(t.partition);
@@ -231,9 +251,10 @@ impl Relation {
                 if p == t.partition {
                     return Err(StorageError::HeapExhausted);
                 }
+                self.make_room(p, Partition::heap_needed(&row));
                 let new_slot = self.partitions[p as usize].insert(&row)?;
                 let new_tid = TupleId::new(p, new_slot);
-                self.partitions[t.partition as usize].forward(t.slot, new_tid)?;
+                self.partitions[t.partition as usize].forward(t.slot, new_tid, &self.schema)?;
                 self.mark_dirty(t.partition);
                 self.mark_dirty(p);
                 Ok(())
@@ -261,7 +282,7 @@ impl Relation {
                     cur = next;
                 }
                 SlotState::Occupied => {
-                    part.delete(cur.slot)?;
+                    part.delete(cur.slot, &self.schema)?;
                     self.mark_dirty(cur.partition);
                     self.len -= 1;
                     return Ok(());
@@ -322,8 +343,11 @@ impl Relation {
     /// restart path decodes images on pool workers, then installs them
     /// serially in plan order). Gaps up to `p` are filled with empty
     /// partitions; an existing partition is replaced. Installed
-    /// partitions start clean: the image already is the disk copy.
-    pub fn install_partition(&mut self, p: u32, part: Partition) {
+    /// partitions start clean: the image already is the disk copy. The
+    /// image does not carry the partition's heap-garbage count, so it is
+    /// recounted here against the schema.
+    pub fn install_partition(&mut self, p: u32, mut part: Partition) {
+        part.recount_garbage(&self.schema);
         if p as usize >= self.partitions.len() {
             while self.partitions.len() < p as usize {
                 self.partitions
@@ -425,6 +449,14 @@ impl<'a> PartitionView<'a> {
         self.part
             .occupied_slots()
             .map(move |slot| TupleId::new(index, slot))
+    }
+
+    /// Visit attribute `attr`'s raw 8-byte cell of every live tuple, in
+    /// the order of [`PartitionView::tids`], as `(slot, cell)` — the
+    /// block-at-a-time selection path. The encoding is the slot layout
+    /// of [`crate::partition`]; nothing is decoded or resolved.
+    pub fn for_each_cell(self, attr: usize, visit: impl FnMut(u32, [u8; 8])) {
+        self.part.for_each_cell(attr, visit);
     }
 }
 
@@ -635,6 +667,50 @@ mod tests {
         }
         assert_eq!(live_total, r.len());
         assert_eq!(from_views, r.tids());
+    }
+
+    #[test]
+    fn string_churn_reuses_heap_garbage() {
+        // Without compaction every overwritten or deleted name stays in
+        // its partition's heap until it fills, and inserts spill into new
+        // partitions while old ones still have free slots.
+        let mut r = Relation::new("emp", emp_schema(), PartitionConfig::tiny());
+        let mut live: Vec<(TupleId, String)> = Vec::new();
+        for i in 0..40 {
+            let name = format!("name-{i:04}");
+            live.push((r.insert(&emp_row(&name, i, 1)).unwrap(), name));
+        }
+        let settled = r.partition_count();
+        for round in 0..400i64 {
+            let k = (round * 7) as usize % live.len();
+            let name = format!("renamed-{round:05}");
+            r.update_field(live[k].0, 0, &OwnedValue::Str(name.clone()))
+                .unwrap();
+            live[k].1 = name;
+            let k = (round * 13) as usize % live.len();
+            r.delete(live[k].0).unwrap();
+            let name = format!("new-{round:05}");
+            live[k] = (r.insert(&emp_row(&name, round, 2)).unwrap(), name);
+        }
+        assert!(
+            r.partition_count() <= settled + 2,
+            "{} partitions for {} tuples (started with {settled})",
+            r.partition_count(),
+            live.len()
+        );
+        for (t, name) in &live {
+            assert_eq!(r.field(*t, 0).unwrap(), Value::Str(name.as_str()));
+        }
+        // Images of compacted partitions round-trip.
+        let mut back = Relation::new("emp", emp_schema(), PartitionConfig::tiny());
+        for p in 0..r.partition_count() as u32 {
+            back.load_partition_image(p, &r.partition_image(p).unwrap())
+                .unwrap();
+        }
+        for (t, name) in &live {
+            assert_eq!(back.field(*t, 0).unwrap(), Value::Str(name.as_str()));
+            assert_eq!(back.row(*t).unwrap(), r.row(*t).unwrap());
+        }
     }
 
     #[test]

@@ -177,24 +177,11 @@ impl TempList {
     }
 
     /// Materialize row `i` through `descriptor` against the source
-    /// relations — this is the *only* point where attribute values are
-    /// actually extracted ("tuples are never copied, only pointed to",
-    /// §4).
-    pub fn materialize_row<'a>(
-        &self,
-        i: usize,
-        descriptor: &ResultDescriptor,
-        sources: &[&'a Relation],
-    ) -> Result<Vec<Value<'a>>, StorageError> {
-        let mut out = Vec::with_capacity(descriptor.width());
-        self.materialize_row_into(i, descriptor, sources, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`TempList::materialize_row`] into a caller-owned scratch buffer
-    /// (cleared first). Duplicate elimination materializes once per row
-    /// *plus* once per hash-chain visit; reusing one buffer across those
-    /// calls removes the per-visit heap allocation.
+    /// relations into a caller-owned buffer (cleared first); the values
+    /// borrow from the relations ("tuples are never copied, only pointed
+    /// to", §4). Duplicate elimination materializes once per row *plus*
+    /// once per hash-chain visit; reusing one buffer across those calls
+    /// removes the per-visit heap allocation.
     pub fn materialize_row_into<'a>(
         &self,
         i: usize,
@@ -208,17 +195,6 @@ impl TempList {
             out.push(sources[f.source].field(row[f.source], f.attr)?);
         }
         Ok(())
-    }
-
-    /// Materialize every row (convenience for small results / tests).
-    pub fn materialize_all<'a>(
-        &self,
-        descriptor: &ResultDescriptor,
-        sources: &[&'a Relation],
-    ) -> Result<Vec<Vec<Value<'a>>>, StorageError> {
-        (0..self.len())
-            .map(|i| self.materialize_row(i, descriptor, sources))
-            .collect()
     }
 }
 
@@ -323,13 +299,19 @@ mod tests {
             desc.column_names(),
             vec!["Emp Name", "Emp Age", "Dept Name"]
         );
-        let rows = result.materialize_all(&desc, &[&emp, &dept]).unwrap();
+        let mut row = Vec::new();
+        result
+            .materialize_row_into(0, &desc, &[&emp, &dept], &mut row)
+            .unwrap();
         assert_eq!(
-            rows[0],
+            row,
             vec![Value::Str("Dave"), Value::Int(24), Value::Str("Toy")]
         );
+        result
+            .materialize_row_into(1, &desc, &[&emp, &dept], &mut row)
+            .unwrap();
         assert_eq!(
-            rows[1],
+            row,
             vec![Value::Str("Cindy"), Value::Int(22), Value::Str("Shoe")]
         );
     }

@@ -76,7 +76,7 @@ impl Adapter for RelockAdapter {
         self.attr.entry_tag(&self.rel.read(), e)
     }
 
-    fn key_tag(&self, key: &KeyValue) -> u64 {
+    fn key_tag(&self, (): (), key: &KeyValue) -> u64 {
         key.order_tag()
     }
 }

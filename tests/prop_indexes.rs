@@ -1,9 +1,12 @@
 //! Property tests: every index structure, driven over relations through
 //! tuple-pointer adapters (the §2.2 configuration), stays equivalent to a
-//! model under arbitrary operation sequences.
+//! model under arbitrary operation sequences; and the T-Tree's whole-node
+//! range emission agrees with the entry-at-a-time scan.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use mmdb_exec::Predicate;
+use mmdb_index::adapter::Adapter;
 use mmdb_index::traits::{OrderedIndex, UnorderedIndex};
 use mmdb_index::{
     ArrayIndex, AvlTree, BTree, ChainedBucketHash, ExtendibleHash, LinearHash, ModifiedLinearHash,
@@ -14,6 +17,7 @@ use mmdb_storage::{
 };
 use parking_lot::RwLock;
 use proptest::prelude::*;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -232,5 +236,146 @@ proptest! {
         let (rel, adapter) = fresh_rel();
         let mut idx = ModifiedLinearHash::new(adapter, chain);
         drive!(idx, rel, &ops);
+    }
+}
+
+/// [`AttrAdapter`] with `key_tag_exact` left at its default `false`: the
+/// reference a range scan must agree with, entry for entry and comparison
+/// for comparison.
+struct InexactTags(AttrAdapter);
+
+impl Adapter for InexactTags {
+    type Entry = TupleId;
+    type Key = KeyValue;
+    type Ctx<'c> = &'c Relation;
+    fn cmp_entries(&self, rel: &Relation, a: &TupleId, b: &TupleId) -> Ordering {
+        self.0.cmp_entries(rel, a, b)
+    }
+    fn cmp_entry_key(&self, rel: &Relation, e: &TupleId, key: &KeyValue) -> Ordering {
+        self.0.cmp_entry_key(rel, e, key)
+    }
+    fn entry_tag(&self, rel: &Relation, e: &TupleId) -> u64 {
+        self.0.entry_tag(rel, e)
+    }
+    fn key_tag(&self, rel: &Relation, key: &KeyValue) -> u64 {
+        self.0.key_tag(rel, key)
+    }
+}
+
+/// Strings that often share their first 8 bytes (equal, inexact tags).
+/// Bounds also take keys of the other attribute's type, which compare by
+/// type rank.
+fn tag_str() -> impl Strategy<Value = String> {
+    prop_oneof![
+        2 => "[ab]{0,3}".prop_map(|s| format!("prefix00{s}")),
+        1 => "[a-c]{0,9}",
+    ]
+}
+
+/// Integer keys, now and then at the ends of the domain (whose tags are
+/// the ends of the tag order).
+fn int_key() -> impl Strategy<Value = KeyValue> {
+    prop_oneof![
+        6 => (-8i64..8).prop_map(KeyValue::Int),
+        1 => Just(KeyValue::Int(i64::MIN)),
+        1 => Just(KeyValue::Int(i64::MAX)),
+    ]
+}
+
+fn tag_bound<S>(key: impl Fn() -> S) -> impl Strategy<Value = std::ops::Bound<KeyValue>>
+where
+    S: Strategy<Value = KeyValue> + 'static,
+{
+    use std::ops::Bound;
+    prop_oneof![
+        2 => key().prop_map(Bound::Included),
+        2 => key().prop_map(Bound::Excluded),
+        1 => Just(Bound::Unbounded),
+    ]
+}
+
+fn as_ref(b: &std::ops::Bound<KeyValue>) -> std::ops::Bound<&KeyValue> {
+    use std::ops::Bound;
+    match b {
+        Bound::Included(k) => Bound::Included(k),
+        Bound::Excluded(k) => Bound::Excluded(k),
+        Bound::Unbounded => Bound::Unbounded,
+    }
+}
+
+fn range_with_stats<A>(
+    t: &mut TTree<A>,
+    rel: &Relation,
+    lo: &std::ops::Bound<KeyValue>,
+    hi: &std::ops::Bound<KeyValue>,
+) -> (Vec<TupleId>, u64)
+where
+    A: for<'c> Adapter<Entry = TupleId, Key = KeyValue, Ctx<'c> = &'c Relation>,
+{
+    t.reset_stats();
+    let mut out = Vec::new();
+    t.range(rel, as_ref(lo), as_ref(hi), &mut out);
+    (out, t.stats().comparisons)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn ttree_whole_node_range_matches_entrywise(
+        rows in prop::collection::vec((tag_str(), -8i64..8), 0..160),
+        deletes in prop::collection::vec(0usize..160, 0..40),
+        node in 1usize..10,
+        bounds in prop::collection::vec(
+            (
+                tag_bound(|| prop_oneof![5 => tag_str().prop_map(KeyValue::Str), 1 => int_key()]),
+                tag_bound(|| prop_oneof![5 => tag_str().prop_map(KeyValue::Str), 1 => int_key()]),
+                tag_bound(|| prop_oneof![5 => int_key(), 1 => tag_str().prop_map(KeyValue::Str)]),
+                tag_bound(|| prop_oneof![5 => int_key(), 1 => tag_str().prop_map(KeyValue::Str)]),
+            ),
+            1..8,
+        ),
+    ) {
+        let mut rel = Relation::new(
+            "t",
+            Schema::of(&[("name", AttrType::Str), ("v", AttrType::Int)]),
+            PartitionConfig::default(),
+        );
+        let tids: Vec<TupleId> = rows
+            .iter()
+            .map(|(s, v)| rel.insert(&[OwnedValue::Str(s.clone()), OwnedValue::Int(*v)]).unwrap())
+            .collect();
+        for attr in [0usize, 1] {
+            let mut fast = TTree::new(AttrAdapter::new(attr), TTreeConfig::with_node_size(node));
+            let mut reference = TTree::new(
+                InexactTags(AttrAdapter::new(attr)),
+                TTreeConfig::with_node_size(node),
+            );
+            for t in &tids {
+                fast.insert(&rel, *t);
+                reference.insert(&rel, *t);
+            }
+            for d in &deletes {
+                if let Some(t) = tids.get(*d) {
+                    fast.delete_entry(&rel, t);
+                    reference.delete_entry(&rel, t);
+                }
+            }
+            for (lo0, hi0, lo1, hi1) in &bounds {
+                let (lo, hi) = if attr == 0 { (lo0, hi0) } else { (lo1, hi1) };
+                for (lo, hi) in [(lo, hi), (hi, lo), (&std::ops::Bound::Unbounded, hi)] {
+                    let got = range_with_stats(&mut fast, &rel, lo, hi);
+                    let want = range_with_stats(&mut reference, &rel, lo, hi);
+                    prop_assert_eq!(&got, &want, "attr {} range {:?}..{:?}", attr, lo, hi);
+                    // And both are the in-order entries inside the bounds.
+                    let pred = Predicate::Range { lo: lo.clone(), hi: hi.clone() };
+                    let inside: Vec<TupleId> = fast
+                        .iter()
+                        .filter(|t| pred.matches(&rel.field(*t, attr).unwrap()))
+                        .collect();
+                    prop_assert_eq!(&got.0, &inside);
+                }
+            }
+        }
     }
 }

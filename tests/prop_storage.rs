@@ -1,16 +1,20 @@
 //! Property tests for the storage substrate: relations vs a model under
-//! arbitrary operation sequences, partition byte-image roundtrips, and
-//! catalog codec roundtrips with arbitrary schemas.
+//! arbitrary operation sequences, partition byte-image roundtrips,
+//! catalog codec roundtrips with arbitrary schemas, and the block-at-a-time
+//! scan against the tuple-at-a-time one.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mmdb_core::catalog::{decode_catalog, encode_catalog, CatalogMeta, IndexMeta, TableMeta};
 use mmdb_core::IndexKind;
+use mmdb_exec::{select_scan, select_scan_all, Predicate};
+use mmdb_storage::KeyValue;
 use mmdb_storage::{
     AttrType, Attribute, OwnedValue, PartitionConfig, Relation, Schema, TupleId, Value,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::ops::Bound;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -234,6 +238,127 @@ proptest! {
         let bytes = encode_catalog(&cat);
         for cut in 0..bytes.len() {
             let _ = decode_catalog(&bytes[..cut]);
+        }
+    }
+}
+
+/// One step of the relation the block-scan property scans.
+#[derive(Debug, Clone)]
+enum ScanOp {
+    Insert {
+        name: String,
+        v: i64,
+        p: Option<TupleId>,
+    },
+    Delete(usize),
+    /// Grow the name until the tuple may relocate (a forwarded slot).
+    Grow {
+        index: usize,
+        extra: usize,
+    },
+}
+
+fn scan_int() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        6 => -6i64..6,
+        1 => Just(i64::MIN),
+        1 => Just(i64::MIN + 1),
+        1 => Just(i64::MAX),
+        1 => Just(i64::MAX - 1),
+    ]
+}
+
+fn scan_tid() -> impl Strategy<Value = TupleId> {
+    prop_oneof![
+        6 => (0u32..4, 0u32..12).prop_map(|(p, s)| TupleId::new(p, s)),
+        1 => Just(TupleId::null()),
+        1 => Just(TupleId::new(0, 0)),
+        1 => Just(TupleId::new(u32::MAX, 0)),
+    ]
+}
+
+fn scan_op() -> impl Strategy<Value = ScanOp> {
+    let ptr = prop_oneof![
+        3 => scan_tid().prop_map(Some),
+        1 => Just(None),
+    ];
+    prop_oneof![
+        6 => ("[a-d]{0,6}", scan_int(), ptr)
+            .prop_map(|(name, v, p)| ScanOp::Insert { name, v, p }),
+        2 => (0usize..64).prop_map(ScanOp::Delete),
+        1 => ((0usize..64), (20usize..120)).prop_map(|(index, extra)| ScanOp::Grow { index, extra }),
+    ]
+}
+
+fn scan_key() -> impl Strategy<Value = KeyValue> {
+    prop_oneof![
+        4 => scan_int().prop_map(KeyValue::Int),
+        3 => scan_tid().prop_map(KeyValue::Ptr),
+        2 => "[a-d]{0,3}".prop_map(KeyValue::Str),
+    ]
+}
+
+fn scan_bound() -> impl Strategy<Value = Bound<KeyValue>> {
+    prop_oneof![
+        2 => scan_key().prop_map(Bound::Included),
+        2 => scan_key().prop_map(Bound::Excluded),
+        1 => Just(Bound::Unbounded),
+    ]
+}
+
+fn scan_predicate() -> impl Strategy<Value = Predicate> {
+    prop_oneof![
+        1 => scan_key().prop_map(Predicate::Eq),
+        3 => (scan_bound(), scan_bound()).prop_map(|(lo, hi)| Predicate::Range { lo, hi }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn block_scan_equals_tuple_scan(
+        ops in prop::collection::vec(scan_op(), 0..90),
+        preds in prop::collection::vec((0usize..3, scan_predicate()), 1..24),
+    ) {
+        // Tiny partitions: many blocks, freed slots, forwarded tuples.
+        let mut rel = Relation::new(
+            "t",
+            Schema::of(&[("name", AttrType::Str), ("v", AttrType::Int), ("p", AttrType::Ptr)]),
+            PartitionConfig::tiny(),
+        );
+        let mut handles: Vec<TupleId> = Vec::new();
+        for op in &ops {
+            match op {
+                ScanOp::Insert { name, v, p } => handles.push(
+                    rel.insert(&[
+                        OwnedValue::Str(name.clone()),
+                        OwnedValue::Int(*v),
+                        OwnedValue::Ptr(*p),
+                    ])
+                    .unwrap(),
+                ),
+                ScanOp::Delete(i) if !handles.is_empty() => {
+                    let tid = handles.swap_remove(i % handles.len());
+                    rel.delete(tid).unwrap();
+                }
+                ScanOp::Grow { index, extra } if !handles.is_empty() => {
+                    let tid = handles[index % handles.len()];
+                    let Value::Str(name) = rel.field(tid, 0).unwrap() else {
+                        unreachable!("attribute 0 is a string");
+                    };
+                    let mut grown = format!("{name}{}", "x".repeat(*extra));
+                    grown.truncate(180);
+                    rel.update_field(tid, 0, &OwnedValue::Str(grown)).unwrap();
+                }
+                _ => {}
+            }
+        }
+        let tids = rel.tids();
+        for (attr, pred) in &preds {
+            let block = select_scan_all(&rel, *attr, pred).unwrap();
+            let tuple = select_scan(&rel, *attr, &tids, pred).unwrap();
+            prop_assert_eq!(block.column(0), tuple.column(0), "attr {} {:?}", attr, pred);
         }
     }
 }
