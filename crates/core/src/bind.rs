@@ -28,30 +28,36 @@ pub(crate) enum BoundSelect<'i, 'k> {
 impl<S: StableStore> Database<S> {
     /// Availability of indexes on `(table, attr)`.
     pub(crate) fn availability(&self, table: TableId, attr: usize) -> IndexAvailability {
+        let has = |kind| {
+            self.table(table)
+                .indexes
+                .iter()
+                .any(|i| i.attr == attr && i.kind == kind)
+        };
         IndexAvailability {
-            ttree: self
-                .indexes
-                .iter()
-                .any(|i| i.table == table && i.attr == attr && i.kind == IndexKind::TTree),
-            hash: self
-                .indexes
-                .iter()
-                .any(|i| i.table == table && i.attr == attr && i.kind == IndexKind::Hash),
+            ttree: has(IndexKind::TTree),
+            hash: has(IndexKind::Hash),
         }
     }
 
     fn find_ttree(&self, table: TableId, attr: usize) -> Option<&TTree<AttrAdapter>> {
-        self.indexes.iter().find_map(|i| match &i.index {
-            AnyIndex::TTree(t) if i.table == table && i.attr == attr => Some(t),
-            _ => None,
-        })
+        self.table(table)
+            .indexes
+            .iter()
+            .find_map(|i| match &i.index {
+                AnyIndex::TTree(t) if i.attr == attr => Some(t),
+                _ => None,
+            })
     }
 
     fn find_hash(&self, table: TableId, attr: usize) -> Option<&ModifiedLinearHash<AttrAdapter>> {
-        self.indexes.iter().find_map(|i| match &i.index {
-            AnyIndex::Hash(h) if i.table == table && i.attr == attr => Some(h),
-            _ => None,
-        })
+        self.table(table)
+            .indexes
+            .iter()
+            .find_map(|i| match &i.index {
+                AnyIndex::Hash(h) if i.attr == attr => Some(h),
+                _ => None,
+            })
     }
 
     /// Resolve a planned access path to the index it names — the one
@@ -276,13 +282,12 @@ impl<S: StableStore> Database<S> {
 
 impl<S: StableStore> PlanCatalog for Database<S> {
     fn cardinality(&self, table: &str) -> Option<usize> {
-        let t = self.table_id(table).ok()?;
-        Some(self.table(t).rel.read().len())
+        Some(self.relation(table).ok()?.len())
     }
 
     fn resolve_attr(&self, table: &str, attr: &str) -> Option<AttrInfo> {
         let t = self.table_id(table).ok()?;
-        let rel = self.table(t).rel.read();
+        let rel = &self.table(t).rel;
         let idx = rel.schema().index_of(attr).ok()?;
         let ty = rel.schema().attr(idx).ok()?.ty;
         let fk = ty == AttrType::Ptr || ty == AttrType::PtrList;

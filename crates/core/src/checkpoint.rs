@@ -26,7 +26,6 @@
 use crate::db::{Database, TableId};
 use crate::error::DbError;
 use mmdb_recovery::{PartitionKey, StableStore};
-use std::sync::Arc;
 
 /// What one full checkpoint pass accomplished.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -113,7 +112,7 @@ impl<S: StableStore> Database<S> {
     pub fn checkpoint_begin(&self) -> Checkpointer {
         let mut work = Vec::new();
         for (t, table) in self.tables.iter().enumerate() {
-            for p in table.rel.read().checkpoint_dirty_partitions() {
+            for p in table.rel.checkpoint_dirty_partitions() {
                 work.push((t, p));
             }
         }
@@ -136,11 +135,11 @@ impl<S: StableStore> Database<S> {
     /// log records truncated.
     pub(crate) fn checkpoint_partition(&mut self, t: TableId, p: u32) -> Result<usize, DbError> {
         let key = PartitionKey::new(t as u32, p);
-        let rel = Arc::clone(&self.tables[t].rel);
+        let rel = &mut self.tables[t].rel;
         let cut = self.recovery.checkpoint_cut();
-        let image = rel.read().partition_image(p)?;
+        let image = rel.partition_image(p)?;
         let truncated = self.recovery.checkpoint_image(key, &image, cut)?;
-        rel.write().clear_checkpoint_dirty(p);
+        rel.clear_checkpoint_dirty(p);
         Ok(truncated)
     }
 }

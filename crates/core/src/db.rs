@@ -15,7 +15,6 @@ use mmdb_index::{ModifiedLinearHash, TTree};
 use mmdb_lock::{LockManager, LockMode, LockTarget, TxnId};
 use mmdb_recovery::{MemDisk, PartitionKey, RecoveryManager, StableStore};
 use mmdb_storage::{AttrAdapter, OwnedValue, PartitionConfig, Relation, Schema, TempList, TupleId};
-use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -33,8 +32,8 @@ pub enum IndexKind {
     Hash,
 }
 
-/// An engine index. Its operations compare through the guard of the
-/// relation it covers, which the caller already holds.
+/// An engine index. Its operations compare through the relation of the
+/// table that owns it, borrowed alongside.
 pub(crate) enum AnyIndex {
     TTree(TTree<AttrAdapter>),
     Hash(ModifiedLinearHash<AttrAdapter>),
@@ -70,24 +69,30 @@ impl AnyIndex {
     }
 }
 
-pub(crate) struct IndexDef {
+pub(crate) struct TableIndex {
     pub(crate) name: String,
-    pub(crate) table: TableId,
     pub(crate) attr: usize,
     pub(crate) kind: IndexKind,
     pub(crate) param: u32,
     pub(crate) index: AnyIndex,
 }
 
+/// A relation and the indexes over it (§2.1: the relation is reached
+/// through its indexes), owned by value with no guard of its own:
+/// readers borrow `&Database` and writers `&mut Database` (under
+/// [`crate::TxnEngine`], both inside its latch), so the borrow checker
+/// already serialises every access. Index upkeep borrows `rel` and
+/// `indexes` as disjoint fields.
 pub(crate) struct Table {
     pub(crate) name: String,
-    pub(crate) rel: Arc<RwLock<Relation>>,
+    pub(crate) rel: Relation,
+    /// In creation order.
+    pub(crate) indexes: Vec<TableIndex>,
 }
 
 /// The memory-resident database (§2).
 pub struct Database<S: StableStore = MemDisk> {
     pub(crate) tables: Vec<Table>,
-    pub(crate) indexes: Vec<IndexDef>,
     pub(crate) locks: Arc<LockManager>,
     pub(crate) recovery: RecoveryManager<S>,
     /// Monotone catalog version; selects which shadow slot the next
@@ -123,7 +128,6 @@ impl<S: StableStore> Database<S> {
     pub fn with_disk(disk: S) -> Self {
         Database {
             tables: Vec::new(),
-            indexes: Vec::new(),
             locks: Arc::new(LockManager::default()),
             recovery: RecoveryManager::new(disk),
             catalog_epoch: 0,
@@ -148,12 +152,16 @@ impl<S: StableStore> Database<S> {
         if self.tables.iter().any(|t| t.name == name) {
             return Err(DbError::Duplicate(name.to_string()));
         }
-        let rel = Relation::new(name, schema, PartitionConfig::default());
         self.tables.push(Table {
             name: name.to_string(),
-            rel: Arc::new(RwLock::new(rel)),
+            rel: Relation::new(name, schema, PartitionConfig::default()),
+            indexes: Vec::new(),
         });
-        self.persist_catalog()?;
+        if let Err(e) = self.persist_catalog() {
+            // DDL the disk copy never recorded must not stay live.
+            self.tables.pop();
+            return Err(e);
+        }
         Ok(self.tables.len() - 1)
     }
 
@@ -170,24 +178,32 @@ impl<S: StableStore> Database<S> {
             IndexKind::TTree => 30,
             IndexKind::Hash => 2,
         };
-        if self.indexes.iter().any(|i| i.name == name) {
+        if self
+            .tables
+            .iter()
+            .flat_map(|t| &t.indexes)
+            .any(|i| i.name == name)
+        {
             return Err(DbError::Duplicate(name.to_string()));
         }
         let t = self.table_id(table)?;
-        let attr_idx = self.table(t).rel.read().schema().index_of(attr)?;
-        // Bulk-build over the existing population: one key snapshot under
-        // a single read guard, then run-sort + bottom-up construction
-        // (T-Tree) or a pre-sized fill (hash) — the same path restart uses.
-        let (index, _entries) = build_index_bulk(&self.table(t).rel.read(), attr_idx, kind, param);
-        self.indexes.push(IndexDef {
+        let rel = &self.table(t).rel;
+        let attr_idx = rel.schema().index_of(attr)?;
+        // Bulk-build over the existing population: one key snapshot, then
+        // run-sort + bottom-up construction (T-Tree) or a pre-sized fill
+        // (hash) — the same path restart uses.
+        let (index, _entries) = build_index_bulk(rel, attr_idx, kind, param);
+        self.tables[t].indexes.push(TableIndex {
             name: name.to_string(),
-            table: t,
             attr: attr_idx,
             kind,
             param,
             index,
         });
-        self.persist_catalog()?;
+        if let Err(e) = self.persist_catalog() {
+            self.tables[t].indexes.pop();
+            return Err(e);
+        }
         Ok(())
     }
 
@@ -196,47 +212,49 @@ impl<S: StableStore> Database<S> {
             tables: self
                 .tables
                 .iter()
-                .map(|t| {
-                    let r = t.rel.read();
-                    TableMeta {
-                        name: t.name.clone(),
-                        schema: r.schema().clone(),
-                        config: r.config(),
-                    }
+                .map(|t| TableMeta {
+                    name: t.name.clone(),
+                    schema: t.rel.schema().clone(),
+                    config: t.rel.config(),
                 })
                 .collect(),
             indexes: self
-                .indexes
+                .tables
                 .iter()
-                .map(|i| IndexMeta {
-                    name: i.name.clone(),
-                    table: i.table as u32,
-                    attr: i.attr as u32,
-                    kind: i.kind,
-                    param: i.param,
+                .enumerate()
+                .flat_map(|(t, table)| {
+                    table.indexes.iter().map(move |i| IndexMeta {
+                        name: i.name.clone(),
+                        table: t as u32,
+                        attr: i.attr as u32,
+                        kind: i.kind,
+                        param: i.param,
+                    })
                 })
                 .collect(),
         };
-        // Shadow write: bump the epoch, prefix it to the blob, and write
-        // the slot the *previous* epoch did not use. A crash mid-write
-        // tears this slot only; the other still decodes at the old epoch.
-        self.catalog_epoch += 1;
-        let mut blob = self.catalog_epoch.to_le_bytes().to_vec();
+        // Shadow write: prefix the next epoch to the blob and write the
+        // slot the current epoch did not use. A crash mid-write tears
+        // this slot only; the other still decodes at the current epoch.
+        // The epoch advances only once the write lands, so a failed
+        // write is retried into the same slot, never the intact one.
+        let epoch = self.catalog_epoch + 1;
+        let mut blob = epoch.to_le_bytes().to_vec();
         blob.extend_from_slice(&encode_catalog(&meta));
-        let slot = CATALOG_SLOTS[(self.catalog_epoch % 2) as usize];
+        let slot = CATALOG_SLOTS[(epoch % 2) as usize];
         self.recovery.write_meta(slot, &blob)?;
+        self.catalog_epoch = epoch;
         Ok(())
+    }
+
+    /// A table's relation, borrowed for as long as the database is.
+    pub(crate) fn relation(&self, table: &str) -> Result<&Relation, DbError> {
+        Ok(&self.table(self.table_id(table)?).rel)
     }
 
     /// Number of live tuples in a table.
     pub fn len(&self, table: &str) -> Result<usize, DbError> {
-        Ok(self.table(self.table_id(table)?).rel.read().len())
-    }
-
-    /// The shared handle to a table's relation (the query layer borrows
-    /// several relations at once for materialization).
-    pub(crate) fn relation_handle(&self, table: &str) -> Result<Arc<RwLock<Relation>>, DbError> {
-        Ok(Arc::clone(&self.table(self.table_id(table)?).rel))
+        Ok(self.relation(table)?.len())
     }
 
     /// Run a closure against the table's relation (read-only).
@@ -245,32 +263,30 @@ impl<S: StableStore> Database<S> {
         table: &str,
         f: impl FnOnce(&Relation) -> R,
     ) -> Result<R, DbError> {
-        let t = self.table_id(table)?;
-        let r = self.table(t).rel.read();
-        Ok(f(&r))
+        Ok(f(self.relation(table)?))
     }
 
     /// All live tuple ids of a table (via storage; the primary index scan
     /// would yield the same set).
     pub fn tids(&self, table: &str) -> Result<Vec<TupleId>, DbError> {
-        let t = self.table_id(table)?;
-        Ok(self.table(t).rel.read().tids())
+        Ok(self.relation(table)?.tids())
     }
 
     /// Check every index invariant (tests / debugging).
     pub fn validate_indexes(&self) -> Result<(), String> {
-        for i in &self.indexes {
-            let rel = self.table(i.table).rel.read();
-            i.index
-                .validate(&rel)
-                .map_err(|e| format!("{}: {e}", i.name))?;
-            let expect = rel.len();
-            if i.index.len() != expect {
-                return Err(format!(
-                    "{}: holds {} entries, relation has {expect}",
-                    i.name,
-                    i.index.len()
-                ));
+        for Table { rel, indexes, .. } in &self.tables {
+            for i in indexes {
+                i.index
+                    .validate(rel)
+                    .map_err(|e| format!("{}: {e}", i.name))?;
+                let expect = rel.len();
+                if i.index.len() != expect {
+                    return Err(format!(
+                        "{}: holds {} entries, relation has {expect}",
+                        i.name,
+                        i.index.len()
+                    ));
+                }
             }
         }
         Ok(())
@@ -291,10 +307,10 @@ impl<S: StableStore> Database<S> {
         values: Vec<OwnedValue>,
     ) -> Result<(), DbError> {
         let t = self.table_id(table)?;
-        if !self.indexes.iter().any(|i| i.table == t) {
+        if self.table(t).indexes.is_empty() {
             return Err(DbError::MissingIndex(table.to_string()));
         }
-        self.table(t).rel.read().schema().check_row(&values)?;
+        self.table(t).rel.schema().check_row(&values)?;
         txn.writes.push(WriteOp::Insert { table: t, values });
         Ok(())
     }
@@ -309,7 +325,7 @@ impl<S: StableStore> Database<S> {
         value: OwnedValue,
     ) -> Result<(), DbError> {
         let t = self.table_id(table)?;
-        let rel = self.table(t).rel.read();
+        let rel = &self.table(t).rel;
         let attr_idx = rel.schema().index_of(attr)?;
         let a = rel.schema().attr(attr_idx)?;
         if !a.ty.admits(&value) {
@@ -320,7 +336,6 @@ impl<S: StableStore> Database<S> {
             }));
         }
         rel.resolve(tid)?;
-        drop(rel);
         txn.writes.push(WriteOp::Update {
             table: t,
             tid,
@@ -333,7 +348,7 @@ impl<S: StableStore> Database<S> {
     /// Buffer a delete.
     pub fn delete(&self, txn: &mut Transaction, table: &str, tid: TupleId) -> Result<(), DbError> {
         let t = self.table_id(table)?;
-        self.table(t).rel.read().resolve(tid)?;
+        self.table(t).rel.resolve(tid)?;
         txn.writes.push(WriteOp::Delete { table: t, tid });
         Ok(())
     }
@@ -372,13 +387,13 @@ impl<S: StableStore> Database<S> {
                 WriteOp::Update {
                     table, tid, value, ..
                 } => {
-                    let phys = self.table(*table).rel.read().resolve(*tid)?;
+                    let rel = &self.table(*table).rel;
+                    let phys = rel.resolve(*tid)?;
                     targets.push(LockTarget::new(*table as u32, phys.partition));
                     if matches!(value, OwnedValue::Str(_) | OwnedValue::PtrList(_)) {
                         // A heap-bearing update can overflow its partition
                         // and relocate the tuple wherever an insert would
                         // land — fence the table like an insert does.
-                        let rel = self.table(*table).rel.read();
                         let n = rel.partition_count() as u32;
                         for p in n.saturating_sub(2)..=n {
                             targets.push(LockTarget::new(*table as u32, p));
@@ -387,14 +402,13 @@ impl<S: StableStore> Database<S> {
                     }
                 }
                 WriteOp::Delete { table, tid } => {
-                    let phys = self.table(*table).rel.read().resolve(*tid)?;
+                    let phys = self.table(*table).rel.resolve(*tid)?;
                     targets.push(LockTarget::new(*table as u32, phys.partition));
                 }
             }
         }
         for (t, rows) in inserts {
-            let rel = self.table(t).rel.read();
-            for p in rel.predict_inserts(&rows) {
+            for p in self.table(t).rel.predict_inserts(&rows) {
                 targets.push(LockTarget::new(t as u32, p));
             }
             targets.push(LockTarget::new(t as u32, APPEND_FENCE));
@@ -424,7 +438,7 @@ impl<S: StableStore> Database<S> {
                             *tid,
                         )));
                     }
-                    self.table(*table).rel.read().resolve(*tid)?;
+                    self.table(*table).rel.resolve(*tid)?;
                 }
                 WriteOp::Delete { table, tid } => {
                     if !doomed.insert((*table, *tid)) {
@@ -432,7 +446,7 @@ impl<S: StableStore> Database<S> {
                             *tid,
                         )));
                     }
-                    self.table(*table).rel.read().resolve(*tid)?;
+                    self.table(*table).rel.resolve(*tid)?;
                 }
                 WriteOp::Insert { .. } => {}
             }
@@ -443,13 +457,16 @@ impl<S: StableStore> Database<S> {
         for op in writes {
             match op {
                 WriteOp::Insert { table, values } => {
-                    let tid = self.table(table).rel.write().insert(&values)?;
+                    let Table { rel, indexes, .. } = &mut self.tables[table];
+                    let tid = rel.insert(&values)?;
                     self.locks.lock(
                         txn_id,
                         LockTarget::new(table as u32, tid.partition),
                         LockMode::Exclusive,
                     )?;
-                    self.maintain_indexes(table, None, |ix, rel| ix.insert(rel, tid));
+                    for i in indexes.iter_mut() {
+                        i.index.insert(rel, tid);
+                    }
                     inserted.push(tid);
                     touched.insert(table);
                 }
@@ -459,7 +476,8 @@ impl<S: StableStore> Database<S> {
                     attr,
                     value,
                 } => {
-                    let phys = self.table(table).rel.read().resolve(tid)?;
+                    let Table { rel, indexes, .. } = &mut self.tables[table];
+                    let phys = rel.resolve(tid)?;
                     self.locks.lock(
                         txn_id,
                         LockTarget::new(table as u32, phys.partition),
@@ -467,27 +485,27 @@ impl<S: StableStore> Database<S> {
                     )?;
                     // Remove stale index entries while the old value is
                     // still readable.
-                    self.maintain_indexes(table, Some(attr), |ix, rel| {
-                        ix.delete_entry(rel, &tid);
-                    });
-                    self.table(table)
-                        .rel
-                        .write()
-                        .update_field(tid, attr, &value)?;
-                    self.maintain_indexes(table, Some(attr), |ix, rel| ix.insert(rel, tid));
+                    for i in indexes.iter_mut().filter(|i| i.attr == attr) {
+                        i.index.delete_entry(rel, &tid);
+                    }
+                    rel.update_field(tid, attr, &value)?;
+                    for i in indexes.iter_mut().filter(|i| i.attr == attr) {
+                        i.index.insert(rel, tid);
+                    }
                     touched.insert(table);
                 }
                 WriteOp::Delete { table, tid } => {
-                    let phys = self.table(table).rel.read().resolve(tid)?;
+                    let Table { rel, indexes, .. } = &mut self.tables[table];
+                    let phys = rel.resolve(tid)?;
                     self.locks.lock(
                         txn_id,
                         LockTarget::new(table as u32, phys.partition),
                         LockMode::Exclusive,
                     )?;
-                    self.maintain_indexes(table, None, |ix, rel| {
-                        ix.delete_entry(rel, &tid);
-                    });
-                    self.table(table).rel.write().delete(tid)?;
+                    for i in indexes.iter_mut() {
+                        i.index.delete_entry(rel, &tid);
+                    }
+                    rel.delete(tid)?;
                     touched.insert(table);
                 }
             }
@@ -496,8 +514,7 @@ impl<S: StableStore> Database<S> {
         // Write-ahead the after-images of every dirtied partition, then
         // commit the log.
         for t in touched {
-            let rel_handle = Arc::clone(&self.table(t).rel);
-            let mut rel = rel_handle.write();
+            let rel = &mut self.tables[t].rel;
             for p in rel.dirty_partitions() {
                 let image = rel.partition_image(p)?;
                 self.recovery
@@ -506,26 +523,6 @@ impl<S: StableStore> Database<S> {
             rel.clear_dirty();
         }
         Ok(inserted)
-    }
-
-    /// Run `f` on every index of `table` (only those on `attr`, if given)
-    /// under one read guard of the relation, the context each index
-    /// operation compares through. The guard is released on return, so
-    /// the storage mutation that follows takes the write guard alone.
-    fn maintain_indexes(
-        &mut self,
-        table: TableId,
-        attr: Option<usize>,
-        f: impl Fn(&mut AnyIndex, &Relation),
-    ) {
-        let rel = self.tables[table].rel.read();
-        for idx in self
-            .indexes
-            .iter_mut()
-            .filter(|i| i.table == table && attr.is_none_or(|a| a == i.attr))
-        {
-            f(&mut idx.index, &rel);
-        }
     }
 
     /// Abort: discard the buffered writes — "the log entry is removed and
@@ -545,7 +542,7 @@ impl<S: StableStore> Database<S> {
 
     /// Current partition count of table `t`.
     pub(crate) fn table_partition_count(&self, t: TableId) -> usize {
-        self.table(t).rel.read().partition_count()
+        self.table(t).rel.partition_count()
     }
 
     // ---- recovery plumbing ---------------------------------------------
@@ -580,16 +577,16 @@ impl<S: StableStore> Database<S> {
     /// lookup, then sequential scan.
     pub fn select(&self, table: &str, attr: &str, pred: &Predicate) -> Result<TempList, DbError> {
         let t = self.table_id(table)?;
-        let rel = self.table(t).rel.read();
+        let rel = &self.table(t).rel;
         let attr_idx = rel.schema().index_of(attr)?;
         let path = choose_select_path(
             self.availability(t, attr_idx),
             matches!(pred, Predicate::Eq(_)),
         );
         match self.bind_select(t, attr_idx, path, pred)? {
-            BoundSelect::Hash(idx, key) => Ok(select_hash_index(idx, &rel, key)),
-            BoundSelect::Tree(idx) => Ok(select_tree_index(idx, &rel, pred)),
-            BoundSelect::Scan => Ok(select_scan_all(&rel, attr_idx, pred)?),
+            BoundSelect::Hash(idx, key) => Ok(select_hash_index(idx, rel, key)),
+            BoundSelect::Tree(idx) => Ok(select_tree_index(idx, rel, pred)),
+            BoundSelect::Scan => Ok(select_scan_all(rel, attr_idx, pred)?),
         }
     }
 
@@ -601,8 +598,7 @@ impl<S: StableStore> Database<S> {
         tids: &[TupleId],
         attrs: &[&str],
     ) -> Result<Vec<Vec<OwnedValue>>, DbError> {
-        let t = self.table_id(table)?;
-        let rel = self.table(t).rel.read();
+        let rel = self.relation(table)?;
         let idxs: Vec<usize> = attrs
             .iter()
             .map(|a| rel.schema().index_of(a))
@@ -631,14 +627,14 @@ impl<S: StableStore> Database<S> {
         use mmdb_check::DeepCheck;
         use mmdb_storage::AttrType;
         let mut report = mmdb_check::Report::new();
-        for (t, table) in self.tables.iter().enumerate() {
-            let rel = table.rel.read();
-            report.merge(mmdb_check::storage_checks::check_relation(&rel));
+        for table in &self.tables {
+            let rel = &table.rel;
+            report.merge(mmdb_check::storage_checks::check_relation(rel));
             let live: HashSet<TupleId> = rel.iter_tids().collect();
-            for def in self.indexes.iter().filter(|d| d.table == t) {
+            for def in &table.indexes {
                 report.merge(match &def.index {
-                    AnyIndex::TTree(x) => x.deep_check(&rel),
-                    AnyIndex::Hash(x) => x.deep_check(&rel),
+                    AnyIndex::TTree(x) => x.deep_check(rel),
+                    AnyIndex::Hash(x) => x.deep_check(rel),
                 });
                 let entries: Vec<TupleId> = match &def.index {
                     AnyIndex::TTree(x) => {
@@ -703,10 +699,7 @@ impl<S: StableStore> Database<S> {
                         }
                     };
                     for target in targets {
-                        let resolves = self
-                            .tables
-                            .iter()
-                            .any(|t| t.rel.read().resolve(target).is_ok());
+                        let resolves = self.tables.iter().any(|t| t.rel.resolve(target).is_ok());
                         if !resolves {
                             report.fail(
                                 "database",
@@ -999,6 +992,29 @@ mod tests {
                 .len(),
             1,
             "mid-checkpoint insert survives"
+        );
+    }
+
+    #[test]
+    fn restart_rejects_an_index_on_an_unknown_table() {
+        let meta = CatalogMeta {
+            tables: Vec::new(),
+            indexes: vec![IndexMeta {
+                name: "orphan".into(),
+                table: 3,
+                attr: 0,
+                kind: IndexKind::TTree,
+                param: 30,
+            }],
+        };
+        let mut blob = 1u64.to_le_bytes().to_vec();
+        blob.extend_from_slice(&encode_catalog(&meta));
+        let mut disk = MemDisk::new();
+        disk.write_meta(CATALOG_SLOTS[1], &blob).unwrap();
+        let err = Database::with_disk(disk).crash().recover(&[]).err();
+        assert!(
+            matches!(&err, Some(DbError::Catalog(m)) if m.contains("unknown relation 3")),
+            "{err:?}"
         );
     }
 

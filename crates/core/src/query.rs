@@ -284,56 +284,45 @@ impl<S: StableStore> QueryBuilder<'_, S> {
     /// Execute the pipeline: plan, bind, run, materialize.
     pub fn run(self) -> Result<QueryOutput, DbError> {
         let (planned, desc) = self.plan()?;
-        // One read guard per bound relation, held for the whole execution:
-        // every operator and index operation compares through these.
-        let handles: Vec<_> = planned
+        // One borrowed relation per binding position: every operator and
+        // index operation compares through these.
+        let rels: Vec<&Relation> = planned
             .tables
             .iter()
-            .map(|t| self.db.relation_handle(t))
+            .map(|t| self.db.relation(t))
             .collect::<Result<_, _>>()?;
-        let guards: Vec<_> = handles.iter().map(|h| h.read()).collect();
-        let rels: Vec<&Relation> = guards.iter().map(|r| &**r).collect();
-        execute(self.db, &planned, &desc, &rels)
-    }
-}
+        let mut root = self
+            .db
+            .bind_plan(&planned.root, &planned.tables, &rels, &desc)?;
+        let mut ctx = ExecContext::new(planned.node_count);
+        let list = root.execute(&mut ctx)?;
+        drop(root);
 
-/// Bind `planned` to `rels` (one borrowed relation per binding position),
-/// run it, and materialize the result.
-fn execute<S: StableStore>(
-    db: &Database<S>,
-    planned: &PlannedQuery,
-    desc: &ResultDescriptor,
-    rels: &[&Relation],
-) -> Result<QueryOutput, DbError> {
-    let mut root = db.bind_plan(&planned.root, &planned.tables, rels, desc)?;
-    let mut ctx = ExecContext::new(planned.node_count);
-    let list = root.execute(&mut ctx)?;
-    drop(root);
-
-    // Materialize (the only copy the engine ever makes), straight into
-    // each row's owned values.
-    let mut rows = Vec::with_capacity(list.len());
-    for tids in list.iter() {
-        let mut row = Vec::with_capacity(desc.width());
-        for f in desc.fields() {
-            row.push(
-                rels[f.source]
-                    .field(tids[f.source], f.attr)?
-                    .to_owned_value(),
-            );
+        // Materialize (the only copy the engine ever makes), straight into
+        // each row's owned values.
+        let mut rows = Vec::with_capacity(list.len());
+        for tids in list.iter() {
+            let mut row = Vec::with_capacity(desc.width());
+            for f in desc.fields() {
+                row.push(
+                    rels[f.source]
+                        .field(tids[f.source], f.attr)?
+                        .to_owned_value(),
+                );
+            }
+            rows.push(row);
         }
-        rows.push(row);
+        let profile = PlanProfile::assemble(&planned, &ctx);
+        Ok(QueryOutput {
+            columns: desc
+                .column_names()
+                .iter()
+                .map(|s| (*s).to_string())
+                .collect(),
+            rows,
+            profile,
+        })
     }
-    let profile = PlanProfile::assemble(planned, &ctx);
-    Ok(QueryOutput {
-        columns: desc
-            .column_names()
-            .iter()
-            .map(|s| (*s).to_string())
-            .collect(),
-        rows,
-        profile,
-    })
 }
 
 #[cfg(test)]
@@ -610,67 +599,6 @@ mod tests {
             assert_eq!(forced.profile.joins()[0].method, Some(m));
             assert_eq!(names(&forced), want, "{m:?}");
         }
-    }
-
-    /// Regression: a query's index operations compare through the read
-    /// guards the query already holds. Were any of them to take
-    /// `emp.read()` again, it would queue behind the waiting writer on
-    /// the query's own thread and never return.
-    #[test]
-    fn held_guard_queries_finish_while_a_writer_waits() {
-        use std::sync::{mpsc, Arc};
-        use std::time::{Duration, Instant};
-        let db = company_db();
-        let emp = db.relation_handle("emp").unwrap();
-        let (held_tx, held_rx) = mpsc::channel();
-        let (go_tx, go_rx) = mpsc::channel();
-        let (done_tx, done_rx) = mpsc::channel();
-        let reader = std::thread::spawn(move || {
-            // A T-Tree select on emp.age, and a tree join probing emp.dept_id.
-            let plans = [
-                db.query("emp")
-                    .filter("age", Predicate::greater(KeyValue::Int(60)))
-                    .plan()
-                    .unwrap(),
-                db.query("dept")
-                    .join("id", "emp", "dept_id")
-                    .force_join_method(JoinMethod::TreeJoin)
-                    .plan()
-                    .unwrap(),
-            ];
-            let emp = db.relation_handle("emp").unwrap();
-            let dept = db.relation_handle("dept").unwrap();
-            let (emp_g, dept_g) = (emp.read(), dept.read());
-            held_tx.send(()).unwrap();
-            go_rx.recv().unwrap();
-            let rows: Vec<usize> = plans
-                .iter()
-                .map(|(planned, desc)| {
-                    let rels: Vec<&Relation> = planned
-                        .tables
-                        .iter()
-                        .map(|t| if t == "emp" { &*emp_g } else { &*dept_g })
-                        .collect();
-                    execute(&db, planned, desc, &rels).unwrap().rows.len()
-                })
-                .collect();
-            done_tx.send(rows).unwrap();
-        });
-        held_rx.recv().unwrap();
-        let queued = Arc::clone(&emp);
-        let writer = std::thread::spawn(move || drop(queued.write()));
-        // Once the writer is queued, std's RwLock refuses new readers.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while emp.try_read().is_some() && Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        go_tx.send(()).unwrap();
-        let rows = done_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("index operations re-took a relation lock a writer was waiting on");
-        assert_eq!(rows, [2, 5]);
-        reader.join().unwrap();
-        writer.join().unwrap();
     }
 
     #[test]

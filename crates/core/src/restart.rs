@@ -3,7 +3,7 @@
 //! `create_index` share.
 
 use crate::catalog::{decode_catalog, CatalogMeta};
-use crate::db::{AnyIndex, Database, IndexDef, IndexKind, Table, CATALOG_SLOTS};
+use crate::db::{AnyIndex, Database, IndexKind, Table, TableIndex, CATALOG_SLOTS};
 use crate::error::DbError;
 use mmdb_exec::{run_tasks, ExecConfig};
 use mmdb_index::adapter::{Adapter, HashAdapter};
@@ -13,7 +13,6 @@ use mmdb_index::{ModifiedLinearHash, TTree, TTreeConfig};
 use mmdb_lock::LockManager;
 use mmdb_recovery::{PartitionKey, RecoveryManager, RestartPhase, StableStore};
 use mmdb_storage::{AttrAdapter, Partition, Relation, TupleId};
-use parking_lot::RwLock;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,7 +23,7 @@ const REBUILD_RUN_LEN: usize = 16_384;
 
 /// Build one index over the current population of `rel` through the bulk
 /// paths (DESIGN.md §16): snapshot `(key tag, tid)` pairs with a
-/// monomorphic loop over the caller's read guard — the tuple-at-a-time
+/// monomorphic loop over the borrowed relation — the tuple-at-a-time
 /// alternative re-dispatches through [`AnyIndex`] for every tuple — then
 /// either run-sort + bottom-up T-Tree construction or a pre-sized hash
 /// fill. Returns the index and its entry count.
@@ -185,22 +184,19 @@ impl<S: StableStore + Sync> CrashedDatabase<S> {
             }
         };
         let mut db = Database {
-            tables: Vec::new(),
-            indexes: Vec::new(),
+            tables: meta
+                .tables
+                .iter()
+                .map(|t| Table {
+                    name: t.name.clone(),
+                    rel: Relation::new(&t.name, t.schema.clone(), t.config),
+                    indexes: Vec::new(),
+                })
+                .collect(),
             locks: Arc::new(LockManager::default()),
             recovery: self.recovery,
             catalog_epoch,
         };
-        for t in &meta.tables {
-            db.tables.push(Table {
-                name: t.name.clone(),
-                rel: Arc::new(RwLock::new(Relation::new(
-                    &t.name,
-                    t.schema.clone(),
-                    t.config,
-                ))),
-            });
-        }
         // Resolve the working set to partition keys.
         let mut keys = Vec::with_capacity(working_set.len());
         for (name, part) in working_set {
@@ -231,32 +227,41 @@ impl<S: StableStore + Sync> CrashedDatabase<S> {
 
         // Rebuild indexes from the reloaded relations: one bulk-build
         // task per index on the pool. Builds only read their relation
-        // (snapshot under a read guard), so tasks are independent; merge
-        // order is catalog order regardless of completion order.
+        // (`Relation` is `Sync`), so tasks are independent; merge order
+        // is catalog order regardless of completion order.
         let rebuild_start = Instant::now();
-        let rels: Vec<Arc<RwLock<Relation>>> = meta
+        let rels: Vec<&Relation> = meta
             .indexes
             .iter()
-            .map(|im| Arc::clone(&db.tables[im.table as usize].rel))
-            .collect();
+            .map(|im| {
+                db.tables
+                    .get(im.table as usize)
+                    .map(|t| &t.rel)
+                    .ok_or_else(|| {
+                        DbError::Catalog(format!(
+                            "index {} on unknown relation {}",
+                            im.name, im.table
+                        ))
+                    })
+            })
+            .collect::<Result<_, _>>()?;
         let built: Vec<(AnyIndex, usize, Duration)> =
             run_tasks(meta.indexes.len(), exec.dop, |i| {
                 let im = &meta.indexes[i];
                 let start = Instant::now();
                 let (index, entries) =
-                    build_index_bulk(&rels[i].read(), im.attr as usize, im.kind, im.param);
+                    build_index_bulk(rels[i], im.attr as usize, im.kind, im.param);
                 (index, entries, start.elapsed())
             });
         let mut index_stats = Vec::with_capacity(built.len());
-        for (im, (index, entries, elapsed)) in meta.indexes.iter().zip(built) {
+        for (im, (index, entries, elapsed)) in meta.indexes.into_iter().zip(built) {
             index_stats.push(IndexRebuildStat {
                 name: im.name.clone(),
                 entries,
                 elapsed,
             });
-            db.indexes.push(IndexDef {
-                name: im.name.clone(),
-                table: im.table as usize,
+            db.tables[im.table as usize].indexes.push(TableIndex {
+                name: im.name,
                 attr: im.attr as usize,
                 kind: im.kind,
                 param: im.param,
@@ -264,7 +269,7 @@ impl<S: StableStore + Sync> CrashedDatabase<S> {
             });
         }
         timings.index_rebuild = rebuild_start.elapsed();
-        let rebuilt = db.indexes.len();
+        let rebuilt = index_stats.len();
         Ok((
             db,
             RecoveryReport {
@@ -316,10 +321,7 @@ fn install_images<S: StableStore>(
             },
             other => DbError::Storage(other),
         })?;
-        db.tables[t]
-            .rel
-            .write()
-            .install_partition(key.partition, part);
+        db.tables[t].rel.install_partition(key.partition, part);
         loaded.push((db.tables[t].name.clone(), key.partition, phase));
     }
     Ok(())

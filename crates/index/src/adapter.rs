@@ -11,7 +11,7 @@
 //! structure keeps the static part (for a relation adapter, which
 //! attribute), and every operation is handed the [`Adapter::Ctx`] it
 //! dereferences entries through. In the MM-DBMS that context is the
-//! relation guard the caller already holds, so a descent takes no lock of
+//! relation the caller already borrows, so a descent takes no lock of
 //! its own; in tests and micro-benchmarks [`NaturalAdapter`] compares
 //! integers directly and its context is `()`.
 

@@ -185,9 +185,8 @@ pub fn value_hash(v: &Value<'_>) -> u64 {
 
 /// Adapter that dereferences [`TupleId`] entries to one attribute. It
 /// stores only the attribute position: the relation is each operation's
-/// context ([`Adapter::Ctx`]), so an index over a shared relation borrows
-/// the guard its caller already holds instead of taking one per
-/// comparison.
+/// context ([`Adapter::Ctx`]), so an index borrows the relation its
+/// caller already borrows instead of reaching for it per comparison.
 #[derive(Debug, Clone, Copy)]
 pub struct AttrAdapter {
     attr: usize,

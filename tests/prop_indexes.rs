@@ -15,11 +15,9 @@ use mmdb_index::{
 use mmdb_storage::{
     AttrAdapter, AttrType, KeyValue, OwnedValue, PartitionConfig, Relation, Schema, TupleId, Value,
 };
-use parking_lot::RwLock;
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -63,30 +61,28 @@ fn key_of(rel: &Relation, tid: TupleId) -> i64 {
 macro_rules! drive {
     ($idx:expr, $rel:expr, $ops:expr) => {{
         let idx = &mut $idx;
-        let rel = &$rel;
+        let rel = &mut $rel;
         let mut model = Model::default();
         for op in $ops {
             match op {
                 Op::Insert(k) => {
-                    let tid = rel.write().insert(&[OwnedValue::Int(*k)]).unwrap();
-                    idx.insert(&rel.read(), tid);
+                    let tid = rel.insert(&[OwnedValue::Int(*k)]).unwrap();
+                    idx.insert(rel, tid);
                     model.by_key.entry(*k).or_default().push(tid);
                 }
                 Op::DeleteKey(k) => {
-                    let got = idx.delete(&rel.read(), &KeyValue::Int(*k));
+                    let got = idx.delete(rel, &KeyValue::Int(*k));
                     let entry = model.by_key.get_mut(k);
                     match (got, entry) {
                         (Some(tid), Some(pool)) => {
-                            let r = rel.read();
-                            prop_assert_eq!(key_of(&r, tid), *k);
-                            drop(r);
+                            prop_assert_eq!(key_of(rel, tid), *k);
                             let pos = pool.iter().position(|t| *t == tid).expect("tid in model");
                             pool.remove(pos);
                             if pool.is_empty() {
                                 model.by_key.remove(k);
                             }
                             // Keep relation in sync: tuple removed.
-                            rel.write().delete(tid).unwrap();
+                            rel.delete(tid).unwrap();
                         }
                         (None, None) => {}
                         (None, Some(pool)) if pool.is_empty() => {}
@@ -103,11 +99,11 @@ macro_rules! drive {
                     }
                 }
                 Op::Search(k) => {
-                    let got = idx.search(&rel.read(), &KeyValue::Int(*k));
+                    let got = idx.search(rel, &KeyValue::Int(*k));
                     let expect = model.by_key.get(k).map_or(0, Vec::len);
                     prop_assert_eq!(got.is_some(), expect > 0, "search({})", k);
                     let mut all = Vec::new();
-                    idx.search_all(&rel.read(), &KeyValue::Int(*k), &mut all);
+                    idx.search_all(rel, &KeyValue::Int(*k), &mut all);
                     prop_assert_eq!(all.len(), expect, "search_all({})", k);
                 }
                 Op::Range(_, _) => { /* handled in the ordered macro */ }
@@ -116,14 +112,13 @@ macro_rules! drive {
             // Check-after-op: with the verification layer on, re-derive
             // every structural invariant after every single operation.
             #[cfg(all(feature = "check", debug_assertions))]
-            mmdb_check::DeepCheck::deep_check(&*idx, &rel.read())
+            mmdb_check::DeepCheck::deep_check(&*idx, rel)
                 .into_result()
                 .map_err(TestCaseError::fail)?;
         }
-        idx.validate(&rel.read())
-            .map_err(|e| TestCaseError::fail(e))?;
+        idx.validate(rel).map_err(|e| TestCaseError::fail(e))?;
         #[cfg(all(feature = "check", debug_assertions))]
-        mmdb_check::DeepCheck::deep_check(&*idx, &rel.read())
+        mmdb_check::DeepCheck::deep_check(&*idx, rel)
             .into_result()
             .map_err(TestCaseError::fail)?;
         model
@@ -135,10 +130,7 @@ macro_rules! drive_ordered {
         let model = drive!($idx, $rel, $ops);
         // Ordered extras: full scan sorted + range correctness.
         let mut scanned: Vec<i64> = Vec::new();
-        {
-            let r = $rel.read();
-            $idx.scan(&mut |t| scanned.push(key_of(&r, *t)));
-        }
+        $idx.scan(&mut |t| scanned.push(key_of(&$rel, *t)));
         let mut expect: Vec<i64> = model
             .by_key
             .iter()
@@ -150,7 +142,7 @@ macro_rules! drive_ordered {
             if let Op::Range(lo, hi) = op {
                 let mut out = Vec::new();
                 $idx.range(
-                    &$rel.read(),
+                    &$rel,
                     std::ops::Bound::Included(&KeyValue::Int(*lo)),
                     std::ops::Bound::Included(&KeyValue::Int(*hi)),
                     &mut out,
@@ -166,16 +158,16 @@ macro_rules! drive_ordered {
     }};
 }
 
-/// A shared relation plus its index adapter. Each index operation
-/// borrows a read guard of the relation for its duration, and relation
-/// mutations take the write guard in between — exactly how
-/// `mmdb_core::Database` wires indexes to relations.
-fn fresh_rel() -> (Arc<RwLock<Relation>>, AttrAdapter) {
-    let rel = Arc::new(RwLock::new(Relation::new(
+/// A relation plus its index adapter. Each index operation borrows the
+/// relation for its duration, and relation mutations borrow it mutably
+/// in between — exactly how `mmdb_core::Database` wires a table's
+/// indexes to its relation.
+fn fresh_rel() -> (Relation, AttrAdapter) {
+    let rel = Relation::new(
         "t",
         Schema::of(&[("k", AttrType::Int)]),
         PartitionConfig::default(),
-    )));
+    );
     (rel, AttrAdapter::new(0))
 }
 
@@ -184,56 +176,56 @@ proptest! {
 
     #[test]
     fn ttree_model_equivalence(ops in ops_strategy(120), ns in 1usize..12) {
-        let (rel, adapter) = fresh_rel();
+        let (mut rel, adapter) = fresh_rel();
         let mut idx = TTree::new(adapter, TTreeConfig::with_node_size(ns));
         drive_ordered!(idx, rel, &ops);
     }
 
     #[test]
     fn btree_model_equivalence(ops in ops_strategy(120), ns in 2usize..12) {
-        let (rel, adapter) = fresh_rel();
+        let (mut rel, adapter) = fresh_rel();
         let mut idx = BTree::new(adapter, ns);
         drive_ordered!(idx, rel, &ops);
     }
 
     #[test]
     fn avl_model_equivalence(ops in ops_strategy(120)) {
-        let (rel, adapter) = fresh_rel();
+        let (mut rel, adapter) = fresh_rel();
         let mut idx = AvlTree::new(adapter);
         drive_ordered!(idx, rel, &ops);
     }
 
     #[test]
     fn array_model_equivalence(ops in ops_strategy(80)) {
-        let (rel, adapter) = fresh_rel();
+        let (mut rel, adapter) = fresh_rel();
         let mut idx = ArrayIndex::new(adapter);
         drive_ordered!(idx, rel, &ops);
     }
 
     #[test]
     fn chained_model_equivalence(ops in ops_strategy(120)) {
-        let (rel, adapter) = fresh_rel();
+        let (mut rel, adapter) = fresh_rel();
         let mut idx = ChainedBucketHash::with_capacity(adapter, 32);
         drive!(idx, rel, &ops);
     }
 
     #[test]
     fn extendible_model_equivalence(ops in ops_strategy(120), cap in 1usize..8) {
-        let (rel, adapter) = fresh_rel();
+        let (mut rel, adapter) = fresh_rel();
         let mut idx = ExtendibleHash::new(adapter, cap);
         drive!(idx, rel, &ops);
     }
 
     #[test]
     fn linear_model_equivalence(ops in ops_strategy(120), cap in 1usize..8) {
-        let (rel, adapter) = fresh_rel();
+        let (mut rel, adapter) = fresh_rel();
         let mut idx = LinearHash::new(adapter, cap);
         drive!(idx, rel, &ops);
     }
 
     #[test]
     fn modlinear_model_equivalence(ops in ops_strategy(120), chain in 1usize..6) {
-        let (rel, adapter) = fresh_rel();
+        let (mut rel, adapter) = fresh_rel();
         let mut idx = ModifiedLinearHash::new(adapter, chain);
         drive!(idx, rel, &ops);
     }

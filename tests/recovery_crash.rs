@@ -5,7 +5,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mmdb_core::{Database, IndexKind};
-use mmdb_exec::Predicate;
+use mmdb_exec::{ExecConfig, Predicate};
 use mmdb_storage::{AttrType, KeyValue, OwnedValue, Schema};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -176,4 +176,45 @@ fn working_set_ordering_is_respected() {
         .iter()
         .all(|(_, _, p)| *p == RestartPhase::Background));
     assert_eq!(db2.len("w").unwrap(), 30_000);
+}
+
+/// Indexes created across tables in interleaved order (t2, t1, t2) are
+/// all rebuilt at restart, each on its own table, and each serves a
+/// lookup afterwards.
+#[test]
+fn interleaved_ddl_restarts_every_index_on_its_table() {
+    let mut db = Database::in_memory();
+    let schema = Schema::of(&[("k", AttrType::Int), ("v", AttrType::Int)]);
+    db.create_table("t1", schema.clone()).unwrap();
+    db.create_table("t2", schema).unwrap();
+    db.create_index("t2_k", "t2", "k", IndexKind::TTree)
+        .unwrap();
+    db.create_index("t1_v", "t1", "v", IndexKind::Hash).unwrap();
+    db.create_index("t2_v", "t2", "v", IndexKind::Hash).unwrap();
+    let mut txn = db.begin();
+    for k in 0..50i64 {
+        db.insert(&mut txn, "t1", vec![k.into(), (k * 10).into()])
+            .unwrap();
+        db.insert(&mut txn, "t2", vec![k.into(), (k * 100).into()])
+            .unwrap();
+    }
+    db.commit(txn).unwrap();
+    let (db2, report) = db
+        .crash()
+        .recover_with(&[("t2", 0)], ExecConfig::with_dop(2))
+        .unwrap();
+    assert_eq!(report.indexes_rebuilt, 3);
+    let names: Vec<&str> = report.index_stats.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["t1_v", "t2_k", "t2_v"], "table by table");
+    assert!(report.index_stats.iter().all(|s| s.entries == 50));
+    db2.validate_indexes().unwrap();
+    #[cfg(feature = "check")]
+    db2.deep_check().assert_ok();
+    for (table, attr, key) in [("t2", "k", 7), ("t1", "v", 70), ("t2", "v", 700)] {
+        let hits = db2
+            .select(table, attr, &Predicate::Eq(KeyValue::Int(key)))
+            .unwrap();
+        let rows = db2.fetch(table, &hits.column(0), &["k"]).unwrap();
+        assert_eq!(rows, [[OwnedValue::Int(7)]], "{table}.{attr} = {key}");
+    }
 }

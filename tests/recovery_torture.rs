@@ -500,6 +500,73 @@ fn torn_catalog_slot_is_masked_by_shadow_slot() {
     assert_eq!(hits.len(), 1);
 }
 
+/// A catalog write that fails must not advance the shadow epoch: the
+/// retry (here the checkpoint's re-persist) then goes to the slot that
+/// failed, and tearing it leaves the other slot's acknowledged epoch —
+/// with its index — intact.
+#[test]
+fn failed_catalog_write_keeps_the_intact_slot() {
+    let plan = FaultPlan::seeded(7, 0).with_fail_at(&[0]).with_crash_at(1);
+    let (disk, handle) = FaultyDisk::new(MemDisk::new(), plan);
+    let mut db = Database::with_disk(disk);
+    db.create_table("a", Schema::of(&[("k", AttrType::Int)]))
+        .unwrap();
+    db.create_index("a_k", "a", "k", IndexKind::TTree).unwrap();
+    handle.arm();
+    // Write #0 fails transiently; write #1, the checkpoint's catalog
+    // re-persist, tears and cuts the power.
+    assert!(db
+        .create_table("b", Schema::of(&[("k", AttrType::Int)]))
+        .is_err());
+    assert!(db.checkpoint().is_err());
+    assert_eq!(handle.counters().torn_writes, 1);
+    let crashed = db.crash();
+    handle.heal();
+    let (db2, report) = crashed.recover(&[("a", 0)]).unwrap();
+    assert_eq!(report.indexes_rebuilt, 1, "acknowledged a_k survives");
+    assert_eq!(report.index_stats[0].name, "a_k");
+    assert!(matches!(db2.len("b"), Err(DbError::NoSuchTable(_))));
+    db2.validate_indexes().unwrap();
+}
+
+/// DDL whose catalog write fails is rolled back in memory: the table or
+/// index does not exist, and the same DDL succeeds once the disk heals.
+#[test]
+fn failed_ddl_is_rolled_back_and_retryable() {
+    let plan = FaultPlan::seeded(7, 0).with_fail_at(&[0, 1]);
+    let (disk, handle) = FaultyDisk::new(MemDisk::new(), plan);
+    let mut db = Database::with_disk(disk);
+    let schema = Schema::of(&[("k", AttrType::Int)]);
+    db.create_table("a", schema.clone()).unwrap();
+    handle.arm();
+    assert!(db.create_table("b", schema.clone()).is_err());
+    assert!(matches!(db.len("b"), Err(DbError::NoSuchTable(_))));
+    assert!(db.create_index("a_k", "a", "k", IndexKind::TTree).is_err());
+    // No index on `a` is live, so inserts into it are still refused.
+    let mut txn = db.begin();
+    assert!(matches!(
+        db.insert(&mut txn, "a", vec![OwnedValue::Int(1)]),
+        Err(DbError::MissingIndex(_))
+    ));
+    db.abort(txn);
+    handle.heal();
+    db.create_table("b", schema).unwrap();
+    db.create_index("a_k", "a", "k", IndexKind::TTree).unwrap();
+    let mut txn = db.begin();
+    db.insert(&mut txn, "a", vec![OwnedValue::Int(1)]).unwrap();
+    db.commit(txn).unwrap();
+    db.validate_indexes().unwrap();
+    let (db2, report) = db.crash().recover(&[("a", 0)]).unwrap();
+    assert_eq!(db2.len("b").unwrap(), 0);
+    assert_eq!(report.indexes_rebuilt, 1);
+    assert_eq!(
+        db2.select("a", "k", &Predicate::Eq(KeyValue::Int(1)))
+            .unwrap()
+            .len(),
+        1
+    );
+}
+
 /// Replaying the same seed must reproduce the run bit-for-bit: same op
 /// counts, same injected faults, same fault schedule digest, same
 /// committed row count.
