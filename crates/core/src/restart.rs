@@ -7,12 +7,12 @@ use crate::db::{AnyIndex, Database, IndexKind, Table, TableIndex, CATALOG_SLOTS}
 use crate::error::DbError;
 use mmdb_exec::{run_tasks, ExecConfig};
 use mmdb_index::adapter::{Adapter, HashAdapter};
-use mmdb_index::sort::run_sort;
+use mmdb_index::sort::{radix_sort_by_tag, run_sort};
 use mmdb_index::stats::Counters;
 use mmdb_index::{ModifiedLinearHash, TTree, TTreeConfig};
 use mmdb_lock::LockManager;
 use mmdb_recovery::{PartitionKey, RecoveryManager, RestartPhase, StableStore};
-use mmdb_storage::{AttrAdapter, Partition, Relation, TupleId};
+use mmdb_storage::{for_each_exact_tag, AttrAdapter, Partition, Relation, TupleId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -25,8 +25,9 @@ const REBUILD_RUN_LEN: usize = 16_384;
 /// paths (DESIGN.md §16): snapshot `(key tag, tid)` pairs with a
 /// monomorphic loop over the borrowed relation — the tuple-at-a-time
 /// alternative re-dispatches through [`AnyIndex`] for every tuple — then
-/// either run-sort + bottom-up T-Tree construction or a pre-sized hash
-/// fill. Returns the index and its entry count.
+/// either sort + bottom-up T-Tree construction or a pre-sized hash fill.
+/// A rebuilt T-Tree lists its entries in `(key, tid)` order. Returns the
+/// index and its entry count.
 pub(crate) fn build_index_bulk(
     rel: &Relation,
     attr: usize,
@@ -36,19 +37,29 @@ pub(crate) fn build_index_bulk(
     let adapter = AttrAdapter::new(attr);
     match kind {
         IndexKind::TTree => {
-            let mut tagged: Vec<(u64, TupleId)> = rel
-                .iter_tids()
-                .map(|tid| (adapter.entry_tag(rel, &tid), tid))
-                .collect();
-            // Tag-first comparison: unequal tags decide without touching
-            // the tuple (the §2.2 pointer-chase); ties fall back to the
-            // full value order. Equal keys drain in tid (insertion) order
-            // across runs.
-            let counters = Counters::default();
-            run_sort(&mut tagged, REBUILD_RUN_LEN, &counters, &mut |a, b| {
-                a.0.cmp(&b.0)
-                    .then_with(|| adapter.cmp_entries(rel, &a.1, &b.1))
-            });
+            let mut tagged: Vec<(u64, TupleId)> = Vec::with_capacity(rel.len());
+            if for_each_exact_tag(rel, attr, |tid, tag| tagged.push((tag, tid))) {
+                // An `Int`/`Ptr` tag is the key: the tags, read straight
+                // from the partition cells in ascending tid order, are all
+                // the sort needs, and the stable radix pass keeps equal
+                // keys in that tid order.
+                radix_sort_by_tag(&mut tagged);
+            } else {
+                // A `Str` tag holds an 8-byte prefix and a `PtrList` tag
+                // nothing: unequal tags decide without touching the tuple
+                // (the §2.2 pointer-chase), ties fall back to the full
+                // value order, then to the tid.
+                tagged.extend(
+                    rel.iter_tids()
+                        .map(|tid| (adapter.entry_tag(rel, &tid), tid)),
+                );
+                let counters = Counters::default();
+                run_sort(&mut tagged, REBUILD_RUN_LEN, &counters, &mut |a, b| {
+                    a.0.cmp(&b.0)
+                        .then_with(|| adapter.cmp_entries(rel, &a.1, &b.1))
+                        .then_with(|| a.1.cmp(&b.1))
+                });
+            }
             let n = tagged.len();
             let tree = TTree::build_from_sorted(
                 adapter,

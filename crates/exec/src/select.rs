@@ -10,7 +10,10 @@
 
 use crate::error::ExecError;
 use mmdb_index::traits::{OrderedIndex, UnorderedIndex};
-use mmdb_storage::{AttrAdapter, AttrType, KeyValue, Relation, TempList, TupleId};
+use mmdb_storage::{
+    for_each_exact_tag, order_tag_exact, AttrAdapter, AttrType, KeyValue, Relation, TempList,
+    TupleId,
+};
 use std::ops::Bound;
 
 /// A single-attribute selection predicate.
@@ -187,8 +190,9 @@ fn select_scan_iter(
 
 /// Sequential-scan selection over every live tuple of `rel`, a block at a
 /// time: an `Int` or `Ptr` predicate becomes inclusive bounds on the
-/// cells' native order once, then each partition's slot array is walked
-/// and tested without resolving a tuple id or building a [`Value`]
+/// attribute's exact order tags once, then each partition's slot array is
+/// walked by [`for_each_exact_tag`] and each cell's tag tested, without
+/// resolving a tuple id or building a [`Value`]
 /// (`Str`/`PtrList` attributes, and keys of another type than the
 /// attribute's, take [`select_scan_iter`]). The output is
 /// [`select_scan_iter`]'s over `rel.iter_tids()`: physical tuple ids in
@@ -205,63 +209,24 @@ pub fn select_scan_all(
         return select_scan_iter(rel, attr, rel.iter_tids(), pred);
     };
     let mut out = Vec::with_capacity(1024);
-    if ty == AttrType::Int {
-        scan_cells(rel, attr, (lo, hi), &mut out, |c| {
-            int_order(i64::from_le_bytes(c))
-        });
-    } else {
-        scan_cells(rel, attr, (lo, hi), &mut out, |c| {
-            tid_order(TupleId::new(
-                u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
-                u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
-            ))
-        });
-    }
+    for_each_exact_tag(rel, attr, |tid, v| {
+        if lo <= v && v <= hi {
+            out.push(tid);
+        }
+    });
     Ok(TempList::from_tids(out))
 }
 
-/// Push every live tuple whose `attr` cell, read by `order`, lies in the
-/// inclusive interval `lo..=hi`, partition by partition.
-fn scan_cells(
-    rel: &Relation,
-    attr: usize,
-    (lo, hi): (u64, u64),
-    out: &mut Vec<TupleId>,
-    order: impl Fn([u8; 8]) -> u64 + Copy,
-) {
-    for view in rel.partition_views() {
-        let p = view.index();
-        view.for_each_cell(attr, |slot, cell| {
-            let v = order(cell);
-            if lo <= v && v <= hi {
-                out.push(TupleId::new(p, slot));
-            }
-        });
-    }
-}
-
-/// `i64` order as `u64` order (flip the sign bit).
-fn int_order(i: i64) -> u64 {
-    (i as u64) ^ (1 << 63)
-}
-
-/// `TupleId` order (partition-major) as `u64` order; NULL, stored as
-/// `(MAX, MAX)`, is the largest, as in [`KeyValue::cmp_value`].
-fn tid_order(t: TupleId) -> u64 {
-    (u64::from(t.partition) << 32) | u64::from(t.slot)
-}
-
-/// The inclusive `u64` interval of cells (in [`int_order`] or
-/// [`tid_order`]) an `Int`/`Ptr` attribute's predicate accepts, or `None`
-/// when the attribute or a key has another type. An empty interval comes
-/// back with `lo > hi`.
+/// The inclusive interval of exact order tags (those of
+/// [`for_each_exact_tag`]) an `Int`/`Ptr` attribute's predicate accepts,
+/// or `None` when the attribute or a key has another type. An empty
+/// interval comes back with `lo > hi`.
 fn native_bounds(ty: AttrType, pred: &Predicate) -> Option<(u64, u64)> {
+    if !order_tag_exact(ty) {
+        return None;
+    }
     // Widened so that stepping past an excluded key cannot overflow.
-    let key = |k: &KeyValue| match (ty, k) {
-        (AttrType::Int, KeyValue::Int(i)) => Some(i128::from(int_order(*i))),
-        (AttrType::Ptr, KeyValue::Ptr(t)) => Some(i128::from(tid_order(*t))),
-        _ => None,
-    };
+    let key = |k: &KeyValue| k.tag_exact_for(ty).then(|| i128::from(k.order_tag()));
     let bound = |b: &Bound<KeyValue>, open: u64, step: i128| match b {
         Bound::Unbounded => Some(i128::from(open)),
         Bound::Included(k) => key(k),

@@ -15,6 +15,10 @@
 //! runs, then merge them with a d-ary heap small enough to live in L1.
 //! Large sorts stop streaming the whole array through cache per quicksort
 //! level; every element is touched once per phase instead.
+//!
+//! [`radix_sort_by_tag`] sorts `(tag, entry)` pairs whose tags are exact
+//! without a comparator at all: a stable radix pass over the tag bytes
+//! that vary (the bulk index rebuild's kernel for integer keys).
 
 use crate::stats::Counters;
 use std::cmp::Ordering;
@@ -156,6 +160,50 @@ pub fn run_sort<T: Copy>(
         sift_down(&mut heap, data, &pos, stats, cmp);
     }
     *data = out;
+}
+
+/// Stable LSD radix sort of `(tag, entry)` pairs by tag alone — the sort
+/// for *exact* tags (equal tags are equal keys), which never needs the
+/// entry to decide an order.
+///
+/// Returns at once when the tags already ascend. Otherwise one counting
+/// pass histograms all eight tag bytes, then one stable scatter runs per
+/// byte that varies, least significant first; a byte every tag shares
+/// is skipped. Equal tags keep their input order, so pairs extracted in
+/// ascending entry order come out sorted by `(tag, entry)`.
+// mmdb-lint: allow(panic-path) — `counts` is [[usize; 256]; 8] indexed by a byte position b < 8 (the enumerate of its own 8 rows) and a masked byte value <= 0xff; `dst` has len n, and offsets[d] starts at the count of tags below byte value d and rises once per tag with value d, so it stays below the prefix count through d, which is at most n
+pub fn radix_sort_by_tag<E: Copy>(data: &mut Vec<(u64, E)>) {
+    if data.is_sorted_by_key(|&(tag, _)| tag) {
+        return;
+    }
+    let n = data.len();
+    let mut counts = [[0usize; 256]; 8];
+    for &(tag, _) in data.iter() {
+        for (b, count) in counts.iter_mut().enumerate() {
+            count[((tag >> (8 * b)) & 0xff) as usize] += 1;
+        }
+    }
+    let mut src = std::mem::take(data);
+    let mut dst = src.clone();
+    for (b, count) in counts.iter().enumerate() {
+        if count.contains(&n) {
+            continue;
+        }
+        let mut offsets = [0usize; 256];
+        let mut below = 0usize;
+        for (offset, c) in offsets.iter_mut().zip(count) {
+            *offset = below;
+            below += c;
+        }
+        let shift = 8 * b;
+        for &(tag, e) in &src {
+            let d = ((tag >> shift) & 0xff) as usize;
+            dst[offsets[d]] = (tag, e);
+            offsets[d] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    *data = src;
 }
 
 /// Plain insertion sort; fast on nearly-sorted and tiny inputs. The paper
@@ -462,6 +510,93 @@ mod tests {
         let stats = Counters::default();
         run_sort(&mut got, run_len, &stats, &mut |a, b| a.0.cmp(&b.0));
         assert_eq!(got, expect);
+    }
+
+    /// Radix-sort `tags` paired with their input positions and compare
+    /// against the stable `slice::sort_by_key`: equal tags must keep their
+    /// input order. Then again with every tag's low byte rotated to the
+    /// top, so the same input also drives the most significant pass.
+    fn check_radix(tags: &[u64]) {
+        for rotate in [0, 8] {
+            let mut got: Vec<(u64, usize)> = tags
+                .iter()
+                .map(|t| t.rotate_right(rotate))
+                .zip(0..)
+                .collect();
+            let mut expect = got.clone();
+            expect.sort_by_key(|&(tag, _)| tag);
+            radix_sort_by_tag(&mut got);
+            assert_eq!(got, expect, "rotated right by {rotate}");
+        }
+    }
+
+    fn mixed(n: usize, seed: u64, modulus: u64) -> Vec<u64> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = crate::adapter::mix64(x);
+                x % modulus
+            })
+            .collect()
+    }
+
+    #[test]
+    fn radix_empty_one_and_all_equal() {
+        check_radix(&[]);
+        check_radix(&[7]);
+        check_radix(&[42; 300]);
+        // All equal but the last, which is smallest: the equal run must
+        // not turn round while the last tag moves to the front.
+        let mut tags = vec![42; 300];
+        tags.push(41);
+        check_radix(&tags);
+    }
+
+    #[test]
+    fn radix_ascending_and_descending() {
+        let up: Vec<u64> = (0..1000).map(|i| i * 0x0101_0101).collect();
+        check_radix(&up);
+        let down: Vec<u64> = up.iter().rev().copied().collect();
+        check_radix(&down);
+        // Descending in runs of equal tags: every run must come back in
+        // input order.
+        let runs: Vec<u64> = (0..600).map(|i| 1_000 - i / 7).collect();
+        check_radix(&runs);
+    }
+
+    #[test]
+    fn radix_extreme_tags() {
+        check_radix(&[u64::MAX, 0, u64::MAX, 1, 0, u64::MAX - 1, 0]);
+        // The `Int` sign-bit flip puts negatives below 1 << 63.
+        let flipped: Vec<u64> = [5i64, -1, i64::MIN, 0, i64::MAX, -1, 5]
+            .iter()
+            .map(|&i| (i as u64) ^ (1 << 63))
+            .collect();
+        check_radix(&flipped);
+    }
+
+    #[test]
+    fn radix_one_varying_high_byte() {
+        // Only byte 7 varies: the pass over it must not be skipped, and
+        // the seven shared bytes must not reorder anything.
+        let tags: Vec<u64> = mixed(500, 5, 4)
+            .into_iter()
+            .map(|h| (h << 56) | 0x00ab_cdef_0123_4567)
+            .collect();
+        check_radix(&tags);
+        // One varying low byte under one varying high byte.
+        let tags: Vec<u64> = mixed(500, 6, 16)
+            .into_iter()
+            .map(|h| ((h & 3) << 56) | (h >> 2))
+            .collect();
+        check_radix(&tags);
+    }
+
+    #[test]
+    fn radix_seeded_random_with_duplicates() {
+        for (seed, modulus) in [(1u64, 60u64), (2, 1 << 20), (3, u64::MAX), (4, 3)] {
+            check_radix(&mixed(5_000, seed, modulus));
+        }
     }
 
     #[cfg(feature = "stats")]

@@ -772,9 +772,9 @@ impl<A: Adapter> TTree<A> {
     /// no such promise — GLB spills scramble equal keys).
     ///
     /// The caller is responsible for sortedness and tag correctness
-    /// (checked in debug builds); the run-sort kernel over `entry_tag`s
-    /// plus a tie-break on the full comparison produces exactly this
-    /// input.
+    /// (checked in debug builds); [`crate::sort::radix_sort_by_tag`] over
+    /// exact tags, or the run-sort kernel over `entry_tag`s plus a
+    /// tie-break on the full comparison, produces exactly this input.
     #[must_use]
     pub fn build_from_sorted(
         adapter: A,

@@ -57,6 +57,15 @@ impl KeyValue {
             KeyValue::Ptr(t) => tid_order_tag(*t),
         }
     }
+
+    /// Whether this key's [`KeyValue::order_tag`] is exact against an
+    /// attribute of type `ty`: the attribute's tags are exact
+    /// ([`order_tag_exact`]) and the key has the attribute's type, so
+    /// comparing tags is comparing values.
+    #[must_use]
+    pub fn tag_exact_for(&self, ty: AttrType) -> bool {
+        order_tag_exact(ty) && rank_type(ty) == rank_key(self)
+    }
 }
 
 impl From<i64> for KeyValue {
@@ -83,6 +92,15 @@ fn rank_value(v: &Value<'_>) -> u8 {
         Value::Str(_) => 1,
         Value::Ptr(_) => 2,
         Value::PtrList(_) => 3,
+    }
+}
+
+fn rank_type(ty: AttrType) -> u8 {
+    match ty {
+        AttrType::Int => 0,
+        AttrType::Str => 1,
+        AttrType::Ptr => 2,
+        AttrType::PtrList => 3,
     }
 }
 
@@ -131,6 +149,51 @@ fn tid_order_tag(t: TupleId) -> u64 {
     (u64::from(t.partition) << 32) | u64::from(t.slot)
 }
 
+/// Whether an attribute of type `ty` has exact order tags: an `Int` or
+/// `Ptr` tag is the value itself, so equal tags are equal keys and a tie
+/// never needs the tuple. A `Str` tag holds only an 8-byte prefix and a
+/// `PtrList` tag nothing.
+#[must_use]
+pub fn order_tag_exact(ty: AttrType) -> bool {
+    matches!(ty, AttrType::Int | AttrType::Ptr)
+}
+
+/// Visit `(tid, order tag)` of attribute `attr` for every live tuple of
+/// `rel`, in ascending tid order, decoding each tag straight from the raw
+/// partition cell (the slot layout of [`crate::partition`]; no tuple id
+/// is resolved and no [`Value`] is built). The tag equals
+/// [`value_order_tag`] of the field, NULL pointers included. Only exact
+/// tags ([`order_tag_exact`]) decode from the cell alone: for any other
+/// attribute, or one past the arity, nothing is visited and `false` comes
+/// back.
+pub fn for_each_exact_tag(
+    rel: &Relation,
+    attr: usize,
+    mut visit: impl FnMut(TupleId, u64),
+) -> bool {
+    let ty = match rel.schema().attr(attr) {
+        Ok(a) if order_tag_exact(a.ty) => a.ty,
+        _ => return false,
+    };
+    for view in rel.partition_views() {
+        let p = view.index();
+        if ty == AttrType::Int {
+            view.for_each_cell(attr, |slot, c| {
+                visit(TupleId::new(p, slot), int_order_tag(i64::from_le_bytes(c)));
+            });
+        } else {
+            view.for_each_cell(attr, |slot, c| {
+                let target = TupleId::new(
+                    u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
+                    u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
+                );
+                visit(TupleId::new(p, slot), tid_order_tag(target));
+            });
+        }
+    }
+    true
+}
+
 /// [`mmdb_index::adapter::Adapter::entry_tag`] for a field value: a
 /// monotone summary comparable without re-dereferencing the tuple. A
 /// pointer list has no single key; it tags as 0 (always undecided).
@@ -150,12 +213,7 @@ pub fn value_order_tag(v: &Value<'_>) -> u64 {
 /// all above it, so it tags as the top or the bottom of the tag order:
 /// the tag then still orders like the comparison does.
 fn key_order_tag(rel: &Relation, attr: usize, key: &KeyValue) -> u64 {
-    let rank = match rel.schema().attr(attr).map(|a| a.ty) {
-        Ok(AttrType::Int) => 0,
-        Ok(AttrType::Str) => 1,
-        Ok(AttrType::Ptr) => 2,
-        Ok(AttrType::PtrList) | Err(_) => 3,
-    };
+    let rank = rel.schema().attr(attr).map_or(3, |a| rank_type(a.ty));
     match rank.cmp(&rank_key(key)) {
         Ordering::Equal => key.order_tag(),
         Ordering::Less => u64::MAX,
@@ -236,14 +294,11 @@ impl Adapter for AttrAdapter {
         key_order_tag(rel, self.attr, key)
     }
 
-    /// Integer and pointer tags are injective; a string tag holds only an
-    /// 8-byte prefix.
+    /// See [`KeyValue::tag_exact_for`].
     fn key_tag_exact(&self, rel: &Relation, key: &KeyValue) -> bool {
-        let ty = rel.schema().attr(self.attr).map(|a| a.ty);
-        matches!(
-            (ty, key),
-            (Ok(AttrType::Int), KeyValue::Int(_)) | (Ok(AttrType::Ptr), KeyValue::Ptr(_))
-        )
+        rel.schema()
+            .attr(self.attr)
+            .is_ok_and(|a| key.tag_exact_for(a.ty))
     }
 }
 

@@ -37,7 +37,10 @@ pub mod schema;
 pub mod templist;
 pub mod value;
 
-pub use adapter::{value_hash, value_order_tag, AttrAdapter, KeyValue, TempListAdapter};
+pub use adapter::{
+    for_each_exact_tag, order_tag_exact, value_hash, value_order_tag, AttrAdapter, KeyValue,
+    TempListAdapter,
+};
 pub use error::StorageError;
 pub use partition::{Partition, PartitionConfig, SlotState};
 pub use relation::{PartitionView, Relation};

@@ -79,13 +79,13 @@ gate "explorer-smoke"    cargo test -p mmdb-check explore -q
 gate "plan-golden"       cargo test --test plan_explain -q
 gate "planner-accuracy"  cargo run --release --example planner_accuracy
 
-# Restart-performance acceptance: bulk index reconstruction must beat
-# the pre-bulk restart loop (tuple-at-a-time reinsertion through an
+# Restart-performance acceptance: the production bulk index build
+# (create_index on a loaded table, the path restart rebuilds with) must
+# beat the pre-bulk restart loop (tuple-at-a-time reinsertion through an
 # adapter that re-locks the relation on every comparison) by >= 2x on a
-# 100k-row rebuild. Part of that margin is the per-comparison lock:
-# under one held guard the same loop measured 1.5-2.7x slower than the
-# bulk build (EXPERIMENTS.md). The full recover_with pipeline is also
-# swept across sizes and dop (writes results/recovery_scaling.csv).
+# 100k-row unique-key rebuild. Part of the margin is the per-comparison
+# lock (EXPERIMENTS.md). The full recover_with pipeline is also swept
+# across sizes and dop (writes results/recovery_scaling.csv).
 gate "recovery-accept"   cargo run --release --example recovery_bench -- --quick
 
 # Crash-recovery torture: scripted workloads over the fault-injecting

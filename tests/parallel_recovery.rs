@@ -12,9 +12,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mmdb_core::{CrashedDatabase, Database, IndexKind, RecoveryReport};
-use mmdb_exec::ExecConfig;
+use mmdb_exec::{ExecConfig, Predicate};
 use mmdb_recovery::{MemDisk, RestartPhase, SplitMix64};
 use mmdb_storage::{AttrType, OwnedValue, Schema, TupleId};
+use std::ops::Bound;
 
 /// Ops per scripted run — enough to spread rows over several partitions
 /// and leave a mix of checkpointed, device-resident, and buffer-only
@@ -203,6 +204,179 @@ fn working_set_loads_first_at_every_dop() {
         assert!(
             ws.contains(&0),
             "dop {dop}: partition 0 always has an image in this workload"
+        );
+    }
+}
+
+/// Attributes of the rebuilt-order table, each under its own T-Tree.
+const ORDER_ATTRS: [&str; 4] = ["dup", "uniq", "ptr", "s"];
+
+/// A string of `len` bytes whose first eight are the same for every row:
+/// the `Str` tag ties and the value order has to decide.
+fn shared_prefix_str(variant: u64, len: usize) -> String {
+    format!("sharedpr{variant}{}", "x".repeat(len))
+}
+
+/// Run a seeded workload over table `o` — a duplicate-heavy `Int`, a
+/// unique `Int`, a `Ptr` into table `d` that is NULL for a third of the
+/// rows, and a `Str` whose values share their 8-byte prefix and are long
+/// enough that a partition's heap holds only a few dozen of them — with
+/// deletes and string-growing updates (which relocate tuples and leave
+/// forwarding addresses), then crash. Returns how many tuples moved.
+fn build_order_crashed(seed: u64) -> (CrashedDatabase<MemDisk>, usize) {
+    let mut db = Database::in_memory();
+    db.create_table("d", Schema::of(&[("n", AttrType::Int)]))
+        .unwrap();
+    db.create_index("d_n", "d", "n", IndexKind::Hash).unwrap();
+    let mut txn = db.begin();
+    for n in 0..8 {
+        db.insert(&mut txn, "d", vec![OwnedValue::Int(n)]).unwrap();
+    }
+    let targets = db.commit(txn).unwrap();
+    db.create_table(
+        "o",
+        Schema::of(&[
+            ("dup", AttrType::Int),
+            ("uniq", AttrType::Int),
+            ("ptr", AttrType::Ptr),
+            ("s", AttrType::Str),
+        ]),
+    )
+    .unwrap();
+    for attr in ORDER_ATTRS {
+        db.create_index(&format!("o_{attr}"), "o", attr, IndexKind::TTree)
+            .unwrap();
+    }
+    let mut rng = SplitMix64::new(seed);
+    let mut live: Vec<TupleId> = Vec::new();
+    for batch in 0..30i64 {
+        let mut txn = db.begin();
+        for i in 0..12 {
+            let k = batch * 12 + i;
+            let r = rng.next_u64();
+            let ptr = if r.is_multiple_of(3) {
+                None
+            } else {
+                Some(targets[(r % 8) as usize])
+            };
+            db.insert(
+                &mut txn,
+                "o",
+                vec![
+                    OwnedValue::Int((r % 5) as i64 - 2),
+                    OwnedValue::Int(10_000 - 7 * k),
+                    OwnedValue::Ptr(ptr),
+                    OwnedValue::Str(shared_prefix_str(r % 3, 200 + (r % 4) as usize * 100)),
+                ],
+            )
+            .unwrap();
+        }
+        live.extend(db.commit(txn).unwrap());
+        match batch % 5 {
+            1 => {
+                // Delete a few rows anywhere in the table.
+                let mut txn = db.begin();
+                for _ in 0..4 {
+                    let tid = live.swap_remove(rng.next_u64() as usize % live.len());
+                    db.delete(&mut txn, "o", tid).unwrap();
+                }
+                db.commit(txn).unwrap();
+            }
+            3 => {
+                // Grow strings past what their partition's heap holds,
+                // and move some rows to another duplicate key.
+                let mut txn = db.begin();
+                for _ in 0..3 {
+                    let tid = live[rng.next_u64() as usize % live.len()];
+                    let s = shared_prefix_str(rng.next_u64() % 3, 4_000);
+                    db.update(&mut txn, "o", tid, "s", OwnedValue::Str(s))
+                        .unwrap();
+                    let dup = (rng.next_u64() % 5) as i64 - 2;
+                    db.update(&mut txn, "o", tid, "dup", OwnedValue::Int(dup))
+                        .unwrap();
+                }
+                db.commit(txn).unwrap();
+            }
+            4 => db.checkpoint().map(|_| ()).unwrap(),
+            _ => db.run_log_device().unwrap(),
+        }
+    }
+    let moved = db
+        .with_relation("o", |r| {
+            live.iter()
+                .filter(|t| r.resolve(**t).unwrap() != **t)
+                .count()
+        })
+        .unwrap();
+    (db.crash(), moved)
+}
+
+/// An attribute value with a total order matching the index's (NULL
+/// pointer largest).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum OrderKey {
+    Int(i64),
+    Str(String),
+    Ptr(TupleId),
+}
+
+/// Every T-Tree's entries in tree order, as `(value, tid)`.
+fn tree_listings(db: &Database<MemDisk>) -> Vec<Vec<(OrderKey, TupleId)>> {
+    let all = Predicate::Range {
+        lo: Bound::Unbounded,
+        hi: Bound::Unbounded,
+    };
+    ORDER_ATTRS
+        .iter()
+        .map(|attr| {
+            let tids = db.select("o", attr, &all).unwrap().column(0);
+            let rows = db.fetch("o", &tids, &[attr]).unwrap();
+            rows.into_iter()
+                .zip(tids)
+                .map(|(row, tid)| {
+                    let key = match &row[0] {
+                        OwnedValue::Int(i) => OrderKey::Int(*i),
+                        OwnedValue::Str(s) => OrderKey::Str(s.clone()),
+                        OwnedValue::Ptr(p) => OrderKey::Ptr(p.unwrap_or_else(TupleId::null)),
+                        other => panic!("unexpected value {other:?}"),
+                    };
+                    (key, tid)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn rebuilt_trees_list_entries_in_value_tid_order() {
+    for seed in [0u64, 1, 2, 3] {
+        let mut listings = Vec::new();
+        for dop in [1usize, 2] {
+            let (crashed, moved) = build_order_crashed(seed);
+            assert!(
+                moved > 0,
+                "seed {seed}: no tuple relocated — test is vacuous"
+            );
+            let (db, _) = crashed
+                .recover_with(&[("o", 0)], ExecConfig::with_dop(dop))
+                .unwrap();
+            let rows = db.len("o").unwrap();
+            let listing = tree_listings(&db);
+            for (attr, entries) in ORDER_ATTRS.iter().zip(&listing) {
+                assert_eq!(entries.len(), rows, "seed {seed}, dop {dop}, {attr}");
+                if let Some(w) = entries.windows(2).find(|w| w[0] >= w[1]) {
+                    panic!(
+                        "seed {seed}, dop {dop}, {attr}: {:?} listed before {:?}",
+                        w[0], w[1]
+                    );
+                }
+            }
+            db.validate_indexes().unwrap();
+            listings.push(listing);
+        }
+        assert_eq!(
+            listings[0], listings[1],
+            "seed {seed}: dop 1 and dop 2 differ"
         );
     }
 }
