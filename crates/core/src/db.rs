@@ -459,6 +459,8 @@ impl<S: StableStore> Database<S> {
                 WriteOp::Insert { table, values } => {
                     let Table { rel, indexes, .. } = &mut self.tables[table];
                     let tid = rel.insert(&values)?;
+                    #[cfg(test)]
+                    apply_panic::step();
                     self.locks.lock(
                         txn_id,
                         LockTarget::new(table as u32, tid.partition),
@@ -488,6 +490,8 @@ impl<S: StableStore> Database<S> {
                     for i in indexes.iter_mut().filter(|i| i.attr == attr) {
                         i.index.delete_entry(rel, &tid);
                     }
+                    #[cfg(test)]
+                    apply_panic::step();
                     rel.update_field(tid, attr, &value)?;
                     for i in indexes.iter_mut().filter(|i| i.attr == attr) {
                         i.index.insert(rel, tid);
@@ -505,6 +509,8 @@ impl<S: StableStore> Database<S> {
                     for i in indexes.iter_mut() {
                         i.index.delete_entry(rel, &tid);
                     }
+                    #[cfg(test)]
+                    apply_panic::step();
                     rel.delete(tid)?;
                     touched.insert(table);
                 }
@@ -719,6 +725,37 @@ impl<S: StableStore> Database<S> {
             self.recovery.log_buffer(),
         ));
         report
+    }
+}
+
+/// Test seam: a panic armed at the `n`-th apply step (0-based, counted
+/// on the arming thread) of [`Database::apply_and_log`]. Each write
+/// passes one step, placed where a panic leaves memory diverged: an
+/// insert between the relation and its indexes, an update between its
+/// index deletes and the new value, a delete between its index deletes
+/// and the relation.
+#[cfg(test)]
+pub(crate) mod apply_panic {
+    use std::cell::Cell;
+
+    thread_local! {
+        static AT: Cell<Option<u32>> = const { Cell::new(None) };
+    }
+
+    /// Panic at this thread's `step`-th apply step from now on.
+    pub(crate) fn arm(step: u32) {
+        AT.with(|at| at.set(Some(step)));
+    }
+
+    pub(super) fn step() {
+        AT.with(|at| match at.get() {
+            Some(0) => {
+                at.set(None);
+                panic!("injected panic at an apply step");
+            }
+            Some(n) => at.set(Some(n - 1)),
+            None => {}
+        });
     }
 }
 

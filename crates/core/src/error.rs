@@ -107,7 +107,12 @@ impl From<LockError> for DbError {
 
 impl From<std::io::Error> for DbError {
     fn from(e: std::io::Error) -> Self {
-        DbError::Io(e)
+        // A restart worker's panic crosses the recovery crate's
+        // `io::Result` API as an `io::Error` wrapping its `ExecError`.
+        match e.downcast::<ExecError>() {
+            Ok(exec) => DbError::Exec(exec),
+            Err(io) => DbError::Io(io),
+        }
     }
 }
 

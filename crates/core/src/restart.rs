@@ -142,8 +142,11 @@ impl<S: StableStore + Sync> CrashedDatabase<S> {
     /// (DESIGN.md §16). Image fetch + log merge, partition decode, and
     /// index rebuilds fan out on up to `exec.dop` pool workers; results
     /// are merged in plan order, so the recovered database (and any
-    /// error) is bit-identical across `dop` values. `exec.dop <= 1`
-    /// reproduces the serial path with no thread spawned.
+    /// error) is bit-identical across `dop` values. A panicking pool
+    /// task is no exception: it returns [`DbError::Exec`] with
+    /// `ExecError::TaskPanicked` naming the lowest panicked task, at
+    /// every dop. `exec.dop <= 1` reproduces the serial path with no
+    /// thread spawned.
     pub fn recover_with(
         self,
         working_set: &[(&str, u32)],
@@ -263,7 +266,7 @@ impl<S: StableStore + Sync> CrashedDatabase<S> {
                 let (index, entries) =
                     build_index_bulk(rels[i], im.attr as usize, im.kind, im.param);
                 (index, entries, start.elapsed())
-            });
+            })?;
         let mut index_stats = Vec::with_capacity(built.len());
         for (im, (index, entries, elapsed)) in meta.indexes.into_iter().zip(built) {
             index_stats.push(IndexRebuildStat {
@@ -303,17 +306,14 @@ fn install_images<S: StableStore>(
     loaded: &mut Vec<(String, u32, RestartPhase)>,
 ) -> Result<(), DbError> {
     let total_bytes: usize = images.iter().map(|(_, img, _)| img.len()).sum();
-    let decoded: Vec<Result<Partition, mmdb_storage::StorageError>> =
-        if images.len() >= 2 && exec.parallel_for(total_bytes) {
-            run_tasks(images.len(), exec.dop, |i| {
-                Partition::try_from_bytes(&images[i].1)
-            })
-        } else {
-            images
-                .iter()
-                .map(|(_, img, _)| Partition::try_from_bytes(img))
-                .collect()
-        };
+    let dop = if exec.parallel_for(total_bytes) {
+        exec.dop
+    } else {
+        1
+    };
+    let decoded = run_tasks(images.len(), dop, |i| {
+        Partition::try_from_bytes(&images[i].1)
+    })?;
     for ((key, _, phase), part) in images.into_iter().zip(decoded) {
         let t = key.relation as usize;
         if t >= db.tables.len() {
@@ -336,4 +336,69 @@ fn install_images<S: StableStore>(
         loaded.push((db.tables[t].name.clone(), key.partition, phase));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmdb_exec::ExecError;
+    use mmdb_recovery::MemDisk;
+    use mmdb_storage::{AttrType, OwnedValue, Schema};
+
+    /// A disk copy whose `read` of one partition panics, as a device or
+    /// decoder bug would inside a restart worker.
+    struct PanicOnRead {
+        inner: MemDisk,
+        poisoned: PartitionKey,
+    }
+
+    impl StableStore for PanicOnRead {
+        fn write(&mut self, key: PartitionKey, image: &[u8]) -> std::io::Result<()> {
+            self.inner.write(key, image)
+        }
+        fn read(&self, key: PartitionKey) -> std::io::Result<Option<Vec<u8>>> {
+            assert_ne!(key, self.poisoned, "injected read panic");
+            self.inner.read(key)
+        }
+        fn keys(&self) -> std::io::Result<Vec<PartitionKey>> {
+            self.inner.keys()
+        }
+        fn write_meta(&mut self, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+            self.inner.write_meta(name, bytes)
+        }
+        fn read_meta(&self, name: &str) -> std::io::Result<Option<Vec<u8>>> {
+            self.inner.read_meta(name)
+        }
+    }
+
+    /// Three one-partition tables whose images are all on the disk copy,
+    /// crashed; restart's background phase fetches them as tasks 0..3.
+    fn crashed() -> CrashedDatabase<PanicOnRead> {
+        let mut db = Database::with_disk(PanicOnRead {
+            inner: MemDisk::new(),
+            poisoned: PartitionKey::new(1, 0),
+        });
+        for name in ["a", "b", "c"] {
+            db.create_table(name, Schema::of(&[("k", AttrType::Int)]))
+                .unwrap();
+            db.create_index(&format!("{name}_k"), name, "k", IndexKind::Hash)
+                .unwrap();
+            let mut txn = db.begin();
+            db.insert(&mut txn, name, vec![OwnedValue::Int(1)]).unwrap();
+            db.commit(txn).unwrap();
+        }
+        db.run_log_device().unwrap();
+        db.crash()
+    }
+
+    #[test]
+    fn a_panicking_restart_worker_is_the_same_typed_error_at_every_dop() {
+        for dop in [1, 2] {
+            match crashed().recover_with(&[], ExecConfig::with_dop(dop)) {
+                Err(DbError::Exec(ExecError::TaskPanicked { task: 1 })) => {}
+                Err(e) => panic!("dop {dop}: unexpected error {e}"),
+                Ok(_) => panic!("dop {dop}: restart read the poisoned partition"),
+            }
+        }
+    }
 }

@@ -10,6 +10,12 @@ pub enum ExecError {
     /// The operator was driven with inputs of the wrong shape (e.g. a
     /// precomputed join over a non-pointer attribute).
     BadPlan(String),
+    /// A [`crate::run_tasks`] work unit panicked; `task` is the lowest
+    /// panicked task index, the same at every dop.
+    TaskPanicked {
+        /// Index of the panicked task.
+        task: usize,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -17,6 +23,7 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::Storage(e) => write!(f, "storage error: {e}"),
             ExecError::BadPlan(m) => write!(f, "bad plan: {m}"),
+            ExecError::TaskPanicked { task } => write!(f, "worker task {task} panicked"),
         }
     }
 }
@@ -25,7 +32,7 @@ impl std::error::Error for ExecError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ExecError::Storage(e) => Some(e),
-            ExecError::BadPlan(_) => None,
+            ExecError::BadPlan(_) | ExecError::TaskPanicked { .. } => None,
         }
     }
 }

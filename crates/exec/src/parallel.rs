@@ -7,8 +7,9 @@
 //! fetch, partition decode and per-index rebuilds (DESIGN.md §16). The
 //! query operators are single-threaded, as in the paper.
 
+use crate::error::ExecError;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Mutex;
 
 /// Default [`ExecConfig::parallel_threshold`]: inputs whose estimated
 /// working set fits a single core's private cache hierarchy run inline —
@@ -93,39 +94,51 @@ fn available_workers() -> usize {
 /// threads are spawned, with `workers` capped at the machine's available
 /// parallelism; with one effective worker (or a single task) everything
 /// runs inline with no spawn at all.
-pub fn run_tasks<T, F>(tasks: usize, dop: usize, f: F) -> Vec<T>
+///
+/// A task's panic is caught where the task runs, on the inline path and
+/// on the pool alike, and surfaces as [`ExecError::TaskPanicked`] naming
+/// the lowest panicked task index — so the error, like the results, does
+/// not depend on `dop` or on worker timing.
+pub fn run_tasks<T, F>(tasks: usize, dop: usize, f: F) -> Result<Vec<T>, ExecError>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    let run = |task: usize| {
+        catch_unwind(AssertUnwindSafe(|| f(task))).map_err(|_| ExecError::TaskPanicked { task })
+    };
     let workers = dop.min(tasks).min(available_workers());
     if workers <= 1 {
-        return (0..tasks).map(f).collect();
+        // In task order, so the first panic is the lowest.
+        return (0..tasks).map(run).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(tasks));
-    let work = || loop {
-        let i = next.fetch_add(1, AtomicOrdering::Relaxed);
-        if i >= tasks {
-            break;
+    let work = || {
+        let mut mine = Vec::new();
+        loop {
+            let i = next.fetch_add(1, AtomicOrdering::Relaxed);
+            if i >= tasks {
+                break mine;
+            }
+            mine.push((i, run(i)));
         }
-        let result = f(i);
-        slots
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push((i, result));
     };
+    let mut tagged = Vec::with_capacity(tasks);
     std::thread::scope(|scope| {
         // The caller is worker 0; helpers spin up only for the rest.
-        for _ in 1..workers {
-            scope.spawn(work);
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        tagged.extend(work());
+        for helper in helpers {
+            match helper.join() {
+                Ok(part) => tagged.extend(part),
+                // Tasks cannot unwind past `run`; this is the pool's own
+                // bookkeeping failing, so hand the panic to the caller.
+                Err(payload) => resume_unwind(payload),
+            }
         }
-        work();
     });
-    let collected = slots
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    merge_indexed(collected)
+    // Every task ran, so the first `Err` in task order is the lowest.
+    merge_indexed(tagged).into_iter().collect()
 }
 
 /// Merge worker-tagged results back into task order.
@@ -147,8 +160,20 @@ mod tests {
 
     #[test]
     fn run_tasks_returns_in_task_order() {
-        let results = run_tasks(64, 8, |i| i * 3);
+        let results = run_tasks(64, 8, |i| i * 3).unwrap();
         assert_eq!(results, (0..64).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_panicking_task_is_the_same_typed_error_at_every_dop() {
+        for dop in [1, 2, 8] {
+            let err = run_tasks(16, dop, |i| {
+                assert!(i != 5 && i != 11, "task {i} fails");
+                i
+            })
+            .unwrap_err();
+            assert_eq!(err, ExecError::TaskPanicked { task: 5 }, "dop {dop}");
+        }
     }
 
     #[test]

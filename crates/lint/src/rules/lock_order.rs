@@ -1,7 +1,8 @@
 //! Rule `lock-order`: acquisitions must follow the canonical order
 //! declared in the policy (catalog → relation → partition, matching the
-//! paper's §2.5 partition-granularity locking), and no `parking_lot`
-//! guard may be held across a call that can re-enter `mmdb-lock` —
+//! paper's §2.5 partition-granularity locking), and no latch guard
+//! (a `std::sync` mutex or lock guard, or a policy-named accessor's)
+//! may be held across a call that can re-enter `mmdb-lock` —
 //! the latent latch-vs-lock deadlock shape.
 //!
 //! Two transaction-context checks ride on the same scan:
@@ -16,6 +17,9 @@
 //!   staged, write-ahead pending), a `release` ident is a finding until
 //!   a `commit_marker` ident appears: strict 2PL requires the locks to
 //!   outlive the commit record, never the other way round.
+//!
+//! A raw acquisition under a live guard is a re-entry too, even in a
+//! context function.
 //!
 //! All checks are intra-function over the token stream: acquisition
 //! calls are mapped to levels by name; guards are recognized from
@@ -126,13 +130,13 @@ fn check_body(
             && toks[i + 1].is_punct('(')
             && !(i > 0 && (toks[i - 1].is_ident("fn") || toks[i - 1].is_punct('!')))
         {
-            // Raw lock-manager acquisition (call with arguments) outside
-            // the designated transaction-context functions.
-            if !in_context
-                && p.raw_acquire.iter().any(|r| r == &t.text)
+            // Raw lock-manager acquisition: a call with arguments, as
+            // opposed to the zero-argument latch methods of the same name.
+            let raw = p.raw_acquire.iter().any(|r| r == &t.text)
                 && i + 2 <= close
-                && !toks[i + 2].is_punct(')')
-            {
+                && !toks[i + 2].is_punct(')');
+            // Outside the designated transaction-context functions.
+            if !in_context && raw {
                 out.push(Diagnostic {
                     file: path.to_string(),
                     line: t.line,
@@ -173,14 +177,14 @@ fn check_body(
                     });
                 }
             }
-            if p.reentrant.iter().any(|r| r == &t.text) {
+            if raw || p.reentrant.iter().any(|r| r == &t.text) {
                 if let Some(g) = guards.iter().find(|g| g.active_from <= i) {
                     out.push(Diagnostic {
                         file: path.to_string(),
                         line: t.line,
                         rule: RULE.to_string(),
                         message: format!(
-                            "calls `{}` (re-enters mmdb-lock) while `parking_lot` guard \
+                            "calls `{}` (re-enters mmdb-lock) while latch guard \
                              `{}` (line {}) is held",
                             t.text, g.name, g.line
                         ),

@@ -32,6 +32,7 @@ const SEEDED: &[(&str, u32, &str)] = &[
     ("crates/lockfix/src/lib.rs", 37, "lock-order"),
     ("crates/lockfix/src/lib.rs", 75, "lock-order"),
     ("crates/lockfix/src/lib.rs", 89, "lock-order"),
+    ("crates/lockfix/src/lib.rs", 98, "lock-order"),
     ("crates/storagefix/src/lib.rs", 24, "dirty-mark"),
     ("crates/storagefix/src/lib.rs", 30, "dirty-mark"),
     ("crates/storagefix/src/lib.rs", 36, "dirty-mark"),

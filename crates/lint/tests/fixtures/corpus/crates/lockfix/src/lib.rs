@@ -89,3 +89,13 @@ pub fn early_release(m: &TxnLocks) {
     m.release_all(7);
     m.mark_committed(7);
 }
+
+impl Latch {
+    /// SEEDED VIOLATION (lock-order): latch held across a raw
+    /// acquisition, even inside a context function (named `acquire`).
+    pub fn acquire(&self, m: &TxnLocks) {
+        let g = self.lock();
+        m.lock(1, 2);
+        drop(g);
+    }
+}

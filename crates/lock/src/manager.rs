@@ -2,8 +2,8 @@
 //! waits-for-graph deadlock detection.
 
 use crate::table::LockTarget;
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Transaction identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -114,7 +114,7 @@ impl LockManager {
 
     /// Start a transaction.
     pub fn begin(&self) -> TxnId {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(fail_stop);
         let id = TxnId(s.next_txn);
         s.next_txn += 1;
         s.held.insert(id, Vec::new());
@@ -123,13 +123,14 @@ impl LockManager {
 
     /// Total lock requests served so far.
     pub fn request_count(&self) -> u64 {
-        self.state.lock().requests
+        self.state.lock().unwrap_or_else(fail_stop).requests
     }
 
     /// Targets currently locked by `txn`.
     pub fn held(&self, txn: TxnId) -> Vec<LockTarget> {
         self.state
             .lock()
+            .unwrap_or_else(fail_stop)
             .held
             .get(&txn)
             .cloned()
@@ -149,7 +150,7 @@ impl LockManager {
     /// (that writer cannot run while the upgrader still holds S; the
     /// waits-for check turns the cycle into a deadlock abort instead).
     pub fn lock(&self, txn: TxnId, target: LockTarget, mode: LockMode) -> Result<(), LockError> {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(fail_stop);
         if !s.held.contains_key(&txn) {
             return Err(LockError::UnknownTxn);
         }
@@ -166,7 +167,7 @@ impl LockManager {
             if self.attempt(&mut s, txn, target, mode, is_upgrade)? {
                 return Ok(());
             }
-            self.wakeup.wait(&mut s);
+            s = self.wakeup.wait(s).unwrap_or_else(fail_stop);
             if !s.held.contains_key(&txn) {
                 return Err(LockError::UnknownTxn);
             }
@@ -234,7 +235,7 @@ impl LockManager {
         target: LockTarget,
         mode: LockMode,
     ) -> Result<bool, LockError> {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(fail_stop);
         if !s.held.contains_key(&txn) {
             return Err(LockError::UnknownTxn);
         }
@@ -269,7 +270,7 @@ impl LockManager {
     /// Strict 2PL release: drop every lock and queued request of `txn`
     /// (commit and abort both end here), waking waiters.
     pub fn release_all(&self, txn: TxnId) {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(fail_stop);
         let targets = s.held.remove(&txn).unwrap_or_default();
         for target in targets {
             let st = state_lock(&mut s, target);
@@ -290,9 +291,9 @@ impl LockManager {
     /// (every enqueue notifies the condvar).
     #[cfg(test)]
     fn wait_until_queued(&self, target: LockTarget, n: usize) {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(fail_stop);
         while state_lock(&mut s, target).queue.len() < n {
-            self.wakeup.wait(&mut s);
+            s = self.wakeup.wait(s).unwrap_or_else(fail_stop);
         }
     }
 
@@ -380,7 +381,7 @@ impl LockManager {
         target: LockTarget,
         mode: LockMode,
     ) -> Result<bool, LockError> {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(fail_stop);
         if !s.held.contains_key(&txn) {
             return Err(LockError::UnknownTxn);
         }
@@ -398,7 +399,7 @@ impl LockManager {
     /// Capture the lock table under the state mutex.
     #[must_use]
     pub fn snapshot(&self) -> LockTableSnapshot {
-        let s = self.state.lock();
+        let s = self.state.lock().unwrap_or_else(fail_stop);
         let mut targets: Vec<TargetSnapshot> = Vec::new();
         for chain in &s.buckets {
             for (target, st) in chain {
@@ -417,6 +418,14 @@ impl LockManager {
         live_txns.sort_unstable();
         LockTableSnapshot { targets, live_txns }
     }
+}
+
+/// Poison handler for the lock table's mutex and condvar. No foreign
+/// code runs under the table, so poison means the lock manager itself
+/// panicked mid-update: re-raise (fail-stop) rather than grant from a
+/// half-updated table.
+fn fail_stop<G>(_: PoisonError<G>) -> G {
+    panic!("lock table poisoned: the lock manager panicked while holding it")
 }
 
 fn conflicts(a: LockMode, b: LockMode) -> bool {
@@ -653,7 +662,7 @@ mod tests {
                     for _ in 0..100 {
                         let txn = m.begin();
                         m.lock(txn, t(0), LockMode::Exclusive).unwrap();
-                        let mut c = counter.lock();
+                        let mut c = counter.lock().unwrap();
                         let v = *c;
                         std::thread::yield_now();
                         *c = v + 1;
@@ -666,7 +675,7 @@ mod tests {
         for th in threads {
             th.join().unwrap();
         }
-        assert_eq!(*counter.lock(), 400);
+        assert_eq!(*counter.lock().unwrap(), 400);
     }
 
     #[test]

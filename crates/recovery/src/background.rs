@@ -6,9 +6,8 @@
 
 use crate::disk::StableStore;
 use crate::manager::RecoveryManager;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Handle to a running background log device. Dropping it stops the
@@ -34,11 +33,11 @@ impl ActiveLogDevice {
             .name("mmqp-log-device".into())
             .spawn(move || {
                 while !stop2.load(Ordering::Relaxed) {
-                    mgr.lock().run_log_device()?;
+                    mgr.lock().unwrap_or_else(fail_stop).run_log_device()?;
                     std::thread::sleep(interval);
                 }
                 // Final cycle so nothing committed is left behind.
-                mgr.lock().run_log_device()
+                mgr.lock().unwrap_or_else(fail_stop).run_log_device()
             })?;
         Ok(ActiveLogDevice {
             stop,
@@ -56,6 +55,14 @@ impl ActiveLogDevice {
             None => Ok(()),
         }
     }
+}
+
+/// Poison handler for the shared manager: a panic while some other
+/// holder had it may have left the stable log half-updated, so the
+/// device stops (fail-stop) instead of propagating from it; `shutdown`
+/// then reports the thread's panic as an error.
+fn fail_stop<G>(_: PoisonError<G>) -> G {
+    panic!("recovery manager poisoned: a holder panicked; the log device stops")
 }
 
 impl Drop for ActiveLogDevice {
@@ -79,12 +86,12 @@ mod tests {
         let device = ActiveLogDevice::spawn(Arc::clone(&mgr), Duration::from_millis(1)).unwrap();
         // Commit updates while the device runs.
         for txn in 0..50u64 {
-            let mut m = mgr.lock();
+            let mut m = mgr.lock().unwrap();
             m.log_update(txn, PartitionKey::new(0, (txn % 5) as u32), vec![txn as u8]);
             m.commit(txn);
         }
         device.shutdown().unwrap();
-        let m = mgr.lock();
+        let m = mgr.lock().unwrap();
         let (pulled, flushed) = m.device_counters();
         assert_eq!(pulled, 50, "every committed record pulled");
         assert!(flushed >= 5, "all five partitions reached the disk copy");
@@ -99,13 +106,13 @@ mod tests {
         {
             let _device =
                 ActiveLogDevice::spawn(Arc::clone(&mgr), Duration::from_millis(1)).unwrap();
-            let mut m = mgr.lock();
+            let mut m = mgr.lock().unwrap();
             m.log_update(1, PartitionKey::new(0, 0), vec![1]);
             m.commit(1);
         } // drop
           // After drop the manager is free and the record propagated (the
           // drop path runs a final cycle via the stop flag + join).
-        let m = mgr.lock();
+        let m = mgr.lock().unwrap();
         assert!(m.recover_image(PartitionKey::new(0, 0)).unwrap().is_some());
     }
 }

@@ -52,20 +52,15 @@ impl LogDevice {
     /// unwritten images — the failed one included — stay in the
     /// accumulation log, so a later retry (or a crash-restart reading
     /// [`LogDevice::pending`]) still sees them; a failed flush must never
-    /// lose committed work.
+    /// lose committed work. A write that panics leaves them there too.
     pub fn flush(&mut self, disk: &mut dyn StableStore) -> std::io::Result<()> {
         let mut keys: Vec<PartitionKey> = self.accumulated.keys().copied().collect();
         keys.sort_unstable();
         for key in keys {
-            let Some((lsn, image)) = self.accumulated.remove(&key) else {
-                continue;
-            };
-            match disk.write(key, &image) {
-                Ok(()) => self.flushed += 1,
-                Err(e) => {
-                    self.accumulated.insert(key, (lsn, image));
-                    return Err(e);
-                }
+            if let Some((_, image)) = self.accumulated.get(&key) {
+                disk.write(key, image)?;
+                self.accumulated.remove(&key);
+                self.flushed += 1;
             }
         }
         Ok(())

@@ -25,9 +25,8 @@
 
 use crate::disk::StableStore;
 use crate::log::PartitionKey;
-use parking_lot::Mutex;
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The splitmix64 stream (identical constants to the `mmdb-check`
 /// explorer) used to derive per-operation fault decisions from a seed.
@@ -179,7 +178,7 @@ impl FaultHandle {
     /// Start injecting faults (operations before arming pass through
     /// uncounted — lets tests run DDL/setup on a reliable disk).
     pub fn arm(&self) {
-        self.state.lock().armed = true;
+        self.state.lock().unwrap_or_else(fail_stop).armed = true;
     }
 
     /// Restore power and stop injecting faults entirely: the torn/frozen
@@ -187,7 +186,7 @@ impl FaultHandle {
     /// if the underlying store does (models replacing the failing
     /// hardware before restart).
     pub fn heal(&self) {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(fail_stop);
         s.armed = false;
         s.powered = true;
         s.counters.power_cut = false;
@@ -196,13 +195,13 @@ impl FaultHandle {
     /// False after a crash point fired (and before [`FaultHandle::heal`]).
     #[must_use]
     pub fn is_powered(&self) -> bool {
-        self.state.lock().powered
+        self.state.lock().unwrap_or_else(fail_stop).powered
     }
 
     /// Snapshot of the operation/fault counters.
     #[must_use]
     pub fn counters(&self) -> FaultCounters {
-        self.state.lock().counters.clone()
+        self.state.lock().unwrap_or_else(fail_stop).counters.clone()
     }
 }
 
@@ -237,7 +236,7 @@ impl<S: StableStore> FaultyDisk<S> {
     /// Per-operation gate: decides pass/deny/tear from the plan and the
     /// seeded stream, updating counters and the schedule digest.
     fn gate(&self, is_write: bool) -> Admit {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(fail_stop);
         if !s.powered {
             return Admit::Deny(power_cut_error());
         }
@@ -296,6 +295,13 @@ impl<S: StableStore> FaultyDisk<S> {
             (keep_roll % image_len as u64) as usize
         }
     }
+}
+
+/// Poison handler for the shared fault state. Only the bookkeeping in
+/// this module runs under it, so poison means that bookkeeping panicked:
+/// re-raise (fail-stop) rather than inject from a half-updated schedule.
+fn fail_stop<G>(_: PoisonError<G>) -> G {
+    panic!("fault state poisoned: the fault injector panicked while holding it")
 }
 
 fn power_cut_error() -> io::Error {

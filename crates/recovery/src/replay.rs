@@ -17,11 +17,13 @@
 //!   ordering hazard — any interleaving computes the same images;
 //! * results are merged by task index, not completion order;
 //! * at `dop <= 1`, with fewer than two keys in a phase, or on a machine
-//!   with one core, everything runs inline on the caller with no thread
-//!   spawned — the serial path *is* the parallel path degenerated;
-//! * on error the earliest failing key in plan order wins (the serial
-//!   path's short-circuit), though unlike the serial path later fetches
-//!   may already have run.
+//!   with one core, `run_tasks` runs everything inline on the caller with
+//!   no thread spawned — the serial path *is* the parallel path
+//!   degenerated;
+//! * on error the earliest failing key in plan order wins, though at
+//!   `dop > 1` later fetches may already have run; a fetch that panics
+//!   is the error `ExecError::TaskPanicked` (inside an `io::Error`)
+//!   naming the lowest panicked task at every `dop`.
 //!
 //! This module is panic-path linted (`mmdb-lint.policy`): no indexing, no
 //! unwraps, no arithmetic that can trap — restart is the one phase where
@@ -104,22 +106,17 @@ impl<S: StableStore + Sync> RecoveryManager<S> {
         phase: RestartPhase,
         dop: usize,
     ) -> std::io::Result<Vec<(PartitionKey, Vec<u8>, RestartPhase)>> {
-        let mut out = Vec::with_capacity(keys.len());
-        if dop <= 1 || keys.len() < 2 {
-            for &key in keys {
-                if let Some(img) = self.recover_image(key)? {
-                    out.push((key, img, phase));
-                }
-            }
-            return Ok(out);
-        }
         let fetched = run_tasks(keys.len(), dop, |i| match keys.get(i) {
             Some(&key) => self.recover_image(key),
             None => Ok(None),
-        });
+        })
+        // A worker's panic keeps its typed `ExecError` inside the
+        // `io::Error`; `DbError`'s conversion unwraps it again.
+        .map_err(std::io::Error::other)?;
         // `run_tasks` returns results in task order = plan order; the
         // first error in that order is the one the serial path would
         // have short-circuited on.
+        let mut out = Vec::with_capacity(keys.len());
         for (key, res) in keys.iter().zip(fetched) {
             if let Some(img) = res? {
                 out.push((*key, img, phase));

@@ -12,8 +12,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::print_stdout)]
 
 use mmdb_recovery::{ActiveLogDevice, MemDisk, PartitionKey, RecoveryManager, RestartPhase};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn main() {
@@ -25,28 +24,29 @@ fn main() {
     // 200 transactions across 8 partitions, committed while the device
     // races to propagate them.
     for txn in 0..200u64 {
-        let mut m = mgr.lock();
+        let mut m = mgr.lock().unwrap();
         let key = PartitionKey::new(0, (txn % 8) as u32);
         m.log_update(txn, key, format!("partition-image-v{txn}").into_bytes());
         m.commit(txn);
         drop(m);
         if txn % 50 == 49 {
-            let (pulled, flushed) = mgr.lock().device_counters();
+            let (pulled, flushed) = mgr.lock().unwrap().device_counters();
             println!("  after {txn} commits: device pulled {pulled}, flushed {flushed} images");
         }
     }
 
     // One uncommitted straggler that must not survive.
     mgr.lock()
+        .unwrap()
         .log_update(999, PartitionKey::new(0, 0), b"uncommitted".to_vec());
 
     // Crash. The thread keeps the stable components; the straggler dies.
-    mgr.lock().crash_volatile();
+    mgr.lock().unwrap().crash_volatile();
     device.shutdown().expect("device shutdown");
     println!("-- crash; device stopped --");
 
     // Restart with partitions 3 and 7 as the working set.
-    let m = mgr.lock();
+    let m = mgr.lock().unwrap();
     let plan = m
         .restart(&[PartitionKey::new(0, 3), PartitionKey::new(0, 7)])
         .expect("restart");

@@ -34,9 +34,8 @@ use mmdb_index::{TTree, TTreeConfig};
 use mmdb_storage::{
     AttrAdapter, AttrType, KeyValue, OwnedValue, PartitionConfig, Relation, Schema, TupleId,
 };
-use parking_lot::RwLock;
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 /// T-Tree node size (the workload suites' fixed choice).
@@ -64,15 +63,15 @@ impl Adapter for RelockAdapter {
     type Ctx<'c> = ();
 
     fn cmp_entries(&self, (): (), a: &TupleId, b: &TupleId) -> Ordering {
-        self.attr.cmp_entries(&self.rel.read(), a, b)
+        self.attr.cmp_entries(&self.rel.read().unwrap(), a, b)
     }
 
     fn cmp_entry_key(&self, (): (), e: &TupleId, key: &KeyValue) -> Ordering {
-        self.attr.cmp_entry_key(&self.rel.read(), e, key)
+        self.attr.cmp_entry_key(&self.rel.read().unwrap(), e, key)
     }
 
     fn entry_tag(&self, (): (), e: &TupleId) -> u64 {
-        self.attr.entry_tag(&self.rel.read(), e)
+        self.attr.entry_tag(&self.rel.read().unwrap(), e)
     }
 
     fn key_tag(&self, (): (), key: &KeyValue) -> u64 {
@@ -101,7 +100,7 @@ fn rebuild_contest(keys: &[i64]) -> (f64, f64) {
             attr: AttrAdapter::new(0),
         };
         let mut t = TTree::new(adapter, TTreeConfig::with_node_size(NODE_SIZE));
-        for tid in rel.read().iter_tids() {
+        for tid in rel.read().unwrap().iter_tids() {
             t.insert((), tid);
         }
         assert_eq!(t.len(), REBUILD_N);
